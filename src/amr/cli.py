@@ -3,7 +3,8 @@
 Exit codes are a stable scripting contract: 0 on success, 2 on input or
 validation errors, 1 on internal errors.  Every command is idempotent:
 identical inputs and seed produce byte-identical output files, for any
-worker count (``--workers`` / the ``AMR_WORKERS`` environment variable).
+worker count (``--workers`` / the ``AMR_WORKERS`` environment variable,
+validated but unused: the simulation is single-threaded and batched).
 """
 
 from __future__ import annotations
@@ -117,6 +118,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     workers = _workers(args)
+    if not args.tolerance >= 0:
+        raise ValueError(f"--tolerance must be >= 0, got {args.tolerance}")
+    if args.replications < 1:
+        raise ValueError(f"--replications must be >= 1, got {args.replications}")
     series = load_csv(args.data)
     train, test = split(series, SplitSpec(_parse_date(args.split)))
     config = market.load_config(args.config)
@@ -276,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_workers(p):
         p.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default: AMR_WORKERS env var or 1)")
+                       help="worker count, validated but unused: simulation is single-threaded "
+                            "and batched (default: AMR_WORKERS env var or 1)")
 
     p = sub.add_parser("train", help="fit market parameters to the training window")
     p.add_argument("--data", required=True, help="target CSV (date,value)")

@@ -153,21 +153,17 @@ def energy(
     """Replication-averaged training MAPE of `params`.
 
     Replication r simulates with master seed substream(config.master_seed, r),
-    p0 equal to the first training value, over the training dates; results
-    are averaged in replication order, so the value is deterministic.
+    p0 equal to the first training value, over the training dates; the
+    replications run as rows of one batch and their MAPEs are averaged in
+    replication order, so the value is deterministic.  `workers` is
+    accepted for compatibility and changes nothing.
     """
     cfg = params.apply(config)
-    p0 = train.values[0]
+    rows = [replace(cfg, master_seed=substream(cfg.master_seed, r)) for r in range(replications)]
+    prices, _ = market.simulate_batch(rows, train.values[0], len(train), train.dates)
     total = 0.0
-    for r in range(replications):
-        run = market.simulate_pk(
-            replace(cfg, master_seed=substream(cfg.master_seed, r)),
-            p0=p0,
-            horizon=len(train),
-            dates=train.dates,
-            workers=workers,
-        )
-        total += mape(train, run.predicted)
+    for row in prices:
+        total += mape(train, TimeSeries(train.dates, tuple(row.tolist())))
     return total / replications
 
 

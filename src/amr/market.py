@@ -12,12 +12,16 @@ Determinism contract: every random draw is a pure function of
 (master_seed, purpose, step, agent) via counter-based streams, and net
 demand is summed in fixed chunks combined in chunk order.  Worker counts
 therefore never change the output, bit for bit.
+
+One single-threaded kernel, simulate_batch, runs equal-sized markets as
+the rows of (R, n_agents) arrays, sharing each seed's decision uniforms
+across rows.  `workers` arguments are still accepted but start no
+threads: the thread pools were removed after 2 workers measured slower than 1.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
@@ -37,11 +41,11 @@ PRICE_IMPACT_BOUNDS = (1e-6, 0.1)
 JITTER_MAX = 0.2
 MAX_TYPES = 16
 
-# Fixed unit of parallel demand aggregation; recorded on every run.
+# Fixed unit of demand aggregation; recorded on every run.
 DEFAULT_CHUNK_SIZE = 4096
 
 # Upper bound on precomputed decision uniforms held at once (elements).
-_UNIFORM_BLOCK_ELEMENTS = 1 << 21
+_UNIFORM_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -167,22 +171,28 @@ def config_to_dict(config: MarketConfig) -> dict:
     }
 
 
+def _type_from_dict(t: dict) -> InvestorType:
+    name = t["name"]
+    count, enabled = t["count"], t.get("enabled", True)
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ValueError(f"investor type {name!r}: count must be an integer, got {count!r}")
+    if not isinstance(enabled, bool):
+        raise ValueError(f"investor type {name!r}: enabled must be true or false, got {enabled!r}")
+    return InvestorType(
+        name=name,
+        assets_per_investor=float(t["assets_per_investor"]),
+        count=count,
+        optimism=float(t["optimism"]),
+        reactivity=float(t["reactivity"]),
+        trade_fraction=float(t["trade_fraction"]),
+        enabled=enabled,
+    )
+
+
 def config_from_dict(data: dict) -> MarketConfig:
     try:
-        types = tuple(
-            InvestorType(
-                name=t["name"],
-                assets_per_investor=float(t["assets_per_investor"]),
-                count=int(t["count"]),
-                optimism=float(t["optimism"]),
-                reactivity=float(t["reactivity"]),
-                trade_fraction=float(t["trade_fraction"]),
-                enabled=bool(t.get("enabled", True)),
-            )
-            for t in data["types"]
-        )
         return MarketConfig(
-            types=types,
+            types=tuple(_type_from_dict(t) for t in data["types"]),
             price_impact=float(data["price_impact"]),
             jitter=float(data.get("jitter", 0.05)),
             master_seed=int(data.get("master_seed", 0)),
@@ -224,11 +234,10 @@ class AgentPopulation:
     chunk_size: int
 
     def __post_init__(self):
-        # Cache the per-agent demand weight and decision counters.
+        # Cache the per-agent demand weight.
         self._weight = np.where(
             self.enabled, self.trade_fraction * self.assets / self.normalization_assets, 0.0
         )
-        self._agent_ids = np.arange(len(self.type_index), dtype=np.uint64)
 
     def __len__(self) -> int:
         return len(self.type_index)
@@ -278,56 +287,47 @@ def init_population(config: MarketConfig, chunk_size: int = DEFAULT_CHUNK_SIZE) 
     )
 
 
-class _StepBuffers:
-    """Scratch arrays for one sequential run; populations stay immutable."""
+def _row_sums(contrib: np.ndarray, chunk_size: int) -> np.ndarray:
+    """Net demand of every row, accumulated in place in `contrib`.
 
-    def __init__(self, n: int):
-        self.prob = np.empty(n)
-        self.buy = np.empty(n, dtype=bool)
-        self.contrib = np.empty(n)
-        self.accum = np.empty(n)
-
-
-def _chunk_total(contrib: np.ndarray, accum: np.ndarray | None) -> float:
-    """Strict ascending-index sum of one chunk."""
-    if accum is None:
-        return float(np.cumsum(contrib)[-1])
-    out = accum[: len(contrib)]
-    np.add.accumulate(contrib, out=out)
-    return float(out[-1])
-
-
-def _net_demand(
-    contrib: np.ndarray,
-    chunk_size: int,
-    pool: ThreadPoolExecutor | None,
-    accum: np.ndarray | None = None,
-) -> float:
-    """Sum agent contributions: fixed chunks, combined in chunk order."""
-    n = len(contrib)
+    Chunks are summed in strict ascending agent order and their totals
+    added to 0.0 in chunk order; a lone chunk's total is returned as is,
+    so a row of -0.0 terms keeps its sign.
+    """
+    n = contrib.shape[1]
     if n <= chunk_size:
-        return _chunk_total(contrib, accum)
-    spans = [(i, min(i + chunk_size, n)) for i in range(0, n, chunk_size)]
-
-    def one(span: tuple[int, int]) -> float:
-        lo, hi = span
-        return _chunk_total(contrib[lo:hi], accum[lo:hi] if accum is not None else None)
-
-    totals = [one(s) for s in spans] if pool is None else list(pool.map(one, spans))
-    demand = 0.0
-    for t in totals:
-        demand += t
+        np.add.accumulate(contrib, axis=1, out=contrib)
+        return contrib[:, -1]
+    demand = np.zeros(len(contrib))
+    for lo in range(0, n, chunk_size):
+        chunk = contrib[:, lo : lo + chunk_size]
+        np.add.accumulate(chunk, axis=1, out=chunk)
+        demand += chunk[:, -1]
     return demand
 
 
-def _decision_uniforms(master_seed: int, steps: list[int], agent_ids: np.ndarray) -> np.ndarray:
-    """Uniforms u[s, a] for the given step indices, all agents.
-
-    Row s equals the per-step stream exactly: the value for (step, agent)
-    is a pure function of (master_seed, decision tag, step, agent).
-    """
-    keys = [fold(master_seed, TAG_DECISION, s) for s in steps]
-    return u01_array(fold_matrix(keys, agent_ids))
+def _advance(
+    price: np.ndarray,
+    last_return: np.ndarray,
+    optimism: np.ndarray,
+    reactivity: np.ndarray,
+    weight: np.ndarray,
+    price_impact: np.ndarray,
+    uniforms: np.ndarray,
+    chunk_size: int,
+    scratch: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One trading day for each row of the (R, n) agent arrays; returns (prices, demands)."""
+    np.multiply(reactivity, last_return[:, None], out=scratch)
+    scratch += optimism
+    np.clip(scratch, 0.0, 1.0, out=scratch)
+    np.less(uniforms, scratch, out=scratch)  # 1.0 where the agent buys
+    # 2 * buy - 1 is exactly +1 or -1, so this is +weight or -weight bit for bit.
+    scratch *= 2.0
+    scratch -= 1.0
+    scratch *= weight
+    demand = _row_sums(scratch, chunk_size)
+    return price * (1.0 + price_impact * demand), demand
 
 
 def step(
@@ -337,9 +337,6 @@ def step(
     step_index: int,
     master_seed: int,
     workers: int = 1,
-    _pool: ThreadPoolExecutor | None = None,
-    _uniforms: np.ndarray | None = None,
-    _buffers: _StepBuffers | None = None,
 ) -> tuple[float, float]:
     """Advance the price one trading day.
 
@@ -352,25 +349,82 @@ def step(
     """
     if not price > 0:
         raise ValueError(f"price must be positive, got {price}")
-    if _uniforms is None:
-        step_key = fold(master_seed, TAG_DECISION, step_index)
-        _uniforms = u01_array(fold_array(step_key, population._agent_ids))
-    buf = _buffers if _buffers is not None else _StepBuffers(len(population))
+    step_key = fold(master_seed, TAG_DECISION, step_index)
+    uniforms = u01_array(fold_array(step_key, np.arange(len(population), dtype=np.uint64)))
+    next_price, demand = _advance(
+        np.array([price]), np.array([last_return]),
+        population.optimism[None], population.reactivity[None], population._weight[None],
+        np.array([population.price_impact]), uniforms[None],
+        population.chunk_size, np.empty((1, len(population))),
+    )
+    return float(next_price[0]), float(demand[0])
 
-    np.multiply(population.reactivity, last_return, out=buf.prob)
-    buf.prob += population.optimism
-    np.clip(buf.prob, 0.0, 1.0, out=buf.prob)
-    np.less(_uniforms, buf.prob, out=buf.buy)
-    np.negative(population._weight, out=buf.contrib)
-    np.copyto(buf.contrib, population._weight, where=buf.buy)
 
-    if _pool is None and workers > 1 and len(population) > population.chunk_size:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            demand = _net_demand(buf.contrib, population.chunk_size, pool, buf.accum)
-    else:
-        demand = _net_demand(buf.contrib, population.chunk_size, _pool, buf.accum)
-    next_price = price * (1.0 + population.price_impact * demand)
-    return next_price, demand
+def simulate_batch(
+    configs: Sequence[MarketConfig],
+    p0: float,
+    horizon: int,
+    dates: Sequence[date],
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate several markets of equal agent count together, one per row.
+
+    Returns (prices, demands) of shapes (R, horizon) and (R, horizon - 1);
+    row i is bit for bit what simulate_pk(configs[i], ...) produces.
+    Decision uniforms are generated once per distinct seed and shared by
+    every row that uses it.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if len(dates) != horizon:
+        raise ValueError(f"got {len(dates)} dates for horizon {horizon}")
+    if not p0 > 0:
+        raise ValueError(f"p0 must be positive, got {p0}")
+    if not configs:
+        raise ValueError("simulate_batch needs at least one config")
+
+    rows, n_agents = len(configs), sum(t.count for t in configs[0].types)
+    optimism, reactivity, weight = (np.empty((rows, n_agents)) for _ in range(3))
+    for i, config in enumerate(configs):
+        population = init_population(config, chunk_size=chunk_size)
+        if len(population) != n_agents:
+            raise ValueError("all configs in a batch must have the same number of agents")
+        optimism[i] = population.optimism
+        reactivity[i] = population.reactivity
+        weight[i] = population._weight
+    price_impact = np.array([c.price_impact for c in configs])
+
+    seed_index: dict[int, int] = {}
+    row_seed = np.array([seed_index.setdefault(c.master_seed, len(seed_index)) for c in configs])
+    seed_keys = [fold(seed, TAG_DECISION) for seed in seed_index]
+    agent_ids = np.arange(n_agents, dtype=np.uint64)
+    # Decision uniforms are price-independent, so they are produced in
+    # blocks ahead of the sequential price loop; when every row has its
+    # own seed, in row order, a block row serves its run directly.
+    block = max(1, _UNIFORM_BLOCK_ELEMENTS // (len(seed_keys) * n_agents))
+    gathered = np.empty((rows, n_agents)) if len(seed_keys) < rows else None
+
+    prices = np.full((rows, horizon), p0, dtype=np.float64)
+    demands = np.empty((rows, horizon - 1))
+    last_return = np.zeros(rows)
+    scratch = np.empty((rows, n_agents))
+    for s in range(horizon - 1):
+        k = s % block
+        if k == 0:
+            steps = range(s, min(s + block, horizon - 1))
+            bits = fold_matrix([fold(key, t) for t in steps for key in seed_keys], agent_ids)
+            u_block = u01_array(bits).reshape(len(steps), len(seed_keys), n_agents)
+        uniforms = u_block[k]
+        if gathered is not None:
+            uniforms = np.take(uniforms, row_seed, axis=0, out=gathered)
+        if s > 0:
+            np.subtract(prices[:, s], prices[:, s - 1], out=last_return)
+            last_return /= prices[:, s - 1]
+        prices[:, s + 1], demands[:, s] = _advance(
+            prices[:, s], last_return, optimism, reactivity, weight, price_impact,
+            uniforms, chunk_size, scratch,
+        )
+    return prices, demands
 
 
 @dataclass(frozen=True)
@@ -393,61 +447,15 @@ def simulate_pk(
 ) -> SimulationRun:
     """Simulate `horizon` days seeded only by the starting price p0.
 
-    predicted[0] = p0; each later value comes from step() fed with the
-    return of the simulation's own previous move (0 for the first step,
-    which has no history).  The run is a pure function of
+    predicted[0] = p0; each later value comes from step()'s update fed
+    with the return of the simulation's own previous move (0 for the
+    first step, which has no history).  The run is a pure function of
     (config, p0, horizon): worker count never changes the result.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if len(dates) != horizon:
-        raise ValueError(f"got {len(dates)} dates for horizon {horizon}")
-    if not p0 > 0:
-        raise ValueError(f"p0 must be positive, got {p0}")
-
-    population = init_population(config, chunk_size=chunk_size)
-    n_agents = len(population)
-    n_chunks = (n_agents + chunk_size - 1) // chunk_size
-    use_pool = workers > 1 and n_chunks > 1
-
-    prices = np.empty(horizon, dtype=np.float64)
-    prices[0] = p0
-    demands: list[float] = []
-    buffers = _StepBuffers(n_agents)
-    # Decision uniforms are price-independent, so they are produced in
-    # blocks ahead of the sequential price loop.
-    block = max(1, _UNIFORM_BLOCK_ELEMENTS // max(n_agents, 1))
-
-    pool = ThreadPoolExecutor(max_workers=workers) if use_pool else None
-    try:
-        u_block: np.ndarray | None = None
-        block_start = 0
-        for t in range(1, horizon):
-            s = t - 1  # step index
-            if u_block is None or s >= block_start + len(u_block):
-                block_start = s
-                steps = list(range(s, min(s + block, horizon - 1)))
-                u_block = _decision_uniforms(config.master_seed, steps, population._agent_ids)
-            last_return = 0.0 if t == 1 else (prices[t - 1] - prices[t - 2]) / prices[t - 2]
-            prices[t], demand = step(
-                prices[t - 1],
-                last_return,
-                population,
-                s,
-                config.master_seed,
-                _pool=pool,
-                _uniforms=u_block[s - block_start],
-                _buffers=buffers,
-            )
-            demands.append(demand)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    predicted = TimeSeries(tuple(dates), tuple(float(p) for p in prices))
+    prices, demands = simulate_batch([config], p0, horizon, dates, chunk_size=chunk_size)
     return SimulationRun(
-        predicted=predicted,
-        demands=tuple(demands),
+        predicted=TimeSeries(tuple(dates), tuple(prices[0].tolist())),
+        demands=tuple(demands[0].tolist()),
         seed_used=config.master_seed,
         chunk_size=chunk_size,
     )

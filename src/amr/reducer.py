@@ -15,21 +15,23 @@ sub-seeds, so their scores differ only by which types act.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, islice
 from math import sqrt
 from typing import Iterable, Sequence
 
 from . import market
 from .learner import AnnealingSchedule, ParameterVector, anneal
-from .market import MarketConfig, only_enabled, simulate_pk
+from .market import MarketConfig, only_enabled
+from .market import simulate_pk  # noqa: F401  (perfbench/layers.py wraps reducer.simulate_pk)
 from .rng import substream
 from .timeseries import TimeSeries, mape
 
 MAX_EXHAUSTIVE_TYPES = 16
 DEFAULT_TOLERANCE = 0.005  # MAPE fraction, i.e. half a percentage point
 DEFAULT_REPLICATIONS = 10
+# Rows x agents per simulate_batch call: bounds the memory of a 16-type oracle.
+MAX_BATCH_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,39 @@ def _score(samples: Sequence[float]) -> Score:
     return Score(mean, sqrt(var))
 
 
+def _subset_scores(
+    subsets: Iterable[tuple[str, ...]],
+    params: ParameterVector,
+    config: MarketConfig,
+    target: TimeSeries,
+    replications: int,
+) -> list[Score]:
+    """Score of each subset, in order, from batched simulation rows.
+
+    Rows run subset by subset, replication r of every subset using
+    sub-seed substream(master_seed, r), in as few simulate_batch calls as
+    MAX_BATCH_ELEMENTS allows; each row's series is built only when its
+    MAPE is taken.
+    """
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
+    cfg = params.apply(config)
+    seeds = [substream(cfg.master_seed, r) for r in range(replications)]
+
+    def rows():
+        for members in subsets:
+            subset_cfg = only_enabled(cfg, members)
+            for seed in seeds:
+                yield replace(subset_cfg, master_seed=seed)
+
+    per_call = max(1, MAX_BATCH_ELEMENTS // sum(t.count for t in cfg.types))
+    pending, samples = rows(), []
+    while batch := list(islice(pending, per_call)):
+        prices, _ = market.simulate_batch(batch, target.values[0], len(target), target.dates)
+        samples += [mape(target, TimeSeries(target.dates, tuple(row.tolist()))) for row in prices]
+    return [_score(samples[i : i + replications]) for i in range(0, len(samples), replications)]
+
+
 def evaluate_subset(
     subset: ModelSet | Iterable[str],
     params: ParameterVector,
@@ -133,40 +168,7 @@ def evaluate_subset(
     every subset, making subset scores directly comparable.
     """
     members = subset.member_names if isinstance(subset, ModelSet) else tuple(subset)
-    cfg = params.apply(config)
-    cfg = only_enabled(cfg, members)
-    p0 = target.values[0]
-    samples = []
-    for r in range(replications):
-        run = simulate_pk(
-            replace(cfg, master_seed=substream(cfg.master_seed, r)),
-            p0=p0,
-            horizon=len(target),
-            dates=target.dates,
-            workers=workers,
-        )
-        samples.append(mape(target, run.predicted))
-    return _score(samples)
-
-
-def _score_singletons(
-    config: MarketConfig,
-    params: ParameterVector,
-    target: TimeSeries,
-    replications: int,
-    workers: int,
-) -> dict[str, Score]:
-    names = config.type_names
-    if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = list(
-                pool.map(
-                    lambda n: evaluate_subset((n,), params, config, target, replications), names
-                )
-            )
-    else:
-        scores = [evaluate_subset((n,), params, config, target, replications) for n in names]
-    return dict(zip(names, scores))
+    return _subset_scores([members], params, config, target, replications)[0]
 
 
 def rank_models(
@@ -180,8 +182,9 @@ def rank_models(
 
     Ties keep configuration declaration order (stable sort).
     """
-    singles = _score_singletons(config, params, target, replications, workers)
-    return sorted(((n, s.mean) for n, s in singles.items()), key=lambda item: item[1])
+    names = config.type_names
+    scores = _subset_scores([(n,) for n in names], params, config, target, replications)
+    return sorted(((n, s.mean) for n, s in zip(names, scores)), key=lambda item: item[1])
 
 
 def greedy_reduce(
@@ -207,12 +210,10 @@ def greedy_reduce(
     cumulative subset is re-annealed on the training series before
     scoring, instead of reusing the full-set parameters.
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     if (retrain_schedule is None) != (retrain_train is None):
         raise ValueError("retraining needs both retrain_schedule and retrain_train")
-    if len(config.types) == 0:  # unreachable through MarketConfig, kept for direct calls
-        raise ValueError("configuration has no investor types")
 
     def cumulative_score(members: tuple[str, ...]) -> Score:
         p = params
@@ -221,9 +222,12 @@ def greedy_reduce(
             p = anneal(retrain_train, subset_cfg, retrain_schedule, retrain_seed, workers).best_params
         return evaluate_subset(members, p, config, target, replications, workers)
 
-    benchmark = cumulative_score(config.type_names)
-    baseline = evaluate_subset((), params, config, target, replications, workers)
-    singletons = _score_singletons(config, params, target, replications, workers)
+    # Full set, baseline and singletons run as one batch; retraining rescores the full set.
+    names = config.type_names
+    subsets = [names, (), *((n,) for n in names)]
+    full, baseline, *singles = _subset_scores(subsets, params, config, target, replications)
+    benchmark = full if retrain_schedule is None else cumulative_score(names)
+    singletons = dict(zip(names, singles))
     ranking = tuple(n for n, _ in sorted(singletons.items(), key=lambda item: item[1].mean))
 
     chosen: list[str] = []
@@ -285,15 +289,7 @@ def exhaustive_reduce(
             f"2^{len(names)} - 1 subsets; limit is {MAX_EXHAUSTIVE_TYPES}"
         )
     subsets = [combo for size in range(1, len(names) + 1) for combo in combinations(names, size)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = list(
-                pool.map(
-                    lambda c: evaluate_subset(c, params, config, target, replications), subsets
-                )
-            )
-    else:
-        scores = [evaluate_subset(c, params, config, target, replications) for c in subsets]
+    scores = _subset_scores(subsets, params, config, target, replications)
 
     table = tuple((ModelSet.of(config, combo), score) for combo, score in zip(subsets, scores))
     best_by_size: dict[int, tuple[ModelSet, Score]] = {}

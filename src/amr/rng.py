@@ -64,29 +64,40 @@ _NP_MIX1 = np.uint64(_MIX1)
 _NP_MIX2 = np.uint64(_MIX2)
 
 
+def _mix64_inplace(x: np.ndarray) -> np.ndarray:
+    """mix64 applied to a uint64 array the caller owns, overwriting it."""
+    t = x >> np.uint64(30)
+    x ^= t
+    x *= _NP_MIX1
+    np.right_shift(x, np.uint64(27), out=t)
+    x ^= t
+    x *= _NP_MIX2
+    np.right_shift(x, np.uint64(31), out=t)
+    x ^= t
+    return x
+
+
 def mix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized mix64 over a uint64 array (wrapping arithmetic)."""
-    x = x ^ (x >> np.uint64(30))
-    x = x * _NP_MIX1
-    x = x ^ (x >> np.uint64(27))
-    x = x * _NP_MIX2
-    return x ^ (x >> np.uint64(31))
+    return _mix64_inplace(np.array(x, dtype=np.uint64))
 
 
 def fold_array(key: int, parts: np.ndarray) -> np.ndarray:
     """fold(key, p) for every p in `parts` (uint64 array), vectorized."""
     base = np.uint64((key + _GAMMA) & MASK64)
-    return mix64_array(base ^ parts)
+    return _mix64_inplace(base ^ parts)
 
 
 def fold_matrix(keys: list[int], parts: np.ndarray) -> np.ndarray:
     """fold_array for several keys at once; row k holds fold(keys[k], parts)."""
     base = np.array([(k + _GAMMA) & MASK64 for k in keys], dtype=np.uint64)
-    return mix64_array(base[:, None] ^ parts[None, :])
+    return _mix64_inplace(base[:, None] ^ parts[None, :])
 
 
 def u01_array(bits: np.ndarray) -> np.ndarray:
-    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    out = (bits >> np.uint64(11)).astype(np.float64)
+    out *= 2.0**-53
+    return out
 
 
 class Stream:

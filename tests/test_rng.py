@@ -111,3 +111,15 @@ class TestStream:
         a = Stream(8)
         b = Stream(8)
         assert b.gauss(1.0, 2.0) == pytest.approx(1.0 + 2.0 * a.gauss(), rel=1e-12)
+
+
+def test_vector_functions_leave_inputs_untouched():
+    parts = np.arange(50, dtype=np.uint64)
+    bits = fold_array(3, parts)
+    before_parts, before_bits = parts.copy(), bits.copy()
+    mix64_array(parts)
+    fold_array(5, parts)
+    fold_matrix([1, 2], parts)
+    u01_array(bits)
+    assert np.array_equal(parts, before_parts)
+    assert np.array_equal(bits, before_bits)
