@@ -13,12 +13,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
-from datetime import date, timedelta
+from dataclasses import fields, replace
+from datetime import date
 from pathlib import Path
 
 from . import learner, market, reducer
 from .learner import AnnealingSchedule, ParameterVector
+from .presets import weekdays
 from .timeseries import SplitSpec, TimeSeries, load_csv, mape, save_csv, split
 
 
@@ -98,14 +99,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         if args.horizon is None:
             raise ValueError("need --horizon N (with optional --start-date) or --dates-from CSV")
-        if args.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        start = _parse_date(args.start_date)
-        dates, d = [], start
-        while len(dates) < args.horizon:
-            if d.weekday() < 5:
-                dates.append(d)
-            d += timedelta(days=1)
+        dates = weekdays(_parse_date(args.start_date), args.horizon)
 
     run = market.simulate_pk(config, args.p0, len(dates), dates, workers=workers)
     save_csv(run.predicted, args.out)
@@ -134,28 +128,33 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         # Re-anchor the test window to continue from the last training price.
         target = TimeSeries((train.dates[-1],) + test.dates, (train.values[-1],) + test.values)
 
-    report = reducer.greedy_reduce(
-        config, params, target,
-        tolerance=args.tolerance,
-        replications=args.replications,
-        workers=workers,
-    )
-
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _reduce_and_write(
+        config, params, target, args.tolerance, args.replications, args.exhaustive, workers, out_dir
+    )
+    print(f"-> {out_dir / 'reduction.json'}, {out_dir / 'reduction.txt'}")
+    return 0
+
+
+def _reduce_and_write(config: market.MarketConfig, params: ParameterVector, target: TimeSeries,
+                      tolerance: float, replications: int, exhaustive: bool, workers: int,
+                      out_dir: Path) -> None:
+    """Greedy reduction, plus the oracle if asked, to reduction.json and reduction.txt."""
+    report = reducer.greedy_reduce(
+        config, params, target, tolerance=tolerance, replications=replications, workers=workers
+    )
     payload = report.to_dict()
     table = report.format_table()
-    if args.exhaustive:
+    if exhaustive:
         oracle = reducer.exhaustive_reduce(
-            config, params, target, replications=args.replications, workers=workers
+            config, params, target, replications=replications, workers=workers
         )
         payload["exhaustive"] = oracle.to_dict()
         table += "\n\n" + _format_exhaustive(oracle, report)
     _write_json(payload, out_dir / "reduction.json")
     (out_dir / "reduction.txt").write_text(table + "\n")
     print(table)
-    print(f"-> {out_dir / 'reduction.json'}, {out_dir / 'reduction.txt'}")
-    return 0
 
 
 def _format_exhaustive(oracle: reducer.ExhaustiveReport, report: reducer.ReductionReport) -> str:
@@ -182,12 +181,17 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     for i, (a, p) in enumerate(zip(actual.dates, predicted.dates)):
         if a != p:
             raise ValueError(f"date mismatch at row {i}: actual {a} vs predicted {p}")
-    with Path(args.out).open("w", newline="") as fh:
+    _write_plotdata(actual, predicted, Path(args.out))
+    print(f"wrote {len(actual)} rows -> {args.out}")
+    return 0
+
+
+def _write_plotdata(actual: TimeSeries, predicted: TimeSeries, path: Path) -> None:
+    """`date,actual,predicted` rows; the two series share their dates."""
+    with path.open("w", newline="") as fh:
         fh.write("date,actual,predicted\n")
         for d, a, p in zip(actual.dates, actual.values, predicted.values):
             fh.write(f"{d.isoformat()},{a!r},{p!r}\n")
-    print(f"wrote {len(actual)} rows -> {args.out}")
-    return 0
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -195,6 +199,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if not spec_path.exists():
         raise FileNotFoundError(f"experiment spec not found: {spec_path}")
     spec = json.loads(spec_path.read_text())
+    if not isinstance(spec, dict) or not isinstance(spec.get("schedule", {}), dict):
+        raise ValueError("experiment spec and its schedule must be JSON objects")
     for key in ("data", "split", "market_config"):
         if key not in spec:
             raise ValueError(f"experiment spec missing {key!r}")
@@ -216,15 +222,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     seed = int(spec.get("seed", config.master_seed))
     config = replace(config, master_seed=seed)
 
-    sched_defaults = AnnealingSchedule()
     overrides = spec.get("schedule", {})
-    unknown = set(overrides) - {
-        "initial_temperature", "cooling_factor", "proposals_per_epoch",
-        "total_evaluations", "proposal_sigma", "replications",
-    }
+    unknown = set(overrides) - {f.name for f in fields(AnnealingSchedule)}
     if unknown:
         raise ValueError(f"unknown schedule override(s): {sorted(unknown)}")
-    schedule = replace(sched_defaults, **overrides)
+    schedule = AnnealingSchedule(**overrides)
 
     tolerance = float(spec.get("tolerance", reducer.DEFAULT_TOLERANCE))
     replications = int(spec.get("replications", reducer.DEFAULT_REPLICATIONS))
@@ -243,28 +245,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     test_full = mape(test, run.predicted)
     print(f"test MAPE (full set, seed {seed}): {100 * test_full:.2f}%")
 
-    # reduce on the test window
-    report = reducer.greedy_reduce(
-        config, fit.best_params, test,
-        tolerance=tolerance, replications=replications, workers=workers,
+    exhaustive = spec.get("exhaustive", False) or args.exhaustive
+    _reduce_and_write(
+        config, fit.best_params, test, tolerance, replications, exhaustive, workers, out_dir
     )
-    payload = report.to_dict()
-    table = report.format_table()
-    if spec.get("exhaustive", False) or args.exhaustive:
-        oracle = reducer.exhaustive_reduce(
-            config, fit.best_params, test, replications=replications, workers=workers
-        )
-        payload["exhaustive"] = oracle.to_dict()
-        table += "\n\n" + _format_exhaustive(oracle, report)
-    _write_json(payload, out_dir / "reduction.json")
-    (out_dir / "reduction.txt").write_text(table + "\n")
-    print(table)
-
-    # plot data: actual vs full-model prediction over the test window
-    with (out_dir / "plotdata.csv").open("w", newline="") as fh:
-        fh.write("date,actual,predicted\n")
-        for d, a, p in zip(test.dates, test.values, run.predicted.values):
-            fh.write(f"{d.isoformat()},{a!r},{p!r}\n")
+    _write_plotdata(test, run.predicted, out_dir / "plotdata.csv")
     print(f"artifacts in {out_dir}")
     return 0
 

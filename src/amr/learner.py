@@ -148,22 +148,21 @@ def energy(
     train: TimeSeries,
     config: MarketConfig,
     replications: int = 3,
-    workers: int = 1,
 ) -> float:
     """Replication-averaged training MAPE of `params`.
 
     Replication r simulates with master seed substream(config.master_seed, r),
     p0 equal to the first training value, over the training dates; the
-    replications run as rows of one batch and their MAPEs are averaged in
-    replication order, so the value is deterministic.  `workers` is
-    accepted for compatibility and changes nothing.
+    replications run as one batch and their MAPEs are averaged in
+    replication order, so the value is deterministic.
     """
     cfg = params.apply(config)
-    rows = [replace(cfg, master_seed=substream(cfg.master_seed, r)) for r in range(replications)]
-    prices, _ = market.simulate_batch(rows, train.values[0], len(train), train.dates)
+    seeds = [substream(cfg.master_seed, r) for r in range(replications)]
+    mask = [t.enabled for t in cfg.types]
+    prices, _ = market.simulate_batch(cfg, seeds, [mask], train.values[0], len(train), train.dates)
     total = 0.0
-    for row in prices:
-        total += mape(train, TimeSeries(train.dates, tuple(row.tolist())))
+    for run in prices[0]:
+        total += mape(train, TimeSeries(train.dates, tuple(run.tolist())))
     return total / replications
 
 
@@ -201,14 +200,15 @@ def anneal(
     Starts from a uniformly random in-bounds vector, computes exactly
     schedule.total_evaluations energies (the start included), and cools
     T <- cooling_factor * T every proposals_per_epoch proposals.  Fully
-    deterministic given (train, config, schedule, seed).
+    deterministic given (train, config, schedule, seed); `workers` is
+    accepted for compatibility and changes nothing.
     """
     if len(train) < 2:
         raise ValueError("training series needs at least 2 observations")
     stream = Stream(fold(seed, _ANNEAL_TAG))
 
     current = ParameterVector.random(config, stream)
-    current_energy = energy(current, train, config, schedule.replications, workers)
+    current_energy = energy(current, train, config, schedule.replications)
     best, best_energy = current, current_energy
     trace = [best_energy]
 
@@ -216,7 +216,7 @@ def anneal(
     proposals = 0
     while len(trace) < schedule.total_evaluations:
         candidate = propose(current, schedule.proposal_sigma, stream)
-        candidate_energy = energy(candidate, train, config, schedule.replications, workers)
+        candidate_energy = energy(candidate, train, config, schedule.replications)
         if candidate_energy < best_energy:
             best, best_energy = candidate, candidate_energy
         if accept(candidate_energy - current_energy, temperature, stream):

@@ -13,15 +13,17 @@ Determinism contract: every random draw is a pure function of
 demand is summed in fixed chunks combined in chunk order.  Worker counts
 therefore never change the output, bit for bit.
 
-One single-threaded kernel, simulate_batch, runs equal-sized markets as
-the rows of (R, n_agents) arrays, sharing each seed's decision uniforms
-across rows.  `workers` arguments are still accepted but start no
-threads: the thread pools were removed after 2 workers measured slower than 1.
+One single-threaded kernel, simulate_batch, runs one config under S
+seeds and M enabled masks as the rows of an (M * S, n_agents) state; each
+step's (S, n_agents) decision uniforms serve every mask by broadcasting.
+`workers` arguments are still accepted but start no threads: the thread
+pools were removed after 2 workers measured slower than 1.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
@@ -63,8 +65,8 @@ class InvestorType:
     def __post_init__(self):
         if not self.name:
             raise ValueError("investor type needs a name")
-        if not self.assets_per_investor > 0:
-            raise ValueError(f"{self.name}: assets_per_investor must be > 0")
+        if not 0 < self.assets_per_investor < math.inf:
+            raise ValueError(f"{self.name}: assets_per_investor must be > 0 and finite")
         if not (isinstance(self.count, int) and self.count >= 1):
             raise ValueError(f"{self.name}: count must be an integer >= 1")
         if not 0.0 <= self.optimism <= 1.0:
@@ -171,7 +173,9 @@ def config_to_dict(config: MarketConfig) -> dict:
     }
 
 
-def _type_from_dict(t: dict) -> InvestorType:
+def _type_from_dict(t: dict, position: int) -> InvestorType:
+    if not isinstance(t, dict):
+        raise ValueError(f"market config types[{position}] must be a JSON object, got {t!r}")
     name = t["name"]
     count, enabled = t["count"], t.get("enabled", True)
     if isinstance(count, bool) or not isinstance(count, int):
@@ -190,9 +194,13 @@ def _type_from_dict(t: dict) -> InvestorType:
 
 
 def config_from_dict(data: dict) -> MarketConfig:
+    if not isinstance(data, dict):
+        raise ValueError(f"market config must be a JSON object, got {type(data).__name__}")
+    if not isinstance(data.get("types", []), list):
+        raise ValueError(f"market config types must be a JSON list, got {data['types']!r}")
     try:
         return MarketConfig(
-            types=tuple(_type_from_dict(t) for t in data["types"]),
+            types=tuple(_type_from_dict(t, i) for i, t in enumerate(data["types"])),
             price_impact=float(data["price_impact"]),
             jitter=float(data.get("jitter", 0.05)),
             master_seed=int(data.get("master_seed", 0)),
@@ -312,16 +320,17 @@ def _advance(
     optimism: np.ndarray,
     reactivity: np.ndarray,
     weight: np.ndarray,
-    price_impact: np.ndarray,
+    price_impact: float,
     uniforms: np.ndarray,
     chunk_size: int,
     scratch: np.ndarray,
+    cells: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One trading day for each row of the (R, n) agent arrays; returns (prices, demands)."""
     np.multiply(reactivity, last_return[:, None], out=scratch)
     scratch += optimism
     np.clip(scratch, 0.0, 1.0, out=scratch)
-    np.less(uniforms, scratch, out=scratch)  # 1.0 where the agent buys
+    np.less(uniforms, cells, out=cells)  # cells: scratch as (R / S, S, n); 1.0 where the agent buys
     # 2 * buy - 1 is exactly +1 or -1, so this is +weight or -weight bit for bit.
     scratch *= 2.0
     scratch -= 1.0
@@ -336,7 +345,6 @@ def step(
     population: AgentPopulation,
     step_index: int,
     master_seed: int,
-    workers: int = 1,
 ) -> tuple[float, float]:
     """Advance the price one trading day.
 
@@ -347,84 +355,85 @@ def step(
     The draw exists for every agent, enabled or not, so toggling types
     never shifts anyone else's stream.
     """
-    if not price > 0:
-        raise ValueError(f"price must be positive, got {price}")
+    if not 0 < price < math.inf:
+        raise ValueError(f"price must be positive and finite, got {price}")
     step_key = fold(master_seed, TAG_DECISION, step_index)
     uniforms = u01_array(fold_array(step_key, np.arange(len(population), dtype=np.uint64)))
+    scratch = np.empty((1, len(population)))
     next_price, demand = _advance(
         np.array([price]), np.array([last_return]),
         population.optimism[None], population.reactivity[None], population._weight[None],
-        np.array([population.price_impact]), uniforms[None],
-        population.chunk_size, np.empty((1, len(population))),
+        population.price_impact, uniforms[None], population.chunk_size, scratch, scratch[None],
     )
     return float(next_price[0]), float(demand[0])
 
 
 def simulate_batch(
-    configs: Sequence[MarketConfig],
+    config: MarketConfig,
+    seeds: Sequence[int],
+    enabled: Sequence[Sequence[bool]],
     p0: float,
     horizon: int,
     dates: Sequence[date],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate several markets of equal agent count together, one per row.
+    """Simulate `config` under every seed and every enabled mask together.
 
-    Returns (prices, demands) of shapes (R, horizon) and (R, horizon - 1);
-    row i is bit for bit what simulate_pk(configs[i], ...) produces.
-    Decision uniforms are generated once per distinct seed and shared by
-    every row that uses it.
+    `enabled` holds M masks of one flag per type.  Returns (prices,
+    demands) of shapes (M, S, horizon) and (M, S, horizon - 1); cell
+    [m, s] is bit for bit what simulate_pk produces for `config` with
+    master seed seeds[s] and exactly the types flagged in enabled[m].
+    Rows of the (M * S, n_agents) state run mask-major, seed-minor.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if len(dates) != horizon:
         raise ValueError(f"got {len(dates)} dates for horizon {horizon}")
-    if not p0 > 0:
-        raise ValueError(f"p0 must be positive, got {p0}")
-    if not configs:
-        raise ValueError("simulate_batch needs at least one config")
+    if not 0 < p0 < math.inf:
+        raise ValueError(f"p0 must be positive and finite, got {p0}")
+    if not len(seeds):
+        raise ValueError("simulate_batch needs at least one seed")
+    masks = np.array(enabled, dtype=bool)
+    if not len(enabled) or masks.shape != (len(enabled), len(config.types)):
+        raise ValueError(f"simulate_batch needs at least one enabled mask of {len(config.types)} flags")
 
-    rows, n_agents = len(configs), sum(t.count for t in configs[0].types)
-    optimism, reactivity, weight = (np.empty((rows, n_agents)) for _ in range(3))
-    for i, config in enumerate(configs):
-        population = init_population(config, chunk_size=chunk_size)
-        if len(population) != n_agents:
-            raise ValueError("all configs in a batch must have the same number of agents")
-        optimism[i] = population.optimism
-        reactivity[i] = population.reactivity
-        weight[i] = population._weight
-    price_impact = np.array([c.price_impact for c in configs])
+    # Jitter depends on the seed only, so each seed's population serves every mask.
+    everyone = set_enabled(config, config.type_names, True)
+    populations = [init_population(replace(everyone, master_seed=s), chunk_size) for s in seeds]
+    n_masks, n_seeds, n_agents = len(masks), len(seeds), len(populations[0])
+    optimism = np.tile([p.optimism for p in populations], (n_masks, 1))
+    reactivity = np.tile([p.reactivity for p in populations], (n_masks, 1))
+    agent_masks = np.repeat(masks, [t.count for t in config.types], axis=1)[:, None]
+    weight = np.where(agent_masks, [p._weight for p in populations], 0.0).reshape(-1, n_agents)
 
-    seed_index: dict[int, int] = {}
-    row_seed = np.array([seed_index.setdefault(c.master_seed, len(seed_index)) for c in configs])
-    seed_keys = [fold(seed, TAG_DECISION) for seed in seed_index]
+    seed_keys = [fold(seed, TAG_DECISION) for seed in seeds]
     agent_ids = np.arange(n_agents, dtype=np.uint64)
     # Decision uniforms are price-independent, so they are produced in
-    # blocks ahead of the sequential price loop; when every row has its
-    # own seed, in row order, a block row serves its run directly.
-    block = max(1, _UNIFORM_BLOCK_ELEMENTS // (len(seed_keys) * n_agents))
-    gathered = np.empty((rows, n_agents)) if len(seed_keys) < rows else None
+    # blocks ahead of the sequential price loop, one (S, n) slab per step
+    # shared by every mask.
+    block = max(1, _UNIFORM_BLOCK_ELEMENTS // (n_seeds * n_agents))
 
+    rows = n_masks * n_seeds
     prices = np.full((rows, horizon), p0, dtype=np.float64)
     demands = np.empty((rows, horizon - 1))
     last_return = np.zeros(rows)
     scratch = np.empty((rows, n_agents))
+    cells = scratch.reshape(n_masks, n_seeds, n_agents)
     for s in range(horizon - 1):
         k = s % block
         if k == 0:
             steps = range(s, min(s + block, horizon - 1))
             bits = fold_matrix([fold(key, t) for t in steps for key in seed_keys], agent_ids)
-            u_block = u01_array(bits).reshape(len(steps), len(seed_keys), n_agents)
-        uniforms = u_block[k]
-        if gathered is not None:
-            uniforms = np.take(uniforms, row_seed, axis=0, out=gathered)
+            u_block = u01_array(bits).reshape(len(steps), n_seeds, n_agents)
         if s > 0:
             np.subtract(prices[:, s], prices[:, s - 1], out=last_return)
             last_return /= prices[:, s - 1]
         prices[:, s + 1], demands[:, s] = _advance(
-            prices[:, s], last_return, optimism, reactivity, weight, price_impact,
-            uniforms, chunk_size, scratch,
+            prices[:, s], last_return, optimism, reactivity, weight, config.price_impact,
+            u_block[k], chunk_size, scratch, cells,
         )
-    return prices, demands
+    return (prices.reshape(n_masks, n_seeds, horizon),
+            demands.reshape(n_masks, n_seeds, horizon - 1))
 
 
 @dataclass(frozen=True)
@@ -452,10 +461,11 @@ def simulate_pk(
     first step, which has no history).  The run is a pure function of
     (config, p0, horizon): worker count never changes the result.
     """
-    prices, demands = simulate_batch([config], p0, horizon, dates, chunk_size=chunk_size)
+    mask = [t.enabled for t in config.types]
+    prices, demands = simulate_batch(config, [config.master_seed], [mask], p0, horizon, dates, chunk_size)
     return SimulationRun(
-        predicted=TimeSeries(tuple(dates), tuple(prices[0].tolist())),
-        demands=tuple(demands[0].tolist()),
+        predicted=TimeSeries(tuple(dates), tuple(prices[0, 0].tolist())),
+        demands=tuple(demands[0, 0].tolist()),
         seed_used=config.master_seed,
         chunk_size=chunk_size,
     )

@@ -15,8 +15,8 @@ sub-seeds, so their scores differ only by which types act.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import combinations, islice
+from dataclasses import dataclass
+from itertools import combinations
 from math import sqrt
 from typing import Iterable, Sequence
 
@@ -30,7 +30,7 @@ from .timeseries import TimeSeries, mape
 MAX_EXHAUSTIVE_TYPES = 16
 DEFAULT_TOLERANCE = 0.005  # MAPE fraction, i.e. half a percentage point
 DEFAULT_REPLICATIONS = 10
-# Rows x agents per simulate_batch call: bounds the memory of a 16-type oracle.
+# Masks x seeds x agents per simulate_batch call: bounds the memory of a 16-type oracle.
 MAX_BATCH_ELEMENTS = 1 << 17
 
 
@@ -126,30 +126,29 @@ def _subset_scores(
     target: TimeSeries,
     replications: int,
 ) -> list[Score]:
-    """Score of each subset, in order, from batched simulation rows.
+    """Score of each subset, in order, from batched simulation.
 
-    Rows run subset by subset, replication r of every subset using
-    sub-seed substream(master_seed, r), in as few simulate_batch calls as
-    MAX_BATCH_ELEMENTS allows; each row's series is built only when its
-    MAPE is taken.
+    Every subset runs replication r with sub-seed substream(master_seed, r),
+    in as few simulate_batch calls as MAX_BATCH_ELEMENTS allows; each
+    run's series is built only when its MAPE is taken.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     cfg = params.apply(config)
     seeds = [substream(cfg.master_seed, r) for r in range(replications)]
-
-    def rows():
-        for members in subsets:
-            subset_cfg = only_enabled(cfg, members)
-            for seed in seeds:
-                yield replace(subset_cfg, master_seed=seed)
-
-    per_call = max(1, MAX_BATCH_ELEMENTS // sum(t.count for t in cfg.types))
-    pending, samples = rows(), []
-    while batch := list(islice(pending, per_call)):
-        prices, _ = market.simulate_batch(batch, target.values[0], len(target), target.dates)
-        samples += [mape(target, TimeSeries(target.dates, tuple(row.tolist()))) for row in prices]
-    return [_score(samples[i : i + replications]) for i in range(0, len(samples), replications)]
+    member_sets = [ModelSet.of(cfg, members) for members in subsets]
+    masks = [[n in members for n in cfg.type_names] for members in member_sets]
+    per_call = max(1, MAX_BATCH_ELEMENTS // (replications * sum(t.count for t in cfg.types)))
+    scores = []
+    for lo in range(0, len(masks), per_call):
+        prices, _ = market.simulate_batch(
+            cfg, seeds, masks[lo : lo + per_call], target.values[0], len(target), target.dates
+        )
+        scores += [
+            _score([mape(target, TimeSeries(target.dates, tuple(run.tolist()))) for run in runs])
+            for runs in prices
+        ]
+    return scores
 
 
 def evaluate_subset(
@@ -158,7 +157,6 @@ def evaluate_subset(
     config: MarketConfig,
     target: TimeSeries,
     replications: int = DEFAULT_REPLICATIONS,
-    workers: int = 1,
 ) -> Score:
     """MAPE of the market restricted to `subset`, over the target window.
 
@@ -176,7 +174,6 @@ def rank_models(
     params: ParameterVector,
     target: TimeSeries,
     replications: int = DEFAULT_REPLICATIONS,
-    workers: int = 1,
 ) -> list[tuple[str, float]]:
     """Types by ascending singleton MAPE (most explanatory first).
 
@@ -219,8 +216,8 @@ def greedy_reduce(
         p = params
         if retrain_schedule is not None:
             subset_cfg = only_enabled(config, members)
-            p = anneal(retrain_train, subset_cfg, retrain_schedule, retrain_seed, workers).best_params
-        return evaluate_subset(members, p, config, target, replications, workers)
+            p = anneal(retrain_train, subset_cfg, retrain_schedule, retrain_seed).best_params
+        return evaluate_subset(members, p, config, target, replications)
 
     # Full set, baseline and singletons run as one batch; retraining rescores the full set.
     names = config.type_names

@@ -1,14 +1,15 @@
 """Dated price series: ingestion, train/test splitting, and the MAPE objective.
 
 A series is an ordered list of (calendar day, price) observations with
-strictly ascending dates and strictly positive values.  Positivity is
-enforced at construction so MAPE (which divides by the target values)
-is total everywhere else.
+strictly ascending dates and strictly positive, finite values.  Both
+are enforced at construction so MAPE (which divides by the target
+values) is total and finite everywhere else.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Immutable (date, value) observations, ascending and positive."""
+    """Immutable (date, value) observations, ascending, positive and finite."""
 
     dates: tuple[date, ...]
     values: tuple[float, ...]
@@ -31,8 +32,8 @@ class TimeSeries:
         if len(self.dates) < 1:
             raise ValueError("a time series needs at least one observation")
         for i, v in enumerate(self.values):
-            if not v > 0:
-                raise ValueError(f"non-positive value {v!r} at position {i}")
+            if not 0 < v < math.inf:
+                raise ValueError(f"non-positive or non-finite value {v!r} at position {i}")
         for i in range(1, len(self.dates)):
             if self.dates[i] <= self.dates[i - 1]:
                 raise ValueError(
@@ -67,8 +68,8 @@ def load_csv(path: str | Path) -> TimeSeries:
 
     Rows may arrive unsorted; the result is sorted ascending by date.
     Raises FileNotFoundError for a missing file and ValueError (with the
-    offending line number) for malformed rows, non-positive values, or
-    duplicate dates.
+    offending line number) for malformed rows, non-positive or non-finite
+    values, or duplicate dates.
     """
     path = Path(path)
     if not path.exists():
@@ -92,8 +93,8 @@ def load_csv(path: str | Path) -> TimeSeries:
                 v = float(raw_value)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad value {raw_value!r}") from None
-            if not v > 0:
-                raise ValueError(f"{path}:{lineno}: non-positive value {raw_value}")
+            if not 0 < v < math.inf:
+                raise ValueError(f"{path}:{lineno}: non-positive or non-finite value {raw_value}")
             rows.append((d, v))
 
     if not rows:

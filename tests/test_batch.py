@@ -15,52 +15,49 @@ from amr.reducer import evaluate_subset, exhaustive_reduce
 
 HORIZON = 90
 DATES = weekdays(date(2009, 1, 2), HORIZON)
+BASE = bank_dominated_config(master_seed=11)
+SEEDS = [11, 12, 13]
+SUBSETS = [BASE.type_names, ("Banks",), ("Funds", "Govt"), (), ("Individual",)]
+MASKS = [[n in subset for n in BASE.type_names] for subset in SUBSETS]
 
 
-def _mixed_rows():
-    base = bank_dominated_config(master_seed=11)
-    return [
-        base,
-        replace(base, master_seed=12),
-        only_enabled(base, ["Banks"]),
-        only_enabled(replace(base, master_seed=12), ["Funds", "Govt"]),
-        only_enabled(base, ()),
-        replace(base, master_seed=13, price_impact=0.05, jitter=0.2),
-        only_enabled(replace(base, master_seed=11), ["Individual"]),
-    ]
+def _single_run(subset, seed, **kwargs):
+    config = only_enabled(replace(BASE, master_seed=seed), subset)
+    return simulate_pk(config, 100.0, HORIZON, DATES, **kwargs)
 
 
 @pytest.mark.parametrize("chunk_size", [market_module.DEFAULT_CHUNK_SIZE, 64])
 def test_rows_equal_single_runs(chunk_size):
-    configs = _mixed_rows()
-    prices, demands = simulate_batch(configs, 100.0, HORIZON, DATES, chunk_size=chunk_size)
-    assert prices.shape == (len(configs), HORIZON)
-    assert demands.shape == (len(configs), HORIZON - 1)
-    for row, config in enumerate(configs):
-        run = simulate_pk(config, 100.0, HORIZON, DATES, chunk_size=chunk_size)
-        assert prices[row].tobytes() == np.array(run.predicted.values).tobytes()
-        assert demands[row].tobytes() == np.array(run.demands).tobytes()
+    prices, demands = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON, DATES, chunk_size=chunk_size)
+    assert prices.shape == (len(MASKS), len(SEEDS), HORIZON)
+    assert demands.shape == (len(MASKS), len(SEEDS), HORIZON - 1)
+    for m, subset in enumerate(SUBSETS):
+        for s, seed in enumerate(SEEDS):
+            run = _single_run(subset, seed, chunk_size=chunk_size)
+            assert prices[m, s].tobytes() == np.array(run.predicted.values).tobytes()
+            assert demands[m, s].tobytes() == np.array(run.demands).tobytes()
 
 
 def test_uniform_blocks_span_several_steps_and_seeds(monkeypatch):
-    # Tiny blocks force many block refills with several seeds sharing each.
+    # Tiny blocks force a refill on every step, each shared by all masks.
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 3 * 500)
-    configs = _mixed_rows()
-    prices, _ = simulate_batch(configs, 100.0, HORIZON, DATES)
-    for row, config in enumerate(configs):
-        assert tuple(prices[row].tolist()) == simulate_pk(config, 100.0, HORIZON, DATES).predicted.values
+    prices, _ = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON, DATES)
+    monkeypatch.undo()
+    for m, subset in enumerate(SUBSETS):
+        for s, seed in enumerate(SEEDS):
+            assert tuple(prices[m, s].tolist()) == _single_run(subset, seed).predicted.values
 
 
 def test_empty_batch_rejected():
-    with pytest.raises(ValueError, match="at least one"):
-        simulate_batch([], 100.0, HORIZON, DATES)
+    with pytest.raises(ValueError, match="at least one seed"):
+        simulate_batch(BASE, [], MASKS, 100.0, HORIZON, DATES)
+    with pytest.raises(ValueError, match="at least one enabled mask"):
+        simulate_batch(BASE, SEEDS, [], 100.0, HORIZON, DATES)
 
 
-def test_different_agent_counts_rejected():
-    base = bank_dominated_config()
-    bigger = replace(base, types=(replace(base.types[0], count=151),) + base.types[1:])
-    with pytest.raises(ValueError, match="same number of agents"):
-        simulate_batch([base, bigger], 100.0, HORIZON, DATES)
+def test_mask_of_wrong_length_rejected():
+    with pytest.raises(ValueError, match="enabled mask of 4 flags"):
+        simulate_batch(BASE, SEEDS, [[True, False]], 100.0, HORIZON, DATES)
 
 
 def test_exhaustive_over_several_kernel_calls_equals_single_subsets(monkeypatch):
@@ -70,14 +67,14 @@ def test_exhaustive_over_several_kernel_calls_equals_single_subsets(monkeypatch)
     calls = []
     original = market_module.simulate_batch
 
-    def counting(configs, *args, **kwargs):
-        calls.append(len(configs))
-        return original(configs, *args, **kwargs)
+    def counting(config, seeds, enabled, *args, **kwargs):
+        calls.append(len(enabled) * len(seeds))
+        return original(config, seeds, enabled, *args, **kwargs)
 
     monkeypatch.setattr(market_module, "simulate_batch", counting)
     monkeypatch.setattr(reducer_module, "MAX_BATCH_ELEMENTS", 7 * 500)
     oracle = exhaustive_reduce(config, params, target, replications=3)
-    assert len(calls) >= 2 and max(calls) == 7 and sum(calls) == 15 * 3
+    assert len(calls) >= 2 and max(calls) == 6 and sum(calls) == 15 * 3
 
     monkeypatch.undo()
     for model_set, score in oracle.table:

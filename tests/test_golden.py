@@ -4,10 +4,14 @@ Each digest is the sha256 of an output's exact bytes, so any change to
 the order of floating-point operations in the simulation kernel shows up
 here.  The simulation pins cover both bundled presets, an all-disabled
 market (including one whose demands are -0.0), several summation chunks and one
-population larger than the default chunk.
+population larger than the default chunk.  The grid pin covers every enabled
+mask of both presets under three seeds and two chunk sizes, and the CLI pins
+cover every file written by `experiment --exhaustive`, `reduce --exhaustive`,
+`simulate` and `plotdata`.
 """
 
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 from datetime import date
@@ -15,10 +19,12 @@ from datetime import date
 import numpy as np
 import pytest
 
+from amr.cli import main
 from amr.learner import ParameterVector
-from amr.market import only_enabled, simulate_pk
+from amr.market import only_enabled, save_config, simulate_pk
 from amr.presets import balanced_config, bank_dominated_config, synthetic_target, weekdays
 from amr.reducer import exhaustive_reduce, greedy_reduce
+from amr.timeseries import save_csv
 
 
 def _scaled(config, factor):
@@ -95,3 +101,90 @@ def test_exhaustive_reduce_digest(reduction_inputs):
     config, params, target = reduction_inputs
     report = exhaustive_reduce(config, params, target, replications=2)
     assert _json_digest(report.to_dict()) == REDUCTION_DIGESTS["exhaustive"]
+
+
+# Every preset x chunk size x seed x enabled mask, hashed in that loop order.
+GRID_DIGEST = "5e8d9804bdcd57e47bdfc94d057e06b8df97b80c1956c9690cb9b9ace146202b"
+
+
+def test_mask_grid_digest():
+    dates = weekdays(date(2009, 1, 2), 120)
+    digest = hashlib.sha256()
+    for config in (bank_dominated_config(11), balanced_config(3)):
+        for chunk_size in (4096, 64):
+            for seed in (11, 12, 13):
+                for mask in itertools.product([False, True], repeat=4):
+                    names = [n for n, on in zip(config.type_names, mask) if on]
+                    cell = only_enabled(replace(config, master_seed=seed), names)
+                    run = simulate_pk(cell, 100.0, 120, dates, chunk_size=chunk_size)
+                    digest.update(np.asarray(run.predicted.values, dtype=np.float64).tobytes())
+                    digest.update(np.asarray(run.demands, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == GRID_DIGEST
+
+
+# sha256 of every file each command writes, on the `cli_workspace` inputs.
+CLI_DIGESTS = {
+    "experiment": {
+        "fit.json": "f91d84a824a3ef7e3dc2f99c41664f7f7e644cc662fca99a121d807a609e900c",
+        "plotdata.csv": "f902bd465a4d3ccf6c112eb3d144a0794d2d19e7066c35e8c80fa74f498bb40d",
+        "prediction.csv": "b831bd6fc803a761e11ac0f0d0221a092d0234e4e224dc7942bfd0593081147e",
+        "reduction.json": "24161b0c68c0501992d87cea50b4917c5b3392308c4a3cf1b4a189c61d527e0f",
+        "reduction.txt": "f07c5d608c4e69b2b6fd5bd406f771be951118e0de3159f059b6a562dc68dd21",
+    },
+    "reduce": {
+        "reduction.json": "068d529b7c4e6f9b3ee5639e5fa5387b8e8de76db7f0111df98486d0b54ce69a",
+        "reduction.txt": "d0d007883ad5e14fa4542bced76c00f63ccb64cff0bf22dd3e748b933ccd1ce5",
+    },
+    "simulate": {"prediction.csv": "b0918281311013f63827729d38a3dc9f3e7b3ce577c11ee48b40c39ffd000e6a"},
+    "plotdata": {"plotdata.csv": "d12955c31c29916144c4b91292c60161f19f4d7aff96253cdb34ad11ca552361"},
+}
+
+
+@pytest.fixture()
+def cli_workspace(tmp_path):
+    config = bank_dominated_config(master_seed=77)
+    target = synthetic_target(config, seed=78, n_days=120)
+    save_config(config, tmp_path / "config.json")
+    save_csv(target, tmp_path / "target.csv")
+    fit = {"params": ParameterVector.from_config(config).to_dict()}
+    (tmp_path / "fit.json").write_text(json.dumps(fit))
+    spec = {
+        "data": "target.csv",
+        "split": target.dates[59].isoformat(),
+        "market_config": "config.json",
+        "schedule": {"total_evaluations": 20, "replications": 1},
+        "tolerance": 0.005,
+        "replications": 2,
+        "seed": 11,
+    }
+    (tmp_path / "experiment.json").write_text(json.dumps(spec))
+    return tmp_path, target.dates[59].isoformat()
+
+
+def _file_digests(*paths):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(paths)}
+
+
+def test_cli_artifact_digests(cli_workspace):
+    ws, boundary = cli_workspace
+    out = ws / "out"
+    argv = {
+        "experiment": ["experiment", "--spec", str(ws / "experiment.json"), "--exhaustive",
+                       "--out", str(out / "experiment")],
+        "reduce": ["reduce", "--data", str(ws / "target.csv"), "--split", boundary,
+                   "--config", str(ws / "config.json"), "--params", str(ws / "fit.json"),
+                   "--replications", "2", "--exhaustive", "--out", str(out / "reduce")],
+        "simulate": ["simulate", "--config", str(ws / "config.json"), "--p0", "100.0",
+                     "--horizon", "30", "--start-date", "2009-01-03", "--seed", "5",
+                     "--out", str(out / "simulate" / "prediction.csv")],
+        "plotdata": ["plotdata", "--actual", str(ws / "target.csv"),
+                     "--predicted", str(ws / "target.csv"),
+                     "--out", str(out / "plotdata" / "plotdata.csv")],
+    }
+    for name in ("simulate", "plotdata"):
+        (out / name).mkdir(parents=True)
+    got = {}
+    for name, args in argv.items():
+        assert main(args) == 0, name
+        got[name] = _file_digests(*(out / name).iterdir())
+    assert got == CLI_DIGESTS

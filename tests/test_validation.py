@@ -1,16 +1,17 @@
-"""Invalid replication counts, tolerances and config fields are rejected by name."""
+"""Invalid replication counts, tolerances, config fields and non-finite inputs are rejected by name."""
 
 import json
 import math
+from datetime import date
 
 import pytest
 
 from amr.cli import main
 from amr.learner import ParameterVector
 from amr.market import config_from_dict, config_to_dict, save_config
-from amr.presets import bank_dominated_config, synthetic_target
+from amr.presets import bank_dominated_config, synthetic_target, weekdays
 from amr.reducer import evaluate_subset, exhaustive_reduce, greedy_reduce
-from amr.timeseries import save_csv
+from amr.timeseries import TimeSeries, load_csv, save_csv
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +86,78 @@ def test_cli_loose_config_field_exits_2(reduce_args, tmp_path, capsys, field, va
     assert main(reduce_args + ["--replications", "1"]) == 2
     err = capsys.readouterr().err
     assert "Banks" in err and field in err
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_series_rejects_non_finite_values(value):
+    dates = weekdays(date(2009, 1, 2), 2)
+    with pytest.raises(ValueError, match="non-finite value .* at position 1"):
+        TimeSeries(dates, (100.0, value))
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e999"])
+def test_load_csv_rejects_non_finite_values_by_line(tmp_path, text):
+    path = tmp_path / "target.csv"
+    path.write_text(f"date,value\n2009-01-02,100\n2009-01-05,{text}\n")
+    with pytest.raises(ValueError, match=r"target\.csv:3: non-positive or non-finite value"):
+        load_csv(path)
+
+
+def test_infinite_assets_per_investor_rejected():
+    with pytest.raises(ValueError, match="'?Banks'?.*assets_per_investor"):
+        config_from_dict(_type_dict(assets_per_investor=math.inf))
+
+
+@pytest.mark.parametrize("payload,field", [
+    ([1, 2], "market config"),
+    ({"types": ["Banks"], "price_impact": 0.01}, r"types\[0\]"),
+    ({"types": "Banks", "price_impact": 0.01}, "types"),
+])
+def test_config_that_is_not_an_object_rejected(payload, field):
+    with pytest.raises(ValueError, match=field):
+        config_from_dict(payload)
+
+
+@pytest.fixture()
+def simulate_args(tmp_path):
+    save_config(bank_dominated_config(), tmp_path / "config.json")
+    return ["simulate", "--config", str(tmp_path / "config.json"),
+            "--horizon", "5", "--out", str(tmp_path / "prediction.csv")]
+
+
+@pytest.mark.parametrize("config_text,field", [
+    ("[]", "market config"),
+    ('{"types": ["Banks"], "price_impact": 0.01}', "types[0]"),
+    (json.dumps(_type_dict(assets_per_investor=math.inf)), "assets_per_investor"),
+], ids=["list", "string_type", "infinite_assets"])
+def test_cli_bad_config_exits_2(simulate_args, tmp_path, capsys, config_text, field):
+    (tmp_path / "config.json").write_text(config_text)
+    assert main(simulate_args + ["--p0", "100.0"]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "prediction.csv").exists()
+
+
+@pytest.mark.parametrize("p0", ["inf", "nan", "-inf"])
+def test_cli_non_finite_p0_exits_2(simulate_args, tmp_path, capsys, p0):
+    assert main(simulate_args + [f"--p0={p0}"]) == 2
+    assert "p0" in capsys.readouterr().err
+    assert not (tmp_path / "prediction.csv").exists()
+
+
+def test_cli_train_on_infinite_value_exits_2(reduce_args, tmp_path, capsys):
+    lines = (tmp_path / "target.csv").read_text().splitlines()
+    lines[10] = lines[10].split(",")[0] + ",inf"
+    (tmp_path / "target.csv").write_text("\n".join(lines) + "\n")
+    argv = ["train", *reduce_args[1:7], "--evaluations", "2", "--out", str(tmp_path / "fit_out.json")]
+    assert main(argv) == 2
+    assert "target.csv:11: non-positive or non-finite value inf" in capsys.readouterr().err
+    assert not (tmp_path / "fit_out.json").exists()
+
+
+@pytest.mark.parametrize("spec_text", ["5", '{"data": "d.csv", "split": "2009-01-05", '
+                                             '"market_config": "c.json", "schedule": [1]}'],
+                         ids=["number", "schedule_list"])
+def test_cli_experiment_spec_that_is_not_an_object_exits_2(tmp_path, capsys, spec_text):
+    (tmp_path / "experiment.json").write_text(spec_text)
+    assert main(["experiment", "--spec", str(tmp_path / "experiment.json")]) == 2
+    assert "experiment spec" in capsys.readouterr().err
