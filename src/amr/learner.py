@@ -11,7 +11,7 @@ a given vector is deterministic and the whole chain is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import exp
+from math import exp, inf
 
 import numpy as np
 
@@ -124,14 +124,14 @@ class AnnealingSchedule:
     replications: int = 3  # simulations averaged per energy
 
     def __post_init__(self):
-        if not self.initial_temperature > 0:
-            raise ValueError("initial_temperature must be > 0")
+        if not 0 < self.initial_temperature < inf:
+            raise ValueError(f"initial_temperature must be > 0 and finite, got {self.initial_temperature}")
         if not 0.0 < self.cooling_factor < 1.0:
             raise ValueError("cooling_factor must be in (0, 1)")
         if self.proposals_per_epoch < 1 or self.total_evaluations < 1 or self.replications < 1:
             raise ValueError("proposals_per_epoch, total_evaluations, replications must be >= 1")
-        if self.proposal_sigma < 0:
-            raise ValueError("proposal_sigma must be >= 0")
+        if not 0 <= self.proposal_sigma < inf:
+            raise ValueError(f"proposal_sigma must be >= 0 and finite, got {self.proposal_sigma}")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,18 @@ seeds and M enabled masks as the rows of an (M * S, n_agents) state; each
 step's (S, n_agents) decision uniforms serve every mask by broadcasting.
 `workers` arguments are still accepted but start no threads: the thread
 pools were removed after 2 workers measured slower than 1.
+
+The decision uniforms are a pure function of (seed, step, agent), so
+calls with the same seeds, agent count and horizon read the same values
+(common random numbers: every annealing energy replays the same
+replication seeds).  A one-slot table keeps them across calls.  A key
+(seeds, n_agents, horizon - 1) is admitted on its second consecutive
+call, and only if its table holds at most 2**19 float64 values (4 MB);
+the table is then filled block by block and marked read-only, and later
+calls with that key read it.  Any other key empties the slot.  The table
+holds the very values the blocks would produce, so results are
+bit-identical with or without it.  Jitter noise is regenerated on every
+call.
 """
 
 from __future__ import annotations
@@ -48,6 +60,13 @@ DEFAULT_CHUNK_SIZE = 4096
 
 # Upper bound on precomputed decision uniforms held at once (elements).
 _UNIFORM_BLOCK_ELEMENTS = 1 << 16
+# Largest decision-uniform table kept across calls (elements; 4 MB).
+_UNIFORM_TABLE_ELEMENTS = 1 << 19
+
+# The key of the last simulate_batch call and, once that key has repeated,
+# its read-only uniform table.  One tuple, so a reader never pairs a key
+# with another key's table.
+_uniform_slot: tuple[tuple | None, np.ndarray | None] = (None, None)
 
 
 @dataclass(frozen=True)
@@ -173,6 +192,13 @@ def config_to_dict(config: MarketConfig) -> dict:
     }
 
 
+def _number(value, field: str) -> float:
+    """A JSON number as a float; null, bools, strings and the rest raise naming `field`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def _type_from_dict(t: dict, position: int) -> InvestorType:
     if not isinstance(t, dict):
         raise ValueError(f"market config types[{position}] must be a JSON object, got {t!r}")
@@ -182,14 +208,12 @@ def _type_from_dict(t: dict, position: int) -> InvestorType:
         raise ValueError(f"investor type {name!r}: count must be an integer, got {count!r}")
     if not isinstance(enabled, bool):
         raise ValueError(f"investor type {name!r}: enabled must be true or false, got {enabled!r}")
+    fields = ("assets_per_investor", "optimism", "reactivity", "trade_fraction")
     return InvestorType(
         name=name,
-        assets_per_investor=float(t["assets_per_investor"]),
         count=count,
-        optimism=float(t["optimism"]),
-        reactivity=float(t["reactivity"]),
-        trade_fraction=float(t["trade_fraction"]),
         enabled=enabled,
+        **{f: _number(t[f], f"investor type {name!r}: {f}") for f in fields},
     )
 
 
@@ -198,12 +222,15 @@ def config_from_dict(data: dict) -> MarketConfig:
         raise ValueError(f"market config must be a JSON object, got {type(data).__name__}")
     if not isinstance(data.get("types", []), list):
         raise ValueError(f"market config types must be a JSON list, got {data['types']!r}")
+    seed = data.get("master_seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"market config master_seed must be an integer, got {seed!r}")
     try:
         return MarketConfig(
             types=tuple(_type_from_dict(t, i) for i, t in enumerate(data["types"])),
-            price_impact=float(data["price_impact"]),
-            jitter=float(data.get("jitter", 0.05)),
-            master_seed=int(data.get("master_seed", 0)),
+            price_impact=_number(data["price_impact"], "market config price_impact"),
+            jitter=_number(data.get("jitter", 0.05), "market config jitter"),
+            master_seed=seed,
         )
     except KeyError as missing:
         raise ValueError(f"market config missing field {missing}") from None
@@ -368,6 +395,43 @@ def step(
     return float(next_price[0]), float(demand[0])
 
 
+def _uniform_block(seed_keys: list[int], agent_ids: np.ndarray, steps: range) -> np.ndarray:
+    """Decision uniforms of `steps` for every seed and agent, shaped (steps, S, n)."""
+    bits = fold_matrix([fold(key, t) for t in steps for key in seed_keys], agent_ids)
+    return u01_array(bits).reshape(len(steps), len(seed_keys), len(agent_ids))
+
+
+def _decision_uniforms(seeds: Sequence[int], n_agents: int, steps: int) -> Iterable[np.ndarray]:
+    """Each step's (S, n_agents) decision uniforms, in step order.
+
+    Uniforms are price-independent, so they are produced in blocks of at
+    most _UNIFORM_BLOCK_ELEMENTS ahead of the sequential price loop.  A
+    key (seeds, n_agents, steps) that repeats on consecutive calls and
+    fits _UNIFORM_TABLE_ELEMENTS is instead filled, block by block, into
+    the read-only table of _uniform_slot, which later calls with that key
+    read.  The values are the same on either path.
+    """
+    global _uniform_slot
+    seed_keys = [fold(seed, TAG_DECISION) for seed in seeds]
+    agent_ids = np.arange(n_agents, dtype=np.uint64)
+    block = max(1, _UNIFORM_BLOCK_ELEMENTS // (len(seeds) * n_agents))
+    spans = [range(lo, min(lo + block, steps)) for lo in range(0, steps, block)]
+    key = (tuple(seeds), n_agents, steps)
+    last_key, table = _uniform_slot
+    if key != last_key or steps * len(seeds) * n_agents > _UNIFORM_TABLE_ELEMENTS:
+        # First sighting or too large: no table, so a one-off call costs no memory.
+        _uniform_slot = (key, None)
+        return (u for span in spans for u in _uniform_block(seed_keys, agent_ids, span))
+    if table is None:
+        # Block by block, so building holds one block's temporaries at a time.
+        table = np.empty((steps, len(seeds), n_agents))
+        for span in spans:
+            table[span.start : span.stop] = _uniform_block(seed_keys, agent_ids, span)
+        table.setflags(write=False)
+        _uniform_slot = (key, table)
+    return table
+
+
 def simulate_batch(
     config: MarketConfig,
     seeds: Sequence[int],
@@ -406,31 +470,19 @@ def simulate_batch(
     agent_masks = np.repeat(masks, [t.count for t in config.types], axis=1)[:, None]
     weight = np.where(agent_masks, [p._weight for p in populations], 0.0).reshape(-1, n_agents)
 
-    seed_keys = [fold(seed, TAG_DECISION) for seed in seeds]
-    agent_ids = np.arange(n_agents, dtype=np.uint64)
-    # Decision uniforms are price-independent, so they are produced in
-    # blocks ahead of the sequential price loop, one (S, n) slab per step
-    # shared by every mask.
-    block = max(1, _UNIFORM_BLOCK_ELEMENTS // (n_seeds * n_agents))
-
     rows = n_masks * n_seeds
     prices = np.full((rows, horizon), p0, dtype=np.float64)
     demands = np.empty((rows, horizon - 1))
     last_return = np.zeros(rows)
     scratch = np.empty((rows, n_agents))
     cells = scratch.reshape(n_masks, n_seeds, n_agents)
-    for s in range(horizon - 1):
-        k = s % block
-        if k == 0:
-            steps = range(s, min(s + block, horizon - 1))
-            bits = fold_matrix([fold(key, t) for t in steps for key in seed_keys], agent_ids)
-            u_block = u01_array(bits).reshape(len(steps), n_seeds, n_agents)
+    for s, uniforms in enumerate(_decision_uniforms(seeds, n_agents, horizon - 1)):
         if s > 0:
             np.subtract(prices[:, s], prices[:, s - 1], out=last_return)
             last_return /= prices[:, s - 1]
         prices[:, s + 1], demands[:, s] = _advance(
             prices[:, s], last_return, optimism, reactivity, weight, config.price_impact,
-            u_block[k], chunk_size, scratch, cells,
+            uniforms, chunk_size, scratch, cells,
         )
     return (prices.reshape(n_masks, n_seeds, horizon),
             demands.reshape(n_masks, n_seeds, horizon - 1))

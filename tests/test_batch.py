@@ -8,7 +8,7 @@ import pytest
 
 import amr.market as market_module
 import amr.reducer as reducer_module
-from amr.learner import ParameterVector
+from amr.learner import AnnealingSchedule, ParameterVector, anneal
 from amr.market import only_enabled, simulate_batch, simulate_pk
 from amr.presets import bank_dominated_config, synthetic_target, weekdays
 from amr.reducer import evaluate_subset, exhaustive_reduce
@@ -79,3 +79,42 @@ def test_exhaustive_over_several_kernel_calls_equals_single_subsets(monkeypatch)
     monkeypatch.undo()
     for model_set, score in oracle.table:
         assert score == evaluate_subset(model_set, params, config, target, replications=3)
+
+
+def test_uniform_table_matches_fresh_generation(monkeypatch):
+    monkeypatch.setattr(market_module, "_uniform_slot", (None, None))
+    other_dates = weekdays(date(2009, 1, 2), 60)
+    calls = [  # A, A, A, B (same seeds, other horizon), C (other seeds), A
+        (SEEDS, HORIZON, DATES), (SEEDS, HORIZON, DATES), (SEEDS, HORIZON, DATES),
+        (SEEDS, 60, other_dates), ([21, 22], HORIZON, DATES), (SEEDS, HORIZON, DATES),
+    ]
+    cached, tables = [], []
+    for seeds, horizon, dates in calls:
+        cached.append(simulate_batch(BASE, seeds, MASKS, 100.0, horizon, dates))
+        key, table = market_module._uniform_slot
+        assert key == (tuple(seeds), 500, horizon - 1)
+        tables.append(table)
+    # The second A builds the table, the third reads it; B, C and the last A are first sightings.
+    assert [t is not None for t in tables] == [False, True, True, False, False, False]
+    assert tables[2] is tables[1] and tables[1].shape == (HORIZON - 1, len(SEEDS), 500)
+    with pytest.raises(ValueError, match="read-only"):
+        tables[1][0, 0, 0] = 0.5
+
+    monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", 0)
+    for (seeds, horizon, dates), (prices, demands) in zip(calls, cached):
+        fresh_prices, fresh_demands = simulate_batch(BASE, seeds, MASKS, 100.0, horizon, dates)
+        assert prices.tobytes() == fresh_prices.tobytes()
+        assert demands.tobytes() == fresh_demands.tobytes()
+        assert market_module._uniform_slot[1] is None  # over the cap: nothing is stored
+
+
+def test_anneal_repeats_in_one_process(monkeypatch):
+    monkeypatch.setattr(market_module, "_uniform_slot", (None, None))
+    config = bank_dominated_config()
+    target = synthetic_target(config, seed=5, n_days=60)
+    schedule = AnnealingSchedule(total_evaluations=12, proposals_per_epoch=4)
+    first = anneal(target, config, schedule, seed=3)
+    assert market_module._uniform_slot[1] is not None
+    second = anneal(target, config, schedule, seed=3)
+    assert first.energy_trace == second.energy_trace
+    assert first.best_params.values.tobytes() == second.best_params.values.tobytes()

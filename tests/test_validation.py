@@ -1,4 +1,4 @@
-"""Invalid replication counts, tolerances, config fields and non-finite inputs are rejected by name."""
+"""Invalid replication counts, tolerances, config fields, schedules and non-finite inputs are rejected by name."""
 
 import json
 import math
@@ -7,7 +7,7 @@ from datetime import date
 import pytest
 
 from amr.cli import main
-from amr.learner import ParameterVector
+from amr.learner import AnnealingSchedule, ParameterVector
 from amr.market import config_from_dict, config_to_dict, save_config
 from amr.presets import bank_dominated_config, synthetic_target, weekdays
 from amr.reducer import evaluate_subset, exhaustive_reduce, greedy_reduce
@@ -45,11 +45,25 @@ def _type_dict(**overrides):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("enabled", "false"), ("enabled", 0), ("count", 1.5), ("count", 245.0), ("count", True)],
+    [("enabled", "false"), ("enabled", 0), ("count", 1.5), ("count", 245.0), ("count", True),
+     ("assets_per_investor", None), ("optimism", None), ("reactivity", None),
+     ("trade_fraction", None), ("optimism", True), ("reactivity", "0.1")],
 )
 def test_config_fields_parse_strictly(field, value):
     with pytest.raises(ValueError, match=rf"'Banks'.*{field}"):
         config_from_dict(_type_dict(**{field: value}))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("price_impact", None), ("price_impact", False), ("jitter", None), ("jitter", "0.05"),
+     ("master_seed", None), ("master_seed", 1.5), ("master_seed", True)],
+)
+def test_config_top_level_numbers_parse_strictly(field, value):
+    data = config_to_dict(bank_dominated_config())
+    data[field] = value
+    with pytest.raises(ValueError, match=rf"market config {field} must be"):
+        config_from_dict(data)
 
 
 @pytest.fixture()
@@ -129,7 +143,9 @@ def simulate_args(tmp_path):
     ("[]", "market config"),
     ('{"types": ["Banks"], "price_impact": 0.01}', "types[0]"),
     (json.dumps(_type_dict(assets_per_investor=math.inf)), "assets_per_investor"),
-], ids=["list", "string_type", "infinite_assets"])
+    (json.dumps(_type_dict(optimism=None)), "optimism"),
+    (json.dumps({**config_to_dict(bank_dominated_config()), "price_impact": None}), "price_impact"),
+], ids=["list", "string_type", "infinite_assets", "null_optimism", "null_price_impact"])
 def test_cli_bad_config_exits_2(simulate_args, tmp_path, capsys, config_text, field):
     (tmp_path / "config.json").write_text(config_text)
     assert main(simulate_args + ["--p0", "100.0"]) == 2
@@ -161,3 +177,24 @@ def test_cli_experiment_spec_that_is_not_an_object_exits_2(tmp_path, capsys, spe
     (tmp_path / "experiment.json").write_text(spec_text)
     assert main(["experiment", "--spec", str(tmp_path / "experiment.json")]) == 2
     assert "experiment spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("initial_temperature", math.inf), ("initial_temperature", math.nan),
+    ("proposal_sigma", math.inf), ("proposal_sigma", math.nan),
+])
+def test_schedule_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        AnnealingSchedule(**{field: value})
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--initial-temp", "inf", "initial_temperature"),
+    ("--sigma", "inf", "proposal_sigma"),
+    ("--sigma", "nan", "proposal_sigma"),
+])
+def test_cli_train_non_finite_schedule_exits_2(reduce_args, tmp_path, capsys, flag, value, field):
+    argv = ["train", *reduce_args[1:7], "--evaluations", "2", "--out", str(tmp_path / "fit_out.json")]
+    assert main(argv + [f"{flag}={value}"]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "fit_out.json").exists()
