@@ -23,7 +23,7 @@ from .presets import weekdays
 from .timeseries import SplitSpec, TimeSeries, load_csv, mape, save_csv, split
 
 
-def _workers(args: argparse.Namespace) -> int:
+def _check_workers(args: argparse.Namespace) -> None:
     if args.workers is not None:
         n = args.workers
     else:
@@ -34,7 +34,6 @@ def _workers(args: argparse.Namespace) -> int:
             raise ValueError(f"AMR_WORKERS must be an integer, got {raw!r}") from None
     if n < 1:
         raise ValueError(f"worker count must be >= 1, got {n}")
-    return n
 
 
 def _parse_date(text: str) -> date:
@@ -49,15 +48,10 @@ def _write_json(payload: dict, path: Path) -> None:
 
 
 def _schedule_from_args(args: argparse.Namespace) -> AnnealingSchedule:
-    defaults = AnnealingSchedule()
-    return AnnealingSchedule(
-        initial_temperature=args.initial_temp if args.initial_temp is not None else defaults.initial_temperature,
-        cooling_factor=args.cooling if args.cooling is not None else defaults.cooling_factor,
-        proposals_per_epoch=args.per_epoch if args.per_epoch is not None else defaults.proposals_per_epoch,
-        total_evaluations=args.evaluations if args.evaluations is not None else defaults.total_evaluations,
-        proposal_sigma=args.sigma if args.sigma is not None else defaults.proposal_sigma,
-        replications=args.train_replications if args.train_replications is not None else defaults.replications,
-    )
+    flags = {"initial_temperature": args.initial_temp, "cooling_factor": args.cooling,
+             "proposals_per_epoch": args.per_epoch, "total_evaluations": args.evaluations,
+             "proposal_sigma": args.sigma, "replications": args.train_replications}
+    return AnnealingSchedule(**{name: v for name, v in flags.items() if v is not None})
 
 
 def _load_params(path: str | Path, config: market.MarketConfig) -> ParameterVector:
@@ -72,7 +66,6 @@ def _load_params(path: str | Path, config: market.MarketConfig) -> ParameterVect
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    workers = _workers(args)
     series = load_csv(args.data)
     train, _test = split(series, SplitSpec(_parse_date(args.split)))
     config = market.load_config(args.config)
@@ -80,14 +73,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = replace(config, master_seed=seed)
     schedule = _schedule_from_args(args)
 
-    fit = learner.anneal(train, config, schedule, seed=seed, workers=workers)
+    fit = learner.anneal(train, config, schedule, seed=seed)
     _write_json(learner.fit_to_dict(fit), Path(args.out))
     print(f"train MAPE: {100 * fit.best_energy:.2f}% ({fit.evaluations} evaluations) -> {args.out}")
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    workers = _workers(args)
     config = market.load_config(args.config)
     if args.params:
         config = _load_params(args.params, config).apply(config)
@@ -101,7 +93,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError("need --horizon N (with optional --start-date) or --dates-from CSV")
         dates = weekdays(_parse_date(args.start_date), args.horizon)
 
-    run = market.simulate_pk(config, args.p0, len(dates), dates, workers=workers)
+    run = market.simulate_pk(config, args.p0, len(dates), dates)
     save_csv(run.predicted, args.out)
     print(
         f"simulated {len(dates)} days from {run.predicted.values[0]} "
@@ -111,7 +103,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    workers = _workers(args)
     if not args.tolerance >= 0:
         raise ValueError(f"--tolerance must be >= 0, got {args.tolerance}")
     if args.replications < 1:
@@ -130,26 +121,19 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _reduce_and_write(
-        config, params, target, args.tolerance, args.replications, args.exhaustive, workers, out_dir
-    )
+    _reduce_and_write(config, params, target, args.tolerance, args.replications, args.exhaustive, out_dir)
     print(f"-> {out_dir / 'reduction.json'}, {out_dir / 'reduction.txt'}")
     return 0
 
 
 def _reduce_and_write(config: market.MarketConfig, params: ParameterVector, target: TimeSeries,
-                      tolerance: float, replications: int, exhaustive: bool, workers: int,
-                      out_dir: Path) -> None:
+                      tolerance: float, replications: int, exhaustive: bool, out_dir: Path) -> None:
     """Greedy reduction, plus the oracle if asked, to reduction.json and reduction.txt."""
-    report = reducer.greedy_reduce(
-        config, params, target, tolerance=tolerance, replications=replications, workers=workers
-    )
+    report = reducer.greedy_reduce(config, params, target, tolerance=tolerance, replications=replications)
     payload = report.to_dict()
     table = report.format_table()
     if exhaustive:
-        oracle = reducer.exhaustive_reduce(
-            config, params, target, replications=replications, workers=workers
-        )
+        oracle = reducer.exhaustive_reduce(config, params, target, replications=replications)
         payload["exhaustive"] = oracle.to_dict()
         table += "\n\n" + _format_exhaustive(oracle, report)
     _write_json(payload, out_dir / "reduction.json")
@@ -213,41 +197,47 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out) if args.out else _resolve(spec.get("out_dir", "experiment-out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = _workers(args)
 
     series = load_csv(_resolve(spec["data"]))
     boundary = _parse_date(str(spec["split"]))
     train, test = split(series, SplitSpec(boundary))
+    def _field(key: str, parse, default):
+        return parse(spec.get(key, default), f"experiment spec {key}")
+
     config = market.load_config(_resolve(spec["market_config"]))
-    seed = int(spec.get("seed", config.master_seed))
+    seed = _field("seed", market._integer, config.master_seed)
     config = replace(config, master_seed=seed)
 
     overrides = spec.get("schedule", {})
-    unknown = set(overrides) - {f.name for f in fields(AnnealingSchedule)}
+    parsers = {f.name: market._integer if isinstance(f.default, int) else market._number
+               for f in fields(AnnealingSchedule)}
+    unknown = set(overrides) - set(parsers)
     if unknown:
         raise ValueError(f"unknown schedule override(s): {sorted(unknown)}")
-    schedule = AnnealingSchedule(**overrides)
+    schedule = AnnealingSchedule(
+        **{k: parsers[k](v, f"experiment spec schedule.{k}") for k, v in overrides.items()}
+    )
 
-    tolerance = float(spec.get("tolerance", reducer.DEFAULT_TOLERANCE))
-    replications = int(spec.get("replications", reducer.DEFAULT_REPLICATIONS))
+    tolerance = _field("tolerance", market._number, reducer.DEFAULT_TOLERANCE)
+    replications = _field("replications", market._integer, reducer.DEFAULT_REPLICATIONS)
+    exhaustive = spec.get("exhaustive", False)
+    if not isinstance(exhaustive, bool):
+        raise ValueError(f"experiment spec exhaustive must be true or false, got {exhaustive!r}")
 
     # train
-    fit = learner.anneal(train, config, schedule, seed=seed, workers=workers)
+    fit = learner.anneal(train, config, schedule, seed=seed)
     _write_json(learner.fit_to_dict(fit), out_dir / "fit.json")
     print(f"train MAPE: {100 * fit.best_energy:.2f}%")
 
     # simulate the full model over the test window
     fitted = fit.best_params.apply(config)
-    run = market.simulate_pk(
-        fitted, p0=test.values[0], horizon=len(test), dates=test.dates, workers=workers
-    )
+    run = market.simulate_pk(fitted, p0=test.values[0], horizon=len(test), dates=test.dates)
     save_csv(run.predicted, out_dir / "prediction.csv")
     test_full = mape(test, run.predicted)
     print(f"test MAPE (full set, seed {seed}): {100 * test_full:.2f}%")
 
-    exhaustive = spec.get("exhaustive", False) or args.exhaustive
     _reduce_and_write(
-        config, fit.best_params, test, tolerance, replications, exhaustive, workers, out_dir
+        config, fit.best_params, test, tolerance, replications, exhaustive or args.exhaustive, out_dir
     )
     _write_plotdata(test, run.predicted, out_dir / "plotdata.csv")
     print(f"artifacts in {out_dir}")
@@ -333,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_workers(args)
         return args.func(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -4,8 +4,9 @@ The learnable degrees of freedom are (optimism, reactivity,
 trade_fraction) for every investor type plus the global price impact:
 3 * n_types + 1 box-bounded coordinates.  The objective ("energy") is
 the replication-averaged MAPE of a partial-knowledge simulation against
-the training series; replications use fixed sub-seeds, so the energy of
-a given vector is deterministic and the whole chain is reproducible.
+the training series, taken by replication_mapes (which also scores
+amr.reducer's subsets) under fixed sub-seeds, so the energy of a given
+vector is deterministic and the whole chain is reproducible.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 from . import market
 from .market import MarketConfig
 from .rng import Stream, fold, substream
-from .timeseries import TimeSeries, mape
+from .timeseries import TimeSeries, mape_rows
+from .timeseries import mape  # noqa: F401  (perfbench/layers.py wraps learner.mape)
 
 _ANNEAL_TAG = 0x414E
 
@@ -107,10 +109,10 @@ class ParameterVector:
                 key = f"{t}.{p}"
                 if key not in data:
                     raise ValueError(f"parameter file missing {key!r}")
-                vals.append(float(data[key]))
+                vals.append(market._number(data[key], f"parameter file {key!r}"))
         if "price_impact" not in data:
             raise ValueError("parameter file missing 'price_impact'")
-        vals.append(float(data["price_impact"]))
+        vals.append(market._number(data["price_impact"], "parameter file 'price_impact'"))
         return cls(type_names, np.array(vals))
 
 
@@ -143,6 +145,21 @@ class FitResult:
     evaluations: int
 
 
+def replication_mapes(config: MarketConfig, masks: list[list[bool]], target: TimeSeries,
+                      replications: int) -> np.ndarray:
+    """MAPE against `target` of every (mask, replication) run, shaped (M, R).
+
+    Run [m, r] simulates `config` with the types of masks[m] and master seed
+    substream(config.master_seed, r) from the target's first value over its
+    dates; all M * R runs share one simulate_batch call.
+    """
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
+    seeds = [substream(config.master_seed, r) for r in range(replications)]
+    prices, _ = market.simulate_batch(config, seeds, masks, target.values[0], len(target), target.dates)
+    return mape_rows(target, prices)
+
+
 def energy(
     params: ParameterVector,
     train: TimeSeries,
@@ -151,18 +168,15 @@ def energy(
 ) -> float:
     """Replication-averaged training MAPE of `params`.
 
-    Replication r simulates with master seed substream(config.master_seed, r),
-    p0 equal to the first training value, over the training dates; the
-    replications run as one batch and their MAPEs are averaged in
-    replication order, so the value is deterministic.
+    The replication_mapes runs of the config's own enabled types are
+    summed left to right and divided by their count, so the value is
+    deterministic.
     """
     cfg = params.apply(config)
-    seeds = [substream(cfg.master_seed, r) for r in range(replications)]
     mask = [t.enabled for t in cfg.types]
-    prices, _ = market.simulate_batch(cfg, seeds, [mask], train.values[0], len(train), train.dates)
     total = 0.0
-    for run in prices[0]:
-        total += mape(train, TimeSeries(train.dates, tuple(run.tolist())))
+    for m in replication_mapes(cfg, [mask], train, replications)[0].tolist():
+        total += m
     return total / replications
 
 

@@ -162,11 +162,7 @@ def set_enabled(config: MarketConfig, type_names: Iterable[str], enabled: bool) 
 
 def only_enabled(config: MarketConfig, type_names: Iterable[str]) -> MarketConfig:
     """Copy of `config` with exactly `type_names` enabled, all others off."""
-    wanted = list(type_names)
-    cfg = set_enabled(config, config.type_names, False)
-    if wanted:
-        cfg = set_enabled(cfg, wanted, True)
-    return cfg
+    return set_enabled(set_enabled(config, config.type_names, False), type_names, True)
 
 
 # -- JSON wire format ---------------------------------------------------
@@ -199,19 +195,24 @@ def _number(value, field: str) -> float:
     return float(value)
 
 
+def _integer(value, field: str) -> int:
+    """A JSON integer; null, bools, floats, strings and the rest raise naming `field`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _type_from_dict(t: dict, position: int) -> InvestorType:
     if not isinstance(t, dict):
         raise ValueError(f"market config types[{position}] must be a JSON object, got {t!r}")
     name = t["name"]
-    count, enabled = t["count"], t.get("enabled", True)
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise ValueError(f"investor type {name!r}: count must be an integer, got {count!r}")
+    enabled = t.get("enabled", True)
     if not isinstance(enabled, bool):
         raise ValueError(f"investor type {name!r}: enabled must be true or false, got {enabled!r}")
     fields = ("assets_per_investor", "optimism", "reactivity", "trade_fraction")
     return InvestorType(
         name=name,
-        count=count,
+        count=_integer(t["count"], f"investor type {name!r}: count"),
         enabled=enabled,
         **{f: _number(t[f], f"investor type {name!r}: {f}") for f in fields},
     )
@@ -222,15 +223,12 @@ def config_from_dict(data: dict) -> MarketConfig:
         raise ValueError(f"market config must be a JSON object, got {type(data).__name__}")
     if not isinstance(data.get("types", []), list):
         raise ValueError(f"market config types must be a JSON list, got {data['types']!r}")
-    seed = data.get("master_seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError(f"market config master_seed must be an integer, got {seed!r}")
     try:
         return MarketConfig(
             types=tuple(_type_from_dict(t, i) for i, t in enumerate(data["types"])),
             price_impact=_number(data["price_impact"], "market config price_impact"),
             jitter=_number(data.get("jitter", 0.05), "market config jitter"),
-            master_seed=seed,
+            master_seed=_integer(data.get("master_seed", 0), "market config master_seed"),
         )
     except KeyError as missing:
         raise ValueError(f"market config missing field {missing}") from None

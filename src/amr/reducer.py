@@ -9,8 +9,8 @@ climb, this can get stuck; exhaustive_reduce evaluates every non-empty
 subset and serves as the validation oracle.
 
 Subsets are evaluated by toggling enabled flags only: parameters stay as
-trained on the full set, and all subsets share the same replication
-sub-seeds, so their scores differ only by which types act.
+trained on the full set, and learner.replication_mapes runs every subset
+under the same sub-seeds, so their scores differ only by which types act.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from itertools import combinations
 from math import sqrt
 from typing import Iterable, Sequence
 
-from . import market
-from .learner import AnnealingSchedule, ParameterVector, anneal
+from .learner import AnnealingSchedule, ParameterVector, anneal, replication_mapes
 from .market import MarketConfig, only_enabled
 from .market import simulate_pk  # noqa: F401  (perfbench/layers.py wraps reducer.simulate_pk)
-from .rng import substream
-from .timeseries import TimeSeries, mape
+from .timeseries import TimeSeries
+from .timeseries import mape  # noqa: F401  (perfbench/layers.py wraps reducer.mape)
 
 MAX_EXHAUSTIVE_TYPES = 16
 DEFAULT_TOLERANCE = 0.005  # MAPE fraction, i.e. half a percentage point
@@ -126,28 +125,19 @@ def _subset_scores(
     target: TimeSeries,
     replications: int,
 ) -> list[Score]:
-    """Score of each subset, in order, from batched simulation.
+    """Score of each subset, in order, from its replication_mapes row.
 
-    Every subset runs replication r with sub-seed substream(master_seed, r),
-    in as few simulate_batch calls as MAX_BATCH_ELEMENTS allows; each
-    run's series is built only when its MAPE is taken.
+    The subsets are scored in as few calls as MAX_BATCH_ELEMENTS allows.
     """
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
     cfg = params.apply(config)
-    seeds = [substream(cfg.master_seed, r) for r in range(replications)]
     member_sets = [ModelSet.of(cfg, members) for members in subsets]
     masks = [[n in members for n in cfg.type_names] for members in member_sets]
-    per_call = max(1, MAX_BATCH_ELEMENTS // (replications * sum(t.count for t in cfg.types)))
+    # At least one mask per call; replication_mapes rejects replications < 1.
+    per_call = max(1, MAX_BATCH_ELEMENTS // (max(replications, 1) * sum(t.count for t in cfg.types)))
     scores = []
     for lo in range(0, len(masks), per_call):
-        prices, _ = market.simulate_batch(
-            cfg, seeds, masks[lo : lo + per_call], target.values[0], len(target), target.dates
-        )
-        scores += [
-            _score([mape(target, TimeSeries(target.dates, tuple(run.tolist()))) for run in runs])
-            for runs in prices
-        ]
+        mapes = replication_mapes(cfg, masks[lo : lo + per_call], target, replications)
+        scores += [_score(row) for row in mapes.tolist()]
     return scores
 
 
@@ -161,9 +151,8 @@ def evaluate_subset(
     """MAPE of the market restricted to `subset`, over the target window.
 
     Enables exactly the subset's types (the empty subset is the constant
-    baseline), simulates from the target's first value, and repeats with
-    sub-seeds substream(master_seed, r).  The same sub-seeds are used for
-    every subset, making subset scores directly comparable.
+    baseline) and scores its replication_mapes runs.  Every subset uses
+    the same sub-seeds, making subset scores directly comparable.
     """
     members = subset.member_names if isinstance(subset, ModelSet) else tuple(subset)
     return _subset_scores([members], params, config, target, replications)[0]

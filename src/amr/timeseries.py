@@ -143,9 +143,13 @@ def mape(actual: TimeSeries, predicted: TimeSeries) -> float:
         for i, (a, p) in enumerate(zip(actual.dates, predicted.dates)):
             if a != p:
                 raise ValueError(f"date mismatch at row {i}: actual {a} vs predicted {p}")
+    return float(mape_rows(actual, predicted.values_array()))
+
+
+def mape_rows(actual: TimeSeries, predicted: np.ndarray) -> np.ndarray:
+    """MAPE against `actual` of every row of `predicted`, an array shaped (..., len(actual))."""
     x = actual.values_array()
-    y = predicted.values_array()
-    return float(np.mean(np.abs(x - y) / x))
+    return np.mean(np.abs(x - predicted) / x, axis=-1)
 
 
 def _is_number(text: str) -> bool:

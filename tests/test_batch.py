@@ -8,10 +8,12 @@ import pytest
 
 import amr.market as market_module
 import amr.reducer as reducer_module
-from amr.learner import AnnealingSchedule, ParameterVector, anneal
+from amr.learner import AnnealingSchedule, ParameterVector, anneal, replication_mapes
 from amr.market import only_enabled, simulate_batch, simulate_pk
-from amr.presets import bank_dominated_config, synthetic_target, weekdays
+from amr.presets import balanced_config, bank_dominated_config, synthetic_target, weekdays
 from amr.reducer import evaluate_subset, exhaustive_reduce
+from amr.rng import substream
+from amr.timeseries import mape
 
 HORIZON = 90
 DATES = weekdays(date(2009, 1, 2), HORIZON)
@@ -118,3 +120,16 @@ def test_anneal_repeats_in_one_process(monkeypatch):
     second = anneal(target, config, schedule, seed=3)
     assert first.energy_trace == second.energy_trace
     assert first.best_params.values.tobytes() == second.best_params.values.tobytes()
+
+
+@pytest.mark.parametrize("n_days", [2, 60, 390])
+def test_replication_mapes_equal_per_run_mape(n_days):
+    # The target comes from another preset, so no run reproduces it.
+    target = synthetic_target(balanced_config(3), seed=19, n_days=n_days)
+    mapes = replication_mapes(BASE, MASKS, target, len(SEEDS))
+    assert mapes.shape == (len(MASKS), len(SEEDS))
+    for m, subset in enumerate(SUBSETS):  # SUBSETS includes the all-disabled mask
+        for r in range(len(SEEDS)):
+            config = only_enabled(replace(BASE, master_seed=substream(BASE.master_seed, r)), subset)
+            run = simulate_pk(config, target.values[0], len(target), target.dates)
+            assert float(mapes[m, r]).hex() == mape(target, run.predicted).hex()

@@ -284,6 +284,19 @@ class TestWorkersFlag:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("workers,env", [("0", None), (None, "abc")], ids=["flag_0", "env_abc"])
+    def test_plotdata_validates_workers(self, workspace, monkeypatch, capsys, workers, env):
+        ws = workspace["dir"]
+        argv = ["plotdata", "--actual", str(ws / "target.csv"), "--predicted", str(ws / "target.csv"),
+                "--out", str(ws / "merged.csv")]
+        if workers is not None:
+            argv += ["--workers", workers]
+        if env is not None:
+            monkeypatch.setenv("AMR_WORKERS", env)
+        assert main(argv) == 2
+        assert ("AMR_WORKERS" if env else "worker count") in capsys.readouterr().err
+        assert not (ws / "merged.csv").exists()
+
 
 def test_module_entry_point(tmp_path):
     cfg = bank_dominated_config(master_seed=1)

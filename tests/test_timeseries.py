@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amr.timeseries import SplitSpec, TimeSeries, load_csv, mape, save_csv, split
+from amr.timeseries import SplitSpec, TimeSeries, load_csv, mape, mape_rows, save_csv, split
 
 
 def series(values, start=date(2008, 1, 3)):
@@ -215,3 +215,15 @@ class TestMape:
             np.mean([abs(a - b) / a for a, b in zip(x.values, y.values)])
         )
         assert mape(x, y) == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 129, 390, 1000])
+    def test_rows_equal_one_dimensional_mean_bit_for_bit(self, n):
+        # The row reduction must round like np.mean over each row alone.
+        rng = np.random.default_rng(n)
+        actual = series(rng.uniform(50.0, 150.0, n))
+        predicted = rng.uniform(50.0, 150.0, (3, 4, n))
+        rows = mape_rows(actual, predicted)
+        assert rows.shape == (3, 4)
+        x = np.array(actual.values)
+        for idx in np.ndindex(3, 4):
+            assert float(rows[idx]).hex() == float(np.mean(np.abs(x - predicted[idx]) / x)).hex()

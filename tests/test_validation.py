@@ -1,4 +1,4 @@
-"""Invalid replication counts, tolerances, config fields, schedules and non-finite inputs are rejected by name."""
+"""Bad replication counts, tolerances, config, fit and spec fields, schedules and non-finite inputs fail by name."""
 
 import json
 import math
@@ -7,7 +7,7 @@ from datetime import date
 import pytest
 
 from amr.cli import main
-from amr.learner import AnnealingSchedule, ParameterVector
+from amr.learner import AnnealingSchedule, ParameterVector, energy
 from amr.market import config_from_dict, config_to_dict, save_config
 from amr.presets import bank_dominated_config, synthetic_target, weekdays
 from amr.reducer import evaluate_subset, exhaustive_reduce, greedy_reduce
@@ -198,3 +198,47 @@ def test_cli_train_non_finite_schedule_exits_2(reduce_args, tmp_path, capsys, fl
     assert main(argv + [f"{flag}={value}"]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "fit_out.json").exists()
+
+
+def test_energy_rejects_fewer_than_one_replication(market):
+    config, params, target = market
+    with pytest.raises(ValueError, match="replications must be >= 1, got 0"):
+        energy(params, target, config, replications=0)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("Banks.optimism", None), ("Banks.optimism", "0.5"), ("price_impact", True),
+])
+def test_fit_file_values_parse_strictly(key, value):
+    data = ParameterVector.from_config(bank_dominated_config()).to_dict()
+    data[key] = value
+    with pytest.raises(ValueError, match=rf"parameter file '{key}' must be a number"):
+        ParameterVector.from_dict(data, bank_dominated_config().type_names)
+
+
+def test_cli_fit_file_null_value_exits_2(simulate_args, tmp_path, capsys):
+    fit = {"params": {**ParameterVector.from_config(bank_dominated_config()).to_dict(),
+                      "Banks.optimism": None}}
+    (tmp_path / "fit.json").write_text(json.dumps(fit))
+    assert main(simulate_args + ["--p0", "100.0", "--params", str(tmp_path / "fit.json")]) == 2
+    assert "Banks.optimism" in capsys.readouterr().err
+    assert not (tmp_path / "prediction.csv").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("schedule.initial_temperature", None), ("schedule.total_evaluations", "3"),
+    ("schedule.replications", 1.0), ("tolerance", None), ("replications", None),
+    ("replications", 2.7), ("seed", None), ("seed", "11"), ("exhaustive", "false"), ("exhaustive", 1),
+])
+def test_cli_experiment_spec_fields_parse_strictly(reduce_args, tmp_path, capsys, field, value):
+    spec = {"data": "target.csv", "split": reduce_args[4], "market_config": "config.json",
+            "schedule": {"total_evaluations": 2, "replications": 1}, "replications": 1,
+            "out_dir": "out"}
+    if field.startswith("schedule."):
+        spec["schedule"][field.split(".", 1)[1]] = value
+    else:
+        spec[field] = value
+    (tmp_path / "experiment.json").write_text(json.dumps(spec))
+    assert main(["experiment", "--spec", str(tmp_path / "experiment.json")]) == 2
+    assert f"experiment spec {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "fit.json").exists()
