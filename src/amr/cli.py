@@ -66,6 +66,9 @@ def _load_params(path: str | Path, config: market.MarketConfig) -> ParameterVect
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    if not out.parent.is_dir():  # before the anneal, which can take a minute
+        raise FileNotFoundError(f"--out directory not found: {out.parent}")
     series = load_csv(args.data)
     train, _test = split(series, SplitSpec(_parse_date(args.split)))
     config = market.load_config(args.config)
@@ -74,7 +77,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     schedule = _schedule_from_args(args)
 
     fit = learner.anneal(train, config, schedule, seed=seed)
-    _write_json(learner.fit_to_dict(fit), Path(args.out))
+    _write_json(learner.fit_to_dict(fit), out)
     print(f"train MAPE: {100 * fit.best_energy:.2f}% ({fit.evaluations} evaluations) -> {args.out}")
     return 0
 
@@ -191,20 +194,24 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     base = spec_path.parent
 
-    def _resolve(p: str) -> Path:
+    def _resolve(key: str, default: str | None = None) -> Path:
+        p = spec.get(key, default)
+        if not isinstance(p, str):
+            raise ValueError(f"experiment spec {key} must be a path string, got {p!r}")
         path = Path(p)
         return path if path.is_absolute() else base / path
 
-    out_dir = Path(args.out) if args.out else _resolve(spec.get("out_dir", "experiment-out"))
+    data_path, config_path = _resolve("data"), _resolve("market_config")
+    out_dir = Path(args.out) if args.out else _resolve("out_dir", "experiment-out")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    series = load_csv(_resolve(spec["data"]))
+    series = load_csv(data_path)
     boundary = _parse_date(str(spec["split"]))
     train, test = split(series, SplitSpec(boundary))
     def _field(key: str, parse, default):
         return parse(spec.get(key, default), f"experiment spec {key}")
 
-    config = market.load_config(_resolve(spec["market_config"]))
+    config = market.load_config(config_path)
     seed = _field("seed", market._integer, config.master_seed)
     config = replace(config, master_seed=seed)
 

@@ -103,6 +103,8 @@ class ParameterVector:
 
     @classmethod
     def from_dict(cls, data: dict[str, float], type_names: tuple[str, ...]) -> "ParameterVector":
+        if not isinstance(data, dict):
+            raise ValueError(f"parameter file params must be a JSON object, got {type(data).__name__}")
         vals = []
         for t in type_names:
             for p in ("optimism", "reactivity", "trade_fraction"):
@@ -260,6 +262,8 @@ def fit_to_dict(fit: FitResult) -> dict:
 
 
 def params_from_fit_dict(data: dict, type_names: tuple[str, ...]) -> ParameterVector:
+    if not isinstance(data, dict):
+        raise ValueError(f"fit file must be a JSON object, got {type(data).__name__}")
     if "params" not in data:
         raise ValueError("fit file missing 'params'")
     return ParameterVector.from_dict(data["params"], type_names)

@@ -13,9 +13,9 @@ Determinism contract: every random draw is a pure function of
 demand is summed in fixed chunks combined in chunk order.  Worker counts
 therefore never change the output, bit for bit.
 
-One single-threaded kernel, simulate_batch, runs one config under S
-seeds and M enabled masks as the rows of an (M * S, n_agents) state; each
-step's (S, n_agents) decision uniforms serve every mask by broadcasting.
+One single-threaded kernel, simulate_batch, runs one config under S seeds
+and M enabled masks as one (M, S, n_agents) state.  Per-seed agent arrays
+(jitter, drawn once per call, and decision uniforms) broadcast over masks.
 `workers` arguments are still accepted but start no threads: the thread
 pools were removed after 2 workers measured slower than 1.
 
@@ -28,8 +28,7 @@ call, and only if its table holds at most 2**19 float64 values (4 MB);
 the table is then filled block by block and marked read-only, and later
 calls with that key read it.  Any other key empties the slot.  The table
 holds the very values the blocks would produce, so results are
-bit-identical with or without it.  Jitter noise is regenerated on every
-call.
+bit-identical with or without it.
 """
 
 from __future__ import annotations
@@ -206,6 +205,8 @@ def _type_from_dict(t: dict, position: int) -> InvestorType:
     if not isinstance(t, dict):
         raise ValueError(f"market config types[{position}] must be a JSON object, got {t!r}")
     name = t["name"]
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"market config types[{position}].name must be a non-empty string, got {name!r}")
     enabled = t.get("enabled", True)
     if not isinstance(enabled, bool):
         raise ValueError(f"investor type {name!r}: enabled must be true or false, got {enabled!r}")
@@ -266,12 +267,6 @@ class AgentPopulation:
     price_impact: float
     chunk_size: int
 
-    def __post_init__(self):
-        # Cache the per-agent demand weight.
-        self._weight = np.where(
-            self.enabled, self.trade_fraction * self.assets / self.normalization_assets, 0.0
-        )
-
     def __len__(self) -> int:
         return len(self.type_index)
 
@@ -280,38 +275,42 @@ class AgentPopulation:
         return float(np.sum(self.assets[self.enabled])) / self.normalization_assets
 
 
-def init_population(config: MarketConfig, chunk_size: int = DEFAULT_CHUNK_SIZE) -> AgentPopulation:
-    """One agent per individual investor, parameters jittered within bounds.
+def _jittered(config: MarketConfig, seeds: Sequence[int]) -> np.ndarray:
+    """(optimism, reactivity, trade_fraction) of every agent under each seed, shaped (S, 3, n).
 
-    Noise for agent a's parameter d is uniform in +/- config.jitter,
-    drawn from the counter stream keyed by (master_seed, jitter tag, d, a)
-    and clamped to the parameter's bounds.  Disabled types' agents are
-    created too; they simply emit no demand.
+    Noise for agent a's parameter d under seed s is uniform in
+    +/- config.jitter, drawn from the counter stream keyed by (s, jitter
+    tag, d, a) and clamped to the parameter's bounds.  Enabled flags play
+    no part, so one seed's values serve every mask.
+    """
+    counts = [t.count for t in config.types]
+    base = np.repeat([[t.optimism, t.reactivity, t.trade_fraction] for t in config.types], counts, axis=0).T
+    lo, hi = np.array([OPTIMISM_BOUNDS, REACTIVITY_BOUNDS, TRADE_FRACTION_BOUNDS]).T[:, :, None]
+    keys = [fold(seed, TAG_JITTER, d) for seed in seeds for d in range(3)]
+    bits = fold_matrix(keys, np.arange(base.shape[1], dtype=np.uint64))
+    noise = (2.0 * u01_array(bits) - 1.0) * config.jitter
+    return np.clip(base + noise.reshape(len(seeds), *base.shape), lo, hi)
+
+
+def _demand_weight(trade_fraction, assets, enabled, total_assets: float) -> np.ndarray:
+    """Each agent's vote weight, trade_fraction * assets / total_assets; 0 where disabled."""
+    return np.where(enabled, trade_fraction * assets / total_assets, 0.0)
+
+
+def init_population(config: MarketConfig, chunk_size: int = DEFAULT_CHUNK_SIZE) -> AgentPopulation:
+    """One agent per individual investor, parameters jittered within bounds (see _jittered).
+
+    Disabled types' agents are created too; they simply emit no demand.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     counts = np.array([t.count for t in config.types], dtype=np.int64)
-    type_index = np.repeat(np.arange(len(config.types), dtype=np.int64), counts)
-    n = int(counts.sum())
-    agent_ids = np.arange(n, dtype=np.uint64)
-
-    base = np.repeat(np.array([[t.optimism, t.reactivity, t.trade_fraction] for t in config.types]),
-                     counts, axis=0)
-    lo = np.array([OPTIMISM_BOUNDS[0], REACTIVITY_BOUNDS[0], TRADE_FRACTION_BOUNDS[0]])
-    hi = np.array([OPTIMISM_BOUNDS[1], REACTIVITY_BOUNDS[1], TRADE_FRACTION_BOUNDS[1]])
-
-    jitter_key = fold(config.master_seed, TAG_JITTER)
-    jittered = np.empty((n, 3))
-    for d in range(3):
-        bits = fold_array(fold(jitter_key, d), agent_ids)
-        noise = (2.0 * u01_array(bits) - 1.0) * config.jitter
-        jittered[:, d] = np.clip(base[:, d] + noise, lo[d], hi[d])
-
+    optimism, reactivity, trade_fraction = _jittered(config, [config.master_seed])[0]
     return AgentPopulation(
-        type_index=type_index,
-        optimism=jittered[:, 0],
-        reactivity=jittered[:, 1],
-        trade_fraction=jittered[:, 2],
+        type_index=np.repeat(np.arange(len(config.types), dtype=np.int64), counts),
+        optimism=optimism,
+        reactivity=reactivity,
+        trade_fraction=trade_fraction,
         assets=np.repeat(np.array([t.assets_per_investor for t in config.types]), counts),
         enabled=np.repeat(np.array([t.enabled for t in config.types], dtype=bool), counts),
         normalization_assets=config.total_assets,
@@ -349,18 +348,18 @@ def _advance(
     uniforms: np.ndarray,
     chunk_size: int,
     scratch: np.ndarray,
-    cells: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One trading day for each row of the (R, n) agent arrays; returns (prices, demands)."""
-    np.multiply(reactivity, last_return[:, None], out=scratch)
+    """One day for each cell of the (M, S, n) `scratch`, last_return (M, S, 1); returns flat rows."""
+    np.multiply(reactivity, last_return, out=scratch)
     scratch += optimism
-    np.clip(scratch, 0.0, 1.0, out=scratch)
-    np.less(uniforms, cells, out=cells)  # cells: scratch as (R / S, S, n); 1.0 where the agent buys
+    # No clamp to [0, 1]: every uniform lies in [0, 1 - 2**-53], so u < x
+    # and u < clip(x, 0, 1) agree for every x, NaN included.
+    np.less(uniforms, scratch, out=scratch)  # 1.0 where the agent buys
     # 2 * buy - 1 is exactly +1 or -1, so this is +weight or -weight bit for bit.
     scratch *= 2.0
     scratch -= 1.0
     scratch *= weight
-    demand = _row_sums(scratch, chunk_size)
+    demand = _row_sums(scratch.reshape(-1, scratch.shape[-1]), chunk_size)
     return price * (1.0 + price_impact * demand), demand
 
 
@@ -384,11 +383,11 @@ def step(
         raise ValueError(f"price must be positive and finite, got {price}")
     step_key = fold(master_seed, TAG_DECISION, step_index)
     uniforms = u01_array(fold_array(step_key, np.arange(len(population), dtype=np.uint64)))
-    scratch = np.empty((1, len(population)))
+    weight = _demand_weight(population.trade_fraction, population.assets, population.enabled,
+                            population.normalization_assets)
     next_price, demand = _advance(
-        np.array([price]), np.array([last_return]),
-        population.optimism[None], population.reactivity[None], population._weight[None],
-        population.price_impact, uniforms[None], population.chunk_size, scratch, scratch[None],
+        np.array([price]), np.full((1, 1, 1), last_return), population.optimism, population.reactivity,
+        weight, population.price_impact, uniforms, population.chunk_size, np.empty((1, 1, len(population))),
     )
     return float(next_price[0]), float(demand[0])
 
@@ -445,7 +444,6 @@ def simulate_batch(
     demands) of shapes (M, S, horizon) and (M, S, horizon - 1); cell
     [m, s] is bit for bit what simulate_pk produces for `config` with
     master seed seeds[s] and exactly the types flagged in enabled[m].
-    Rows of the (M * S, n_agents) state run mask-major, seed-minor.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -455,32 +453,31 @@ def simulate_batch(
         raise ValueError(f"p0 must be positive and finite, got {p0}")
     if not len(seeds):
         raise ValueError("simulate_batch needs at least one seed")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     masks = np.array(enabled, dtype=bool)
     if not len(enabled) or masks.shape != (len(enabled), len(config.types)):
         raise ValueError(f"simulate_batch needs at least one enabled mask of {len(config.types)} flags")
 
-    # Jitter depends on the seed only, so each seed's population serves every mask.
-    everyone = set_enabled(config, config.type_names, True)
-    populations = [init_population(replace(everyone, master_seed=s), chunk_size) for s in seeds]
-    n_masks, n_seeds, n_agents = len(masks), len(seeds), len(populations[0])
-    optimism = np.tile([p.optimism for p in populations], (n_masks, 1))
-    reactivity = np.tile([p.reactivity for p in populations], (n_masks, 1))
-    agent_masks = np.repeat(masks, [t.count for t in config.types], axis=1)[:, None]
-    weight = np.where(agent_masks, [p._weight for p in populations], 0.0).reshape(-1, n_agents)
+    counts = [t.count for t in config.types]
+    optimism, reactivity, trade_fraction = _jittered(config, seeds).transpose(1, 0, 2)
+    assets = np.repeat([t.assets_per_investor for t in config.types], counts)
+    agent_masks = np.repeat(masks, counts, axis=1)[:, None]
+    weight = _demand_weight(trade_fraction, assets, agent_masks, config.total_assets)
 
-    rows = n_masks * n_seeds
-    prices = np.full((rows, horizon), p0, dtype=np.float64)
-    demands = np.empty((rows, horizon - 1))
-    last_return = np.zeros(rows)
-    scratch = np.empty((rows, n_agents))
-    cells = scratch.reshape(n_masks, n_seeds, n_agents)
+    n_masks, n_seeds, n_agents = weight.shape
+    prices = np.full((n_masks * n_seeds, horizon), p0, dtype=np.float64)
+    demands = np.empty((n_masks * n_seeds, horizon - 1))
+    returns = np.zeros(n_masks * n_seeds)
+    last_return = returns.reshape(n_masks, n_seeds, 1)  # a view of returns
+    scratch = np.empty_like(weight)
     for s, uniforms in enumerate(_decision_uniforms(seeds, n_agents, horizon - 1)):
         if s > 0:
-            np.subtract(prices[:, s], prices[:, s - 1], out=last_return)
-            last_return /= prices[:, s - 1]
+            np.subtract(prices[:, s], prices[:, s - 1], out=returns)
+            returns /= prices[:, s - 1]
         prices[:, s + 1], demands[:, s] = _advance(
             prices[:, s], last_return, optimism, reactivity, weight, config.price_impact,
-            uniforms, chunk_size, scratch, cells,
+            uniforms, chunk_size, scratch,
         )
     return (prices.reshape(n_masks, n_seeds, horizon),
             demands.reshape(n_masks, n_seeds, horizon - 1))

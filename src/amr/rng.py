@@ -59,7 +59,6 @@ def substream(seed: int, index: int) -> int:
 
 # -- vectorized twins ---------------------------------------------------
 
-_NP_GAMMA = np.uint64(_GAMMA)
 _NP_MIX1 = np.uint64(_MIX1)
 _NP_MIX2 = np.uint64(_MIX2)
 

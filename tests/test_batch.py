@@ -9,7 +9,7 @@ import pytest
 import amr.market as market_module
 import amr.reducer as reducer_module
 from amr.learner import AnnealingSchedule, ParameterVector, anneal, replication_mapes
-from amr.market import only_enabled, simulate_batch, simulate_pk
+from amr.market import init_population, only_enabled, set_enabled, simulate_batch, simulate_pk, step
 from amr.presets import balanced_config, bank_dominated_config, synthetic_target, weekdays
 from amr.reducer import evaluate_subset, exhaustive_reduce
 from amr.rng import substream
@@ -133,3 +133,21 @@ def test_replication_mapes_equal_per_run_mape(n_days):
             config = only_enabled(replace(BASE, master_seed=substream(BASE.master_seed, r)), subset)
             run = simulate_pk(config, target.values[0], len(target), target.dates)
             assert float(mapes[m, r]).hex() == mape(target, run.predicted).hex()
+
+
+@pytest.mark.parametrize("chunk_size", [market_module.DEFAULT_CHUNK_SIZE, 64])
+@pytest.mark.parametrize("config", [
+    bank_dominated_config(master_seed=5), balanced_config(master_seed=6),
+    set_enabled(bank_dominated_config(master_seed=7), ["Banks"], False),
+], ids=["bank_dominated", "balanced", "banks_disabled"])
+def test_chained_steps_equal_simulate_pk(config, chunk_size):
+    population = init_population(config, chunk_size)
+    run = simulate_pk(config, 100.0, HORIZON, DATES, chunk_size=chunk_size)
+    prices, demands = [100.0], []
+    for t in range(HORIZON - 1):
+        last_return = (prices[t] - prices[t - 1]) / prices[t - 1] if t else 0.0
+        price, demand = step(prices[t], last_return, population, t, config.master_seed)
+        prices.append(price)
+        demands.append(demand)
+    assert np.array(prices).tobytes() == np.array(run.predicted.values).tobytes()
+    assert np.array(demands).tobytes() == np.array(run.demands).tobytes()

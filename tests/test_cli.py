@@ -53,6 +53,15 @@ class TestTrain:
             workspace["dir"] / "fit2.json"
         ).read_bytes()
 
+    def test_missing_out_directory_exits_2_before_annealing(self, workspace, capsys, monkeypatch):
+        def no_anneal(*args, **kwargs):
+            raise AssertionError("annealed before checking --out")
+
+        monkeypatch.setattr("amr.learner.anneal", no_anneal)
+        assert run_train(workspace, out_name="absent/fit.json") == 2
+        assert "--out directory not found" in capsys.readouterr().err
+        assert not (workspace["dir"] / "absent").exists()
+
     def test_missing_data_file_exits_2(self, workspace, capsys):
         code = main(
             [

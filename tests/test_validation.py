@@ -7,7 +7,7 @@ from datetime import date
 import pytest
 
 from amr.cli import main
-from amr.learner import AnnealingSchedule, ParameterVector, energy
+from amr.learner import AnnealingSchedule, ParameterVector, energy, params_from_fit_dict
 from amr.market import config_from_dict, config_to_dict, save_config
 from amr.presets import bank_dominated_config, synthetic_target, weekdays
 from amr.reducer import evaluate_subset, exhaustive_reduce, greedy_reduce
@@ -117,6 +117,12 @@ def test_load_csv_rejects_non_finite_values_by_line(tmp_path, text):
         load_csv(path)
 
 
+@pytest.mark.parametrize("name", [["a"], {"x": 1}, 5, None, ""], ids=["list", "object", "number", "null", "empty"])
+def test_type_name_must_be_non_empty_string(name):
+    with pytest.raises(ValueError, match=r"types\[2\]\.name must be a non-empty string"):
+        config_from_dict(_type_dict(name=name))
+
+
 def test_infinite_assets_per_investor_rejected():
     with pytest.raises(ValueError, match="'?Banks'?.*assets_per_investor"):
         config_from_dict(_type_dict(assets_per_investor=math.inf))
@@ -145,7 +151,10 @@ def simulate_args(tmp_path):
     (json.dumps(_type_dict(assets_per_investor=math.inf)), "assets_per_investor"),
     (json.dumps(_type_dict(optimism=None)), "optimism"),
     (json.dumps({**config_to_dict(bank_dominated_config()), "price_impact": None}), "price_impact"),
-], ids=["list", "string_type", "infinite_assets", "null_optimism", "null_price_impact"])
+    (json.dumps(_type_dict(name=["a"])), "types[2].name"),
+    (json.dumps(_type_dict(name=5)), "types[2].name"),
+], ids=["list", "string_type", "infinite_assets", "null_optimism", "null_price_impact", "list_name",
+        "number_name"])
 def test_cli_bad_config_exits_2(simulate_args, tmp_path, capsys, config_text, field):
     (tmp_path / "config.json").write_text(config_text)
     assert main(simulate_args + ["--p0", "100.0"]) == 2
@@ -216,6 +225,26 @@ def test_fit_file_values_parse_strictly(key, value):
         ParameterVector.from_dict(data, bank_dominated_config().type_names)
 
 
+FIT_NOT_OBJECTS = pytest.mark.parametrize("fit,message", [
+    (5, "fit file must be a JSON object, got int"),
+    ({"params": 5}, "parameter file params must be a JSON object, got int"),
+], ids=["number", "number_params"])
+
+
+@FIT_NOT_OBJECTS
+def test_fit_file_that_is_not_an_object_rejected(fit, message):
+    with pytest.raises(ValueError, match=message):
+        params_from_fit_dict(fit, bank_dominated_config().type_names)
+
+
+@FIT_NOT_OBJECTS
+def test_cli_fit_file_that_is_not_an_object_exits_2(simulate_args, tmp_path, capsys, fit, message):
+    (tmp_path / "fit.json").write_text(json.dumps(fit))
+    assert main(simulate_args + ["--p0", "100.0", "--params", str(tmp_path / "fit.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "prediction.csv").exists()
+
+
 def test_cli_fit_file_null_value_exits_2(simulate_args, tmp_path, capsys):
     fit = {"params": {**ParameterVector.from_config(bank_dominated_config()).to_dict(),
                       "Banks.optimism": None}}
@@ -242,3 +271,17 @@ def test_cli_experiment_spec_fields_parse_strictly(reduce_args, tmp_path, capsys
     assert main(["experiment", "--spec", str(tmp_path / "experiment.json")]) == 2
     assert f"experiment spec {field}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "fit.json").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("out_dir", None), ("out_dir", 3), ("data", 5), ("market_config", None), ("market_config", ["c.json"]),
+], ids=["null_out_dir", "number_out_dir", "number_data", "null_market_config", "list_market_config"])
+def test_cli_experiment_spec_paths_must_be_strings(reduce_args, tmp_path, capsys, field, value):
+    spec = {"data": "target.csv", "split": reduce_args[4], "market_config": "config.json",
+            "schedule": {"total_evaluations": 2, "replications": 1}, "replications": 1,
+            "out_dir": "out", field: value}
+    (tmp_path / "experiment.json").write_text(json.dumps(spec))
+    before = set(tmp_path.iterdir())
+    assert main(["experiment", "--spec", str(tmp_path / "experiment.json")]) == 2
+    assert f"experiment spec {field} must be a path string" in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before
