@@ -5,6 +5,7 @@ validation errors, 1 on internal errors.  Every command is idempotent:
 identical inputs and seed produce byte-identical output files, for any
 worker count (``--workers`` / the ``AMR_WORKERS`` environment variable,
 validated but unused: the simulation is single-threaded and batched).
+Every output file is written whole or not at all (write_atomically).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 from . import learner, market, reducer
 from .learner import AnnealingSchedule, ParameterVector
 from .presets import weekdays
-from .timeseries import SplitSpec, TimeSeries, load_csv, mape, save_csv, split
+from .timeseries import SplitSpec, TimeSeries, load_csv, mape, save_csv, split, write_atomically
 
 
 def _check_workers(args: argparse.Namespace) -> None:
@@ -44,7 +45,7 @@ def _parse_date(text: str) -> date:
 
 
 def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    write_atomically(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _schedule_from_args(args: argparse.Namespace) -> AnnealingSchedule:
@@ -69,6 +70,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if not out.parent.is_dir():  # before the anneal, which can take a minute
         raise FileNotFoundError(f"--out directory not found: {out.parent}")
+    if out.is_dir():
+        raise IsADirectoryError(f"--out is a directory, not a file: {out}")
     series = load_csv(args.data)
     train, _test = split(series, SplitSpec(_parse_date(args.split)))
     config = market.load_config(args.config)
@@ -140,7 +143,7 @@ def _reduce_and_write(config: market.MarketConfig, params: ParameterVector, targ
         payload["exhaustive"] = oracle.to_dict()
         table += "\n\n" + _format_exhaustive(oracle, report)
     _write_json(payload, out_dir / "reduction.json")
-    (out_dir / "reduction.txt").write_text(table + "\n")
+    write_atomically(out_dir / "reduction.txt", table + "\n")
     print(table)
 
 
@@ -175,10 +178,9 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
 
 def _write_plotdata(actual: TimeSeries, predicted: TimeSeries, path: Path) -> None:
     """`date,actual,predicted` rows; the two series share their dates."""
-    with path.open("w", newline="") as fh:
-        fh.write("date,actual,predicted\n")
-        for d, a, p in zip(actual.dates, actual.values, predicted.values):
-            fh.write(f"{d.isoformat()},{a!r},{p!r}\n")
+    rows = "".join(f"{d.isoformat()},{a!r},{p!r}\n"
+                   for d, a, p in zip(actual.dates, actual.values, predicted.values))
+    write_atomically(path, "date,actual,predicted\n" + rows)
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:

@@ -14,21 +14,28 @@ demand is summed in fixed chunks combined in chunk order.  Worker counts
 therefore never change the output, bit for bit.
 
 One single-threaded kernel, simulate_batch, runs one config under S seeds
-and M enabled masks as one (M, S, n_agents) state.  Per-seed agent arrays
-(jitter, drawn once per call, and decision uniforms) broadcast over masks.
-`workers` arguments are still accepted but start no threads: the thread
-pools were removed after 2 workers measured slower than 1.
+and M enabled masks as one agent-major state of shape (C, K, M, S): the
+agents fill K chunks of C positions (C = chunk_size when there is more
+than one chunk, else C = n_agents), position (c, k) holds agent
+k * C + c, and padding agents at the end of the last chunk have weight
+0.  Each of the K * M * S chunk sums then runs down the leading axis
+with its lane contiguous, so NumPy adds every lane in strict agent order
+at once; step() places its one agent row the same way.  Jitter, drawn
+once per call, depends only on (seed, agent) and the decision uniforms
+only on (seed, step, agent), so every mask shares them.  `workers`
+arguments are still accepted but start no threads: the thread pools
+were removed after 2 workers measured slower than 1.
 
 The decision uniforms are a pure function of (seed, step, agent), so
 calls with the same seeds, agent count and horizon read the same values
 (common random numbers: every annealing energy replays the same
-replication seeds).  A one-slot table keeps them across calls.  A key
-(seeds, n_agents, horizon - 1) is admitted on its second consecutive
-call, and only if its table holds at most 2**19 float64 values (4 MB);
-the table is then filled block by block and marked read-only, and later
-calls with that key read it.  Any other key empties the slot.  The table
-holds the very values the blocks would produce, so results are
-bit-identical with or without it.
+replication seeds).  A one-slot table keeps them across calls, in the
+(steps, C * K, S) layout.  A key (seeds, n_agents, C, horizon - 1) is
+admitted on its second consecutive call, and only if its table holds at
+most 2**19 float64 values (4 MB); the table is then filled block by
+block and marked read-only, and later calls with that key read it.  Any
+other key empties the slot.  The table holds the very values the blocks
+would produce, so results are bit-identical with or without it.
 """
 
 from __future__ import annotations
@@ -56,6 +63,10 @@ MAX_TYPES = 16
 
 # Fixed unit of demand aggregation; recorded on every run.
 DEFAULT_CHUNK_SIZE = 4096
+
+# Lanes (chunks x rows) from which a demand sum reduces the agent axis in
+# one call; narrower sums accumulate (see _row_sums).
+_REDUCE_WIDTH = 8
 
 # Upper bound on precomputed decision uniforms held at once (elements).
 _UNIFORM_BLOCK_ELEMENTS = 1 << 16
@@ -319,23 +330,50 @@ def init_population(config: MarketConfig, chunk_size: int = DEFAULT_CHUNK_SIZE) 
     )
 
 
-def _row_sums(contrib: np.ndarray, chunk_size: int) -> np.ndarray:
-    """Net demand of every row, accumulated in place in `contrib`.
+def _chunking(n_agents: int, chunk_size: int) -> tuple[int, int]:
+    """(C, K): the agents fill K chunks of C positions; C = n_agents when one chunk holds them all."""
+    size = chunk_size if n_agents > chunk_size else n_agents
+    return size, -(-n_agents // size)
 
-    Chunks are summed in strict ascending agent order and their totals
-    added to 0.0 in chunk order; a lone chunk's total is returned as is,
-    so a row of -0.0 terms keeps its sign.
+
+def _position_ids(size: int, chunks: int) -> np.ndarray:
+    """Agent id at every position c * K + k: agent k * C + c (ids >= n_agents are padding)."""
+    return np.arange(size * chunks, dtype=np.uint64).reshape(chunks, size).T.ravel()
+
+
+def _place(values: np.ndarray, size: int, chunks: int) -> np.ndarray:
+    """Agent-major copy (C, K, ...) of `values` (..., n_agents); padding positions hold 0."""
+    lead = values.shape[:-1]
+    padded = np.zeros(lead + (size * chunks,))
+    padded[..., : values.shape[-1]] = values
+    return np.ascontiguousarray(np.moveaxis(padded.reshape(lead + (chunks, size)), (-1, -2), (0, 1)))
+
+
+def _next_up(uniforms: np.ndarray) -> np.ndarray:
+    """nextafter(u, +inf) of every uniform, in place: each u is finite and >= 0, so its bits + 1."""
+    uniforms.view(np.int64)[...] += 1
+    return uniforms
+
+
+def _row_sums(contrib: np.ndarray) -> np.ndarray:
+    """Net demand of every row r of the (C, K, R) `contrib`, which may be overwritten.
+
+    Chunk k of row r, contrib[:, k, r], is summed in strict position
+    order: NumPy reduces a leading axis one lane-row at a time, and the
+    initial -0.0 keeps a sum of -0.0 terms negative.  Below _REDUCE_WIDTH
+    lanes accumulate is faster (and a single lane would be summed
+    pairwise).  Chunk totals are added to 0.0 in chunk order; a lone
+    chunk's total is returned as is, so a row of -0.0 terms keeps its sign.
     """
-    n = contrib.shape[1]
-    if n <= chunk_size:
-        np.add.accumulate(contrib, axis=1, out=contrib)
-        return contrib[:, -1]
-    demand = np.zeros(len(contrib))
-    for lo in range(0, n, chunk_size):
-        chunk = contrib[:, lo : lo + chunk_size]
-        np.add.accumulate(chunk, axis=1, out=chunk)
-        demand += chunk[:, -1]
-    return demand
+    _, chunks, rows = contrib.shape
+    if chunks * rows >= _REDUCE_WIDTH:
+        totals = np.add.reduce(contrib, axis=0, initial=-0.0)
+    else:
+        totals = np.add.accumulate(contrib, axis=0, out=contrib)[-1]
+    if chunks == 1:
+        return totals[0]
+    totals[0] += 0.0
+    return np.add.accumulate(totals, axis=0, out=totals)[-1]
 
 
 def _advance(
@@ -344,23 +382,32 @@ def _advance(
     optimism: np.ndarray,
     reactivity: np.ndarray,
     weight: np.ndarray,
+    above: np.ndarray,
     price_impact: float,
-    uniforms: np.ndarray,
-    chunk_size: int,
     scratch: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One day for each cell of the (M, S, n) `scratch`, last_return (M, S, 1); returns flat rows."""
+    next_price: np.ndarray,
+    demand: np.ndarray,
+) -> None:
+    """One day for every row: writes the rows' net demand and next price, both flat (M * S).
+
+    scratch, weight, optimism and reactivity are (C, K, M, S); above,
+    the decision uniforms moved up one float, is (C, K, 1, S);
+    last_return is an (M, S) view of the flat returns.
+    """
     np.multiply(reactivity, last_return, out=scratch)
     scratch += optimism
-    # No clamp to [0, 1]: every uniform lies in [0, 1 - 2**-53], so u < x
-    # and u < clip(x, 0, 1) agree for every x, NaN included.
-    np.less(uniforms, scratch, out=scratch)  # 1.0 where the agent buys
-    # 2 * buy - 1 is exactly +1 or -1, so this is +weight or -weight bit for bit.
-    scratch *= 2.0
-    scratch -= 1.0
-    scratch *= weight
-    demand = _row_sums(scratch.reshape(-1, scratch.shape[-1]), chunk_size)
-    return price * (1.0 + price_impact * demand), demand
+    # The agent buys when u < x.  No clamp of x to [0, 1]: every uniform
+    # lies in [0, 1 - 2**-53].  x - nextafter(u, +inf) >= 0 exactly when
+    # u < x, and is never -0.0, so copysign gives +weight or -weight bit
+    # for bit as (2 * [u < x] - 1) * weight did, for every x but NaN.  x
+    # is NaN only after the row's price overflowed to inf, and from then
+    # on the price stays inf whatever the votes.
+    scratch -= above
+    np.copysign(weight, scratch, out=scratch)
+    demand[:] = _row_sums(scratch.reshape(scratch.shape[0], scratch.shape[1], -1))
+    np.multiply(demand, price_impact, out=next_price)
+    next_price += 1.0
+    next_price *= price
 
 
 def step(
@@ -381,49 +428,61 @@ def step(
     """
     if not 0 < price < math.inf:
         raise ValueError(f"price must be positive and finite, got {price}")
+    size, chunks = _chunking(len(population), population.chunk_size)
     step_key = fold(master_seed, TAG_DECISION, step_index)
-    uniforms = u01_array(fold_array(step_key, np.arange(len(population), dtype=np.uint64)))
+    above = _next_up(u01_array(fold_array(step_key, _position_ids(size, chunks))))
     weight = _demand_weight(population.trade_fraction, population.assets, population.enabled,
                             population.normalization_assets)
-    next_price, demand = _advance(
-        np.array([price]), np.full((1, 1, 1), last_return), population.optimism, population.reactivity,
-        weight, population.price_impact, uniforms, population.chunk_size, np.empty((1, 1, len(population))),
+    optimism, reactivity, weight = (
+        _place(a[None, None], size, chunks) for a in (population.optimism, population.reactivity, weight)
     )
+    next_price, demand = np.empty(1), np.empty(1)
+    _advance(np.array([price]), np.full((1, 1), last_return), optimism, reactivity, weight,
+             above.reshape(size, chunks, 1, 1), population.price_impact, np.empty_like(weight),
+             next_price, demand)
     return float(next_price[0]), float(demand[0])
 
 
-def _uniform_block(seed_keys: list[int], agent_ids: np.ndarray, steps: range) -> np.ndarray:
-    """Decision uniforms of `steps` for every seed and agent, shaped (steps, S, n)."""
-    bits = fold_matrix([fold(key, t) for t in steps for key in seed_keys], agent_ids)
-    return u01_array(bits).reshape(len(steps), len(seed_keys), len(agent_ids))
+def _uniform_block(seed_keys: list[int], ids: np.ndarray, steps: range) -> np.ndarray:
+    """nextafter(u, +inf) of the decision uniforms u of `steps`, shaped (steps, P, S).
+
+    Position p of every step holds agent ids[p] of each seed.
+    """
+    bits = fold_matrix([fold(key, t) for t in steps for key in seed_keys], ids)
+    above = _next_up(u01_array(bits)).reshape(len(steps), len(seed_keys), len(ids))
+    return np.ascontiguousarray(above.transpose(0, 2, 1))
 
 
-def _decision_uniforms(seeds: Sequence[int], n_agents: int, steps: int) -> Iterable[np.ndarray]:
-    """Each step's (S, n_agents) decision uniforms, in step order.
+def _decision_uniforms(seeds: Sequence[int], n_agents: int, chunk_size: int,
+                       steps: int) -> Iterable[np.ndarray]:
+    """Each step's (P, S) decision uniforms, moved up one float, in step order.
 
-    Uniforms are price-independent, so they are produced in blocks of at
-    most _UNIFORM_BLOCK_ELEMENTS ahead of the sequential price loop.  A
-    key (seeds, n_agents, steps) that repeats on consecutive calls and
-    fits _UNIFORM_TABLE_ELEMENTS is instead filled, block by block, into
-    the read-only table of _uniform_slot, which later calls with that key
+    Positions are agent-major, as _position_ids lays them out for chunks
+    of C = _chunking(n_agents, chunk_size)[0].  Uniforms are
+    price-independent, so they are produced in blocks of at most
+    _UNIFORM_BLOCK_ELEMENTS ahead of the sequential price loop.  A key
+    (seeds, n_agents, C, steps) that repeats on consecutive calls and fits
+    _UNIFORM_TABLE_ELEMENTS is instead filled, block by block, into the
+    read-only table of _uniform_slot, which later calls with that key
     read.  The values are the same on either path.
     """
     global _uniform_slot
+    size, chunks = _chunking(n_agents, chunk_size)
     seed_keys = [fold(seed, TAG_DECISION) for seed in seeds]
-    agent_ids = np.arange(n_agents, dtype=np.uint64)
-    block = max(1, _UNIFORM_BLOCK_ELEMENTS // (len(seeds) * n_agents))
+    ids = _position_ids(size, chunks)
+    block = max(1, _UNIFORM_BLOCK_ELEMENTS // (len(seeds) * len(ids)))
     spans = [range(lo, min(lo + block, steps)) for lo in range(0, steps, block)]
-    key = (tuple(seeds), n_agents, steps)
+    key = (tuple(seeds), n_agents, size, steps)
     last_key, table = _uniform_slot
-    if key != last_key or steps * len(seeds) * n_agents > _UNIFORM_TABLE_ELEMENTS:
+    if key != last_key or steps * len(seeds) * len(ids) > _UNIFORM_TABLE_ELEMENTS:
         # First sighting or too large: no table, so a one-off call costs no memory.
         _uniform_slot = (key, None)
-        return (u for span in spans for u in _uniform_block(seed_keys, agent_ids, span))
+        return (u for span in spans for u in _uniform_block(seed_keys, ids, span))
     if table is None:
         # Block by block, so building holds one block's temporaries at a time.
-        table = np.empty((steps, len(seeds), n_agents))
+        table = np.empty((steps, len(ids), len(seeds)))
         for span in spans:
-            table[span.start : span.stop] = _uniform_block(seed_keys, agent_ids, span)
+            table[span.start : span.stop] = _uniform_block(seed_keys, ids, span)
         table.setflags(write=False)
         _uniform_slot = (key, table)
     return table
@@ -444,6 +503,7 @@ def simulate_batch(
     demands) of shapes (M, S, horizon) and (M, S, horizon - 1); cell
     [m, s] is bit for bit what simulate_pk produces for `config` with
     master seed seeds[s] and exactly the types flagged in enabled[m].
+    A run whose price overflows to inf stays at inf.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -466,21 +526,34 @@ def simulate_batch(
     weight = _demand_weight(trade_fraction, assets, agent_masks, config.total_assets)
 
     n_masks, n_seeds, n_agents = weight.shape
-    prices = np.full((n_masks * n_seeds, horizon), p0, dtype=np.float64)
-    demands = np.empty((n_masks * n_seeds, horizon - 1))
+    size, chunks = _chunking(n_agents, chunk_size)
+    # Optimism and reactivity are copied for every mask too: broadcasting
+    # them over masks inside each position would cut every step's
+    # elementwise loops to S lanes.
+    optimism, reactivity, weight = (
+        _place(np.broadcast_to(a, weight.shape), size, chunks) for a in (optimism, reactivity, weight)
+    )
+    prices = np.empty((horizon, n_masks * n_seeds))
+    prices[0] = p0
+    demands = np.empty((horizon - 1, n_masks * n_seeds))
     returns = np.zeros(n_masks * n_seeds)
-    last_return = returns.reshape(n_masks, n_seeds, 1)  # a view of returns
+    last_return = returns.reshape(n_masks, n_seeds)  # a view of returns
     scratch = np.empty_like(weight)
-    for s, uniforms in enumerate(_decision_uniforms(seeds, n_agents, horizon - 1)):
-        if s > 0:
-            np.subtract(prices[:, s], prices[:, s - 1], out=returns)
-            returns /= prices[:, s - 1]
-        prices[:, s + 1], demands[:, s] = _advance(
-            prices[:, s], last_return, optimism, reactivity, weight, config.price_impact,
-            uniforms, chunk_size, scratch,
-        )
-    return (prices.reshape(n_masks, n_seeds, horizon),
-            demands.reshape(n_masks, n_seeds, horizon - 1))
+    # An overflowed price makes later returns inf or NaN; such a row stays
+    # at inf and the caller judges it, so the arithmetic raises no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, above in enumerate(_decision_uniforms(seeds, n_agents, chunk_size, horizon - 1)):
+            if t > 0:
+                np.subtract(prices[t], prices[t - 1], out=returns)
+                returns /= prices[t - 1]
+            _advance(prices[t], last_return, optimism, reactivity, weight,
+                     above.reshape(size, chunks, 1, n_seeds), config.price_impact, scratch,
+                     prices[t + 1], demands[t])
+    # Contiguous copies: a strided view would make mape_rows' mean over
+    # days sum in another order than NumPy's pairwise sum of a
+    # contiguous axis.
+    return (np.ascontiguousarray(prices.T).reshape(n_masks, n_seeds, horizon),
+            np.ascontiguousarray(demands.T).reshape(n_masks, n_seeds, horizon - 1))
 
 
 @dataclass(frozen=True)
@@ -506,10 +579,16 @@ def simulate_pk(
     predicted[0] = p0; each later value comes from step()'s update fed
     with the return of the simulation's own previous move (0 for the
     first step, which has no history).  The run is a pure function of
-    (config, p0, horizon): worker count never changes the result.
+    (config, p0, horizon): worker count never changes the result.  A
+    price that overflows to inf raises ValueError naming p0 and the first
+    date that overflowed.
     """
     mask = [t.enabled for t in config.types]
     prices, demands = simulate_batch(config, [config.master_seed], [mask], p0, horizon, dates, chunk_size)
+    overflowed = np.flatnonzero(np.isinf(prices[0, 0]))
+    if overflowed.size:
+        raise ValueError(f"p0 {p0!r} is too large: the simulated price overflows to inf on "
+                         f"{dates[overflowed[0]]}")
     return SimulationRun(
         predicted=TimeSeries(tuple(dates), tuple(prices[0, 0].tolist())),
         demands=tuple(demands[0, 0].tolist()),

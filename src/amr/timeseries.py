@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -107,12 +108,28 @@ def load_csv(path: str | Path) -> TimeSeries:
 
 
 def save_csv(ts: TimeSeries, path: str | Path) -> None:
-    """Write a series in the same `date,value` format load_csv reads."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write("date,value\n")
-        for d, v in zip(ts.dates, ts.values):
-            fh.write(f"{d.isoformat()},{v!r}\n")
+    """Write a series in the same `date,value` format load_csv reads (see write_atomically)."""
+    rows = "".join(f"{d.isoformat()},{v!r}\n" for d, v in zip(ts.dates, ts.values))
+    write_atomically(Path(path), "date,value\n" + rows)
+
+
+def write_atomically(path: Path, text: str) -> None:
+    """Replace `path` with `text` in one step.
+
+    The text goes to `.<name>.<pid>.tmp` beside `path`, which os.replace
+    then renames over it, so a failed write leaves the old file as it was
+    and removes the partial one.  The file is created like any other, so
+    the output gets the usual permissions.  An OSError names `path`.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, str(path)) from None
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already once renamed
 
 
 def split(ts: TimeSeries, spec: SplitSpec) -> tuple[TimeSeries, TimeSeries]:

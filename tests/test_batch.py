@@ -28,13 +28,20 @@ def _single_run(subset, seed, **kwargs):
     return simulate_pk(config, 100.0, HORIZON, DATES, **kwargs)
 
 
-@pytest.mark.parametrize("chunk_size", [market_module.DEFAULT_CHUNK_SIZE, 64])
-def test_rows_equal_single_runs(chunk_size):
-    prices, demands = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON, DATES, chunk_size=chunk_size)
-    assert prices.shape == (len(MASKS), len(SEEDS), HORIZON)
-    assert demands.shape == (len(MASKS), len(SEEDS), HORIZON - 1)
-    for m, subset in enumerate(SUBSETS):
-        for s, seed in enumerate(SEEDS):
+@pytest.mark.parametrize("subsets, seeds, chunk_size", [
+    pytest.param(SUBSETS, SEEDS, market_module.DEFAULT_CHUNK_SIZE, id="4096"),
+    pytest.param(SUBSETS, SEEDS, 64, id="64"),
+    # Narrow batches: fewer than _REDUCE_WIDTH lanes, in one chunk and in four.
+    pytest.param(SUBSETS[:1], SEEDS, market_module.DEFAULT_CHUNK_SIZE, id="1x3"),
+    pytest.param(SUBSETS[2:3], SEEDS[:1], 128, id="1x1-128"),
+])
+def test_rows_equal_single_runs(subsets, seeds, chunk_size):
+    masks = [[n in subset for n in BASE.type_names] for subset in subsets]
+    prices, demands = simulate_batch(BASE, seeds, masks, 100.0, HORIZON, DATES, chunk_size=chunk_size)
+    assert prices.shape == (len(masks), len(seeds), HORIZON)
+    assert demands.shape == (len(masks), len(seeds), HORIZON - 1)
+    for m, subset in enumerate(subsets):
+        for s, seed in enumerate(seeds):
             run = _single_run(subset, seed, chunk_size=chunk_size)
             assert prices[m, s].tobytes() == np.array(run.predicted.values).tobytes()
             assert demands[m, s].tobytes() == np.array(run.demands).tobytes()
@@ -94,11 +101,11 @@ def test_uniform_table_matches_fresh_generation(monkeypatch):
     for seeds, horizon, dates in calls:
         cached.append(simulate_batch(BASE, seeds, MASKS, 100.0, horizon, dates))
         key, table = market_module._uniform_slot
-        assert key == (tuple(seeds), 500, horizon - 1)
+        assert key == (tuple(seeds), 500, 500, horizon - 1)
         tables.append(table)
     # The second A builds the table, the third reads it; B, C and the last A are first sightings.
     assert [t is not None for t in tables] == [False, True, True, False, False, False]
-    assert tables[2] is tables[1] and tables[1].shape == (HORIZON - 1, len(SEEDS), 500)
+    assert tables[2] is tables[1] and tables[1].shape == (HORIZON - 1, 500, len(SEEDS))
     with pytest.raises(ValueError, match="read-only"):
         tables[1][0, 0, 0] = 0.5
 
@@ -151,3 +158,51 @@ def test_chained_steps_equal_simulate_pk(config, chunk_size):
         demands.append(demand)
     assert np.array(prices).tobytes() == np.array(run.predicted.values).tobytes()
     assert np.array(demands).tobytes() == np.array(run.demands).tobytes()
+
+
+def _loop_row_sum(values, chunk_size):
+    """Net demand of one row by plain float additions, left to right in agent order."""
+    totals = []
+    for lo in range(0, len(values), chunk_size):
+        total = values[lo]
+        for v in values[lo + 1 : lo + chunk_size]:
+            total += v
+        totals.append(total)
+    if len(totals) == 1:
+        return totals[0]
+    demand = 0.0
+    for total in totals:
+        demand += total
+    return demand
+
+
+@pytest.mark.parametrize("n_agents, chunk_size, rows", [
+    (500, 4096, 1), (500, 4096, 3), (500, 128, 1), (37, 8, 1),  # fewer than _REDUCE_WIDTH lanes
+    (500, 4096, 8), (500, 64, 15), (300, 100, 3), (1, 4096, 9),  # reduced lanes
+])
+def test_row_sums_equal_left_to_right_loop(n_agents, chunk_size, rows):
+    rng = np.random.default_rng(n_agents * 31 + chunk_size + rows)
+    values = rng.standard_normal((rows, n_agents)) * 10.0 ** rng.integers(-12, 12, (rows, n_agents))
+    values[0] = -0.0  # a row of -0.0 votes: all agents disabled and selling
+    if rows > 1:
+        values[1, -min(n_agents, chunk_size):] = -0.0  # a last chunk of -0.0 votes, then padding
+    size, chunks = market_module._chunking(n_agents, chunk_size)
+    placed = market_module._place(values[None], size, chunks)  # (C, K, 1, rows)
+    demand = market_module._row_sums(placed.reshape(size, chunks, rows))
+    expected = [_loop_row_sum(row.tolist(), chunk_size) for row in values]
+    assert [float(d).hex() for d in demand] == [e.hex() for e in expected]
+
+
+def test_copysign_vote_equals_less_vote():
+    tiny = np.nextafter(0.0, 1.0)
+    u = np.array([0.0, tiny, 0.25, 0.5, 0.5, 1.0 - 2.0**-53, 0.3, 0.7])
+    above = market_module._next_up(u.copy())
+    assert above.tobytes() == np.nextafter(u, np.inf).tobytes()
+    probes = [-np.inf, -1.0, -tiny, -0.0, 0.0, tiny, 0.25, 0.5, 1.0, 2.0, np.inf]
+    x = np.array(probes + list(u) + list(above) + list(np.nextafter(u, -np.inf)))
+    weight = np.array([0.0, 1e-300, 0.125, 3.0])
+    xs, us, ws = np.meshgrid(x, u, weight, indexing="ij")
+    _, aboves, _ = np.meshgrid(x, above, weight, indexing="ij")
+    old = (2.0 * np.less(us, xs) - 1.0) * ws
+    new = np.copysign(ws, xs - aboves)
+    assert new.tobytes() == old.tobytes()

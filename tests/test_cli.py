@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -61,6 +63,15 @@ class TestTrain:
         assert run_train(workspace, out_name="absent/fit.json") == 2
         assert "--out directory not found" in capsys.readouterr().err
         assert not (workspace["dir"] / "absent").exists()
+
+    def test_out_that_is_a_directory_exits_2_before_annealing(self, workspace, capsys, monkeypatch):
+        def no_anneal(*args, **kwargs):
+            raise AssertionError("annealed before checking --out")
+
+        monkeypatch.setattr("amr.learner.anneal", no_anneal)
+        (workspace["dir"] / "fits").mkdir()
+        assert run_train(workspace, out_name="fits") == 2
+        assert "--out is a directory" in capsys.readouterr().err
 
     def test_missing_data_file_exits_2(self, workspace, capsys):
         code = main(
@@ -126,6 +137,40 @@ class TestSimulate:
         )
         assert code == 0
         assert load_csv(out).dates == workspace["target"].dates
+
+    def test_price_overflow_exits_2_naming_p0_and_date(self, workspace, capsys):
+        # Every agent always buys, so the price grows each day until it overflows.
+        cfg = workspace["config"]
+        types = tuple(replace(t, optimism=1.0, reactivity=0.0) for t in cfg.types)
+        save_config(replace(cfg, types=types, jitter=0.0), workspace["dir"] / "bull.json")
+        args = ["simulate", "--config", str(workspace["dir"] / "bull.json"), "--p0", "1e308",
+                "--out", str(workspace["dir"] / "bull.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning may escape the kernel
+            assert main([*args, "--horizon", "200"]) == 2
+        err = capsys.readouterr().err
+        assert "p0 1e+308" in err
+        overflow_day = date.fromisoformat(err.strip().rsplit(" ", 1)[-1])
+        dates = weekdays(date(2000, 1, 3), 200)
+        # The day before the named date is still finite.
+        assert main([*args, "--horizon", str(dates.index(overflow_day))]) == 0
+        assert main([*args, "--horizon", str(dates.index(overflow_day) + 1)]) == 2
+
+    def test_failed_write_keeps_old_file(self, workspace, capsys, monkeypatch):
+        out = workspace["dir"] / "pred.csv"
+        args = ["simulate", "--config", str(workspace["dir"] / "config.json"),
+                "--p0", "100.0", "--horizon", "30", "--out", str(out)]
+        assert main([*args, "--seed", "5"]) == 0
+        before = out.read_bytes()
+
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("amr.timeseries.os.replace", full_disk)
+        assert main([*args, "--seed", "6"]) == 2
+        assert "No space left" in capsys.readouterr().err
+        assert out.read_bytes() == before
+        assert not list(workspace["dir"].glob("*.tmp")) and not list(workspace["dir"].glob(".*"))
 
     def test_needs_horizon_or_dates(self, workspace, capsys):
         code = main(

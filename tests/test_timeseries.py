@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amr.timeseries import SplitSpec, TimeSeries, load_csv, mape, mape_rows, save_csv, split
+from amr.timeseries import (SplitSpec, TimeSeries, load_csv, mape, mape_rows, save_csv, split,
+                            write_atomically)
 
 
 def series(values, start=date(2008, 1, 3)):
@@ -116,6 +117,14 @@ class TestLoadCsv:
         ts = series([100.0, 101.5, 99.875, 1447.16])
         save_csv(ts, tmp_path / "out.csv")
         assert load_csv(tmp_path / "out.csv") == ts
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_atomically(path, "new\n\udc80")  # a lone surrogate fails to encode mid-write
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestSplit:
