@@ -205,8 +205,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     data_path, config_path = _resolve("data"), _resolve("market_config")
     out_dir = Path(args.out) if args.out else _resolve("out_dir", "experiment-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
+    # Every field is checked before out_dir is created or the anneal starts.
     series = load_csv(data_path)
     boundary = _parse_date(str(spec["split"]))
     train, test = split(series, SplitSpec(boundary))
@@ -228,10 +228,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     )
 
     tolerance = _field("tolerance", market._number, reducer.DEFAULT_TOLERANCE)
+    if not tolerance >= 0:
+        raise ValueError(f"experiment spec tolerance must be >= 0, got {tolerance}")
     replications = _field("replications", market._integer, reducer.DEFAULT_REPLICATIONS)
+    if replications < 1:
+        raise ValueError(f"experiment spec replications must be >= 1, got {replications}")
     exhaustive = spec.get("exhaustive", False)
     if not isinstance(exhaustive, bool):
         raise ValueError(f"experiment spec exhaustive must be true or false, got {exhaustive!r}")
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     # train
     fit = learner.anneal(train, config, schedule, seed=seed)

@@ -32,10 +32,19 @@ calls with the same seeds, agent count and horizon read the same values
 replication seeds).  A one-slot table keeps them across calls, in the
 (steps, C * K, S) layout.  A key (seeds, n_agents, C, horizon - 1) is
 admitted on its second consecutive call, and only if its table holds at
-most 2**19 float64 values (4 MB); the table is then filled block by
-block and marked read-only, and later calls with that key read it.  Any
+most 2**19 float64 values (4 MB); the table is then filled slab by
+slab and marked read-only, and later calls with that key read it.  Any
 other key empties the slot.  The table holds the very values the blocks
 would produce, so results are bit-identical with or without it.
+
+Uniforms are hashed in place (rng.u01_grid), in slabs of at most
+_UNIFORM_BLOCK_ELEMENTS values, so that a 200k-agent step is hashed in
+pieces that stay in the L2 cache instead of streaming each of the
+hash's passes through memory.  Each call allocates one block buffer and
+one scratch and reuses them for every block; the table is filled slab by
+slab into its own rows, and step() draws through the same routine.  The
+step keys come from one fold_array per seed.  Every value is a pure
+function of its key, so the slab order changes no bit.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import TAG_DECISION, TAG_JITTER, fold, fold_array, fold_matrix, u01_array
+from .rng import TAG_DECISION, TAG_JITTER, fold, fold_array, fold_matrix, u01_array, u01_grid
 from .timeseries import TimeSeries
 
 OPTIMISM_BOUNDS = (0.0, 1.0)
@@ -68,7 +77,8 @@ DEFAULT_CHUNK_SIZE = 4096
 # one call; narrower sums accumulate (see _row_sums).
 _REDUCE_WIDTH = 8
 
-# Upper bound on precomputed decision uniforms held at once (elements).
+# Upper bound on decision uniforms hashed in one slab, and held at once
+# when a step fits (elements; 512 KB, so a slab and its scratch stay in L2).
 _UNIFORM_BLOCK_ELEMENTS = 1 << 16
 # Largest decision-uniform table kept across calls (elements; 4 MB).
 _UNIFORM_TABLE_ELEMENTS = 1 << 19
@@ -429,8 +439,9 @@ def step(
     if not 0 < price < math.inf:
         raise ValueError(f"price must be positive and finite, got {price}")
     size, chunks = _chunking(len(population), population.chunk_size)
-    step_key = fold(master_seed, TAG_DECISION, step_index)
-    above = _next_up(u01_array(fold_array(step_key, _position_ids(size, chunks))))
+    ids = _position_ids(size, chunks)
+    step_keys = np.array([[fold(master_seed, TAG_DECISION, step_index)]], dtype=np.uint64)
+    above = _fill_uniforms(np.empty((1, len(ids), 1)), step_keys, ids)
     weight = _demand_weight(population.trade_fraction, population.assets, population.enabled,
                             population.normalization_assets)
     optimism, reactivity, weight = (
@@ -443,14 +454,55 @@ def step(
     return float(next_price[0]), float(demand[0])
 
 
-def _uniform_block(seed_keys: list[int], ids: np.ndarray, steps: range) -> np.ndarray:
-    """nextafter(u, +inf) of the decision uniforms u of `steps`, shaped (steps, P, S).
+def _slab_shape(positions: int, seeds: int) -> tuple[int, int]:
+    """(steps, positions) of one slab of a (steps, positions, seeds) uniform block.
 
-    Position p of every step holds agent ids[p] of each seed.
+    A slab holds at most _UNIFORM_BLOCK_ELEMENTS values (at least one
+    position of every seed): whole steps when a step fits, else a run of
+    positions of one step.  Either way it is contiguous in the block.
     """
-    bits = fold_matrix([fold(key, t) for t in steps for key in seed_keys], ids)
-    above = _next_up(u01_array(bits)).reshape(len(steps), len(seed_keys), len(ids))
-    return np.ascontiguousarray(above.transpose(0, 2, 1))
+    span = min(positions, max(1, _UNIFORM_BLOCK_ELEMENTS // seeds))
+    return max(1, _UNIFORM_BLOCK_ELEMENTS // (positions * seeds)), span
+
+
+def _fill_uniforms(out: np.ndarray, step_keys: np.ndarray, ids: np.ndarray,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
+    """Write nextafter(u, +inf) of the decision uniforms into out (steps, P, S); returns out.
+
+    Position p of step t holds, for seed s, the uniform of agent ids[p]
+    under the step key step_keys[t, s] = fold(seed, decision tag, step).
+    Each slab (see _slab_shape) is hashed in place and moved up one float
+    while it is still in cache; scratch, a uint64 array of at least one
+    slab, is allocated when not given.
+    """
+    steps, positions, seeds = out.shape
+    rows, span = _slab_shape(positions, seeds)
+    if scratch is None:
+        scratch = np.empty(min(rows, steps) * span * seeds, dtype=np.uint64)
+    for t in range(0, steps, rows):
+        for p in range(0, positions, span):
+            slab = out[t : t + rows, p : p + span]
+            _next_up(u01_grid(step_keys[t : t + rows], ids[p : p + span], slab, scratch[: slab.size]))
+    return out
+
+
+def _uniform_steps(step_keys: np.ndarray, ids: np.ndarray) -> Iterable[np.ndarray]:
+    """Each step's (P, S) uniforms, from one block buffer and one scratch reused throughout.
+
+    A block holds the steps of one slab when a step fits in a slab, else
+    one step.  Every yielded step is a read-only view into the block
+    buffer, valid only until the next step is requested.
+    """
+    steps, seeds = step_keys.shape
+    rows, span = _slab_shape(len(ids), seeds)
+    block = np.empty((min(rows, steps), len(ids), seeds))
+    scratch = np.empty(block[:, :span].size, dtype=np.uint64)
+    steps_view = block.view()
+    steps_view.setflags(write=False)
+    for t in range(0, steps, rows):
+        n = min(rows, steps - t)
+        _fill_uniforms(block[:n], step_keys[t : t + n], ids, scratch)
+        yield from steps_view[:n]
 
 
 def _decision_uniforms(seeds: Sequence[int], n_agents: int, chunk_size: int,
@@ -459,32 +511,32 @@ def _decision_uniforms(seeds: Sequence[int], n_agents: int, chunk_size: int,
 
     Positions are agent-major, as _position_ids lays them out for chunks
     of C = _chunking(n_agents, chunk_size)[0].  Uniforms are
-    price-independent, so they are produced in blocks of at most
-    _UNIFORM_BLOCK_ELEMENTS ahead of the sequential price loop.  A key
-    (seeds, n_agents, C, steps) that repeats on consecutive calls and fits
-    _UNIFORM_TABLE_ELEMENTS is instead filled, block by block, into the
-    read-only table of _uniform_slot, which later calls with that key
-    read.  The values are the same on either path.
+    price-independent, so they are hashed ahead of the sequential price
+    loop, a block at a time, into one block buffer reused for the whole
+    call: every step yielded is a read-only view into that buffer and is
+    valid only until the next step is requested, which is how
+    simulate_batch consumes them.  A key (seeds, n_agents, C, steps) that
+    repeats on consecutive calls and fits _UNIFORM_TABLE_ELEMENTS is
+    instead hashed, slab by slab, into the rows of the read-only table of
+    _uniform_slot, which later calls with that key read.  The values are
+    the same on either path.
     """
     global _uniform_slot
     size, chunks = _chunking(n_agents, chunk_size)
-    seed_keys = [fold(seed, TAG_DECISION) for seed in seeds]
-    ids = _position_ids(size, chunks)
-    block = max(1, _UNIFORM_BLOCK_ELEMENTS // (len(seeds) * len(ids)))
-    spans = [range(lo, min(lo + block, steps)) for lo in range(0, steps, block)]
     key = (tuple(seeds), n_agents, size, steps)
     last_key, table = _uniform_slot
+    if key == last_key and table is not None:
+        return table
+    ids = _position_ids(size, chunks)
+    step_ids = np.arange(steps, dtype=np.uint64)
+    step_keys = np.stack([fold_array(fold(seed, TAG_DECISION), step_ids) for seed in seeds], axis=1)
     if key != last_key or steps * len(seeds) * len(ids) > _UNIFORM_TABLE_ELEMENTS:
         # First sighting or too large: no table, so a one-off call costs no memory.
         _uniform_slot = (key, None)
-        return (u for span in spans for u in _uniform_block(seed_keys, ids, span))
-    if table is None:
-        # Block by block, so building holds one block's temporaries at a time.
-        table = np.empty((steps, len(ids), len(seeds)))
-        for span in spans:
-            table[span.start : span.stop] = _uniform_block(seed_keys, ids, span)
-        table.setflags(write=False)
-        _uniform_slot = (key, table)
+        return _uniform_steps(step_keys, ids)
+    table = _fill_uniforms(np.empty((steps, len(ids), len(seeds))), step_keys, ids)
+    table.setflags(write=False)
+    _uniform_slot = (key, table)
     return table
 
 

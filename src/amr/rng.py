@@ -8,7 +8,12 @@ order, by any number of workers, and still come out bit-identical.
 The mixing function is the splitmix64 finalizer (Steele, Lea & Flood's
 SplittableRandom), applied after folding each key part into the running
 hash.  It is implemented twice: once on Python ints (reference) and once
-vectorized over numpy uint64 arrays; both must agree exactly.
+vectorized over numpy uint64 arrays; both must agree exactly.  One array
+mixer serves every vectorized twin.  The grid twin, u01_grid, hashes a
+(steps, parts, keys) block in place in the caller's buffer, with a
+caller-owned scratch, so a caller that walks a large grid in slabs small
+enough for the L2 cache allocates nothing per slab; every value depends
+only on its key, so slabs may be hashed in any order.
 """
 
 from __future__ import annotations
@@ -61,11 +66,16 @@ def substream(seed: int, index: int) -> int:
 
 _NP_MIX1 = np.uint64(_MIX1)
 _NP_MIX2 = np.uint64(_MIX2)
+_NP_GAMMA = np.uint64(_GAMMA)
 
 
-def _mix64_inplace(x: np.ndarray) -> np.ndarray:
-    """mix64 applied to a uint64 array the caller owns, overwriting it."""
-    t = x >> np.uint64(30)
+def _mix64_inplace(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """mix64 applied to a uint64 array the caller owns, overwriting it.
+
+    `scratch`, a uint64 array of x's shape, holds the shifted words;
+    without it a temporary of that size is allocated.
+    """
+    t = np.right_shift(x, np.uint64(30), out=scratch)
     x ^= t
     x *= _NP_MIX1
     np.right_shift(x, np.uint64(27), out=t)
@@ -96,6 +106,27 @@ def fold_matrix(keys: list[int], parts: np.ndarray) -> np.ndarray:
 def u01_array(bits: np.ndarray) -> np.ndarray:
     out = (bits >> np.uint64(11)).astype(np.float64)
     out *= 2.0**-53
+    return out
+
+
+def u01_grid(keys: np.ndarray, parts: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """u01(fold(keys[t, s], parts[p])) into out[t, p, s], in place; returns out.
+
+    keys is a (T, S) and parts a (P,) uint64 array; out is a C-contiguous
+    float64 (T, P, S) array whose memory holds the hash words until they
+    become floats, and scratch a uint64 array of out.size elements.  The
+    word's top 53 bits, bits >> 11 < 2**53, convert to float64 exactly
+    through an int64 view of the same memory.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("u01_grid needs a C-contiguous out")
+    floats = out.reshape(-1)
+    words = floats.view(np.uint64)
+    np.bitwise_xor((keys + _NP_GAMMA)[:, None, :], parts[None, :, None], out=out.view(np.uint64))
+    _mix64_inplace(words, scratch)
+    words >>= np.uint64(11)
+    np.copyto(floats, words.view(np.int64))
+    floats *= 2.0**-53
     return out
 
 

@@ -1,5 +1,6 @@
 """The batched kernel agrees with one-run-at-a-time simulation, bit for bit."""
 
+import math
 from dataclasses import replace
 from datetime import date
 
@@ -12,7 +13,7 @@ from amr.learner import AnnealingSchedule, ParameterVector, anneal, replication_
 from amr.market import init_population, only_enabled, set_enabled, simulate_batch, simulate_pk, step
 from amr.presets import balanced_config, bank_dominated_config, synthetic_target, weekdays
 from amr.reducer import evaluate_subset, exhaustive_reduce
-from amr.rng import substream
+from amr.rng import TAG_DECISION, fold, substream, u01
 from amr.timeseries import mape
 
 HORIZON = 90
@@ -55,6 +56,69 @@ def test_uniform_blocks_span_several_steps_and_seeds(monkeypatch):
     for m, subset in enumerate(SUBSETS):
         for s, seed in enumerate(SEEDS):
             assert tuple(prices[m, s].tolist()) == _single_run(subset, seed).predicted.values
+
+
+def _expected_above(seed, step_index, agent):
+    return math.nextafter(u01(fold(seed, TAG_DECISION, step_index, agent)), math.inf)
+
+
+@pytest.mark.parametrize("block_elements", [128, market_module._UNIFORM_BLOCK_ELEMENTS])
+@pytest.mark.parametrize("seeds, n_agents, steps", [([5], 1000, 4), ([-3, 7, 2**40], 500, 5)],
+                         ids=["S1", "S3"])
+def test_slab_ends_match_scalar_fold(monkeypatch, block_elements, seeds, n_agents, steps):
+    # 128 splits every step into slabs of 128 (S = 1) or 42 (S = 3) positions, which
+    # divide neither 1000 nor 500; the default packs several whole steps into one slab.
+    monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", block_elements)
+    ids = market_module._position_ids(*market_module._chunking(n_agents, 4096))
+    step_keys = np.array([[fold(seed, TAG_DECISION, t) for seed in seeds] for t in range(steps)],
+                         dtype=np.uint64)
+    out = market_module._fill_uniforms(np.empty((steps, n_agents, len(seeds))), step_keys, ids)
+    rows, span = market_module._slab_shape(n_agents, len(seeds))
+    assert (rows > 1) == (block_elements > n_agents * len(seeds))
+    assert span == min(n_agents, block_elements // len(seeds))
+    slabs = 0
+    for t0 in range(0, steps, rows):
+        for p0 in range(0, n_agents, span):
+            t1, p1 = min(t0 + rows, steps) - 1, min(p0 + span, n_agents) - 1
+            for t, p in ((t0, p0), (t1, p1)):
+                for s, seed in enumerate(seeds):
+                    assert out[t, p, s] == _expected_above(seed, t, int(ids[p]))
+            slabs += 1
+    assert slabs == -(-steps // rows) * -(-n_agents // span)
+
+
+def test_yielded_steps_are_read_only_views_of_one_buffer(monkeypatch):
+    monkeypatch.setattr(market_module, "_uniform_slot", (None, None))
+    monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 1000)
+    steps = list(market_module._decision_uniforms(SEEDS, 500, 4096, 6))  # six 1-step blocks
+    assert len(steps) == 6
+    for t, above in enumerate(steps):
+        assert not above.flags.writeable
+        assert np.shares_memory(above, steps[0])
+        with pytest.raises(ValueError, match="read-only"):
+            above[0, 0] = 0.5
+    # Every step reads the last block written: each is valid only until the next is requested.
+    assert steps[0][7, 2] == _expected_above(SEEDS[2], 5, 7)
+
+
+@pytest.mark.parametrize("block_elements", [128, 1000])
+def test_slabbed_steps_equal_unpatched_runs(monkeypatch, block_elements):
+    # With 3 seeds a slab of 128 or 1000 values splits every 500-agent step into
+    # slabs of 42 or 333 positions.
+    config = bank_dominated_config(master_seed=5)
+    population = init_population(config, 64)
+    batch = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON, DATES)
+    run = simulate_pk(config, 100.0, HORIZON, DATES, chunk_size=64)
+    monkeypatch.setattr(market_module, "_uniform_slot", (None, None))
+    monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", block_elements)
+    patched = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON, DATES)
+    assert patched[0].tobytes() == batch[0].tobytes()
+    assert patched[1].tobytes() == batch[1].tobytes()
+    prices = [100.0]
+    for t in range(HORIZON - 1):
+        last_return = (prices[t] - prices[t - 1]) / prices[t - 1] if t else 0.0
+        prices.append(step(prices[t], last_return, population, t, config.master_seed)[0])
+    assert np.array(prices).tobytes() == np.array(run.predicted.values).tobytes()
 
 
 def test_empty_batch_rejected():

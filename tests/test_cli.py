@@ -302,6 +302,18 @@ class TestExperiment:
         assert main(["experiment", "--spec", str(spec)]) == 2
         assert "schedule" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, field", [
+        ({"replications": 0}, "replications"),
+        ({"tolerance": float("nan")}, "tolerance"),
+        ({"tolerance": -1}, "tolerance"),
+        ({"schedule": {"bogus": 1}}, "schedule"),
+    ], ids=["replications-0", "tolerance-nan", "tolerance-negative", "schedule-bogus"])
+    def test_bad_field_exits_2_before_any_output(self, workspace, capsys, extra, field):
+        spec = self.spec(workspace, out_dir="never", extra=extra)
+        assert main(["experiment", "--spec", str(spec)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (workspace["dir"] / "never").exists()
+
     def test_worker_counts_are_byte_identical(self, workspace):
         outputs = {}
         for w in (1, 2):

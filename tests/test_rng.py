@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from amr.rng import (
     MASK64,
     Stream,
+    _mix64_inplace,
     fold,
     fold_array,
     fold_matrix,
@@ -14,9 +15,24 @@ from amr.rng import (
     substream,
     u01,
     u01_array,
+    u01_grid,
 )
 
 GAMMA = 0x9E3779B97F4A7C15
+
+
+def _unmix64(y: int) -> int:
+    """The x with mix64(x) == y: undo each xorshift and multiply in reverse."""
+    def unshift(v, s):
+        x = v
+        for _ in range(64 // s + 1):
+            x = v ^ (x >> s)
+        return x
+    y = unshift(y, 31)
+    y = (y * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64
+    y = unshift(y, 27)
+    y = (y * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK64
+    return unshift(y, 30)
 
 
 def test_mix64_matches_splitmix64_reference():
@@ -123,3 +139,45 @@ def test_vector_functions_leave_inputs_untouched():
     u01_array(bits)
     assert np.array_equal(parts, before_parts)
     assert np.array_equal(bits, before_bits)
+
+
+def test_u01_grid_matches_scalar_fold_and_u01():
+    keys = np.array([[0, MASK64, 7], [12345, 2**63, 1], [GAMMA, 3, 99]], dtype=np.uint64)  # (T, S)
+    parts = np.array([0, 1, 5, MASK64, 2**40 + 3], dtype=np.uint64)
+    out = np.empty((3, 5, 3))
+    scratch = np.empty(out.size, dtype=np.uint64)
+    keys_before = keys.copy()
+    assert u01_grid(keys, parts, out, scratch) is out
+    for t in range(3):
+        for p in range(5):
+            for s in range(3):
+                assert out[t, p, s] == u01(fold(int(keys[t, s]), int(parts[p])))
+    assert np.array_equal(keys, keys_before)
+
+
+@pytest.mark.parametrize("word", [
+    0, 1 << 11, (2**53 - 1) << 11,  # bits >> 11 = 0, 1, 2**53 - 1
+    (1 << 11) - 1, 2**63, 2**63 | (12345 << 11) | 77, MASK64,  # low bits dropped, top bit set
+])
+def test_u01_grid_converts_words_exactly(word):
+    assert mix64(_unmix64(word)) == word
+    # fold(0, part) hashes (0 + GAMMA) ^ part, so this part makes the word `word`.
+    part = _unmix64(word) ^ GAMMA
+    assert fold(0, part) == word
+    out = np.empty((1, 1, 1))
+    u01_grid(np.zeros((1, 1), dtype=np.uint64), np.array([part], dtype=np.uint64), out,
+             np.empty(1, dtype=np.uint64))
+    assert out[0, 0, 0] == u01(word) == (word >> 11) * 2.0**-53
+
+
+def test_u01_grid_rejects_a_strided_out():
+    out = np.empty((2, 4, 1))[:, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        u01_grid(np.zeros((2, 1), dtype=np.uint64), np.arange(2, dtype=np.uint64), out,
+                 np.empty(out.size, dtype=np.uint64))
+
+
+def test_mixer_scratch_gives_the_same_words():
+    x = fold_array(11, np.arange(1000, dtype=np.uint64))
+    scratch = np.empty_like(x)
+    assert np.array_equal(mix64_array(x), _mix64_inplace(x.copy(), scratch))
