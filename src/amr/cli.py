@@ -72,6 +72,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise FileNotFoundError(f"--out directory not found: {out.parent}")
     if out.is_dir():
         raise IsADirectoryError(f"--out is a directory, not a file: {out}")
+    if not os.access(out.parent, os.W_OK):
+        raise PermissionError(f"--out directory is not writable: {out.parent}")
     series = load_csv(args.data)
     train, _test = split(series, SplitSpec(_parse_date(args.split)))
     config = market.load_config(args.config)
@@ -237,6 +239,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if not isinstance(exhaustive, bool):
         raise ValueError(f"experiment spec exhaustive must be true or false, got {exhaustive!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
+    if not os.access(out_dir, os.W_OK):
+        raise PermissionError(f"out_dir is not writable: {out_dir}")
 
     # train
     fit = learner.anneal(train, config, schedule, seed=seed)

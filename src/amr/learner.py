@@ -1,8 +1,8 @@
 """Simulated-annealing calibration of the market's free parameters.
 
-The learnable degrees of freedom are (optimism, reactivity,
-trade_fraction) for every investor type plus the global price impact:
-3 * n_types + 1 box-bounded coordinates.  The objective ("energy") is
+The learnable degrees of freedom are the market.BEHAVIOR_FIELDS of every
+investor type plus the global price impact: 3 * n_types + 1
+box-bounded coordinates.  The objective ("energy") is
 the replication-averaged MAPE of a partial-knowledge simulation against
 the training series, taken by replication_mapes (which also scores
 amr.reducer's subsets) under fixed sub-seeds, so the energy of a given
@@ -26,13 +26,8 @@ _ANNEAL_TAG = 0x414E
 
 
 def _bounds(n_types: int) -> tuple[np.ndarray, np.ndarray]:
-    """Box bounds for the flat layout [opt_0, react_0, frac_0, ..., impact]."""
-    lo = np.empty(3 * n_types + 1)
-    hi = np.empty(3 * n_types + 1)
-    lo[0::3], hi[0::3] = market.OPTIMISM_BOUNDS
-    lo[1::3], hi[1::3] = market.REACTIVITY_BOUNDS
-    lo[2:-1:3], hi[2:-1:3] = market.TRADE_FRACTION_BOUNDS
-    lo[-1], hi[-1] = market.PRICE_IMPACT_BOUNDS
+    """Box bounds for the flat layout: each type's BEHAVIOR_FIELDS in turn, then the impact."""
+    lo, hi = np.array([*market.BEHAVIOR_BOUNDS * n_types, market.PRICE_IMPACT_BOUNDS]).T
     return lo, hi
 
 
@@ -57,11 +52,7 @@ class ParameterVector:
         return _bounds(len(self.type_names))
 
     def coordinate_names(self) -> list[str]:
-        names = []
-        for t in self.type_names:
-            names += [f"{t}.optimism", f"{t}.reactivity", f"{t}.trade_fraction"]
-        names.append("price_impact")
-        return names
+        return [f"{t}.{f}" for t in self.type_names for f in market.BEHAVIOR_FIELDS] + ["price_impact"]
 
     @property
     def price_impact(self) -> float:
@@ -69,11 +60,8 @@ class ParameterVector:
 
     @classmethod
     def from_config(cls, config: MarketConfig) -> "ParameterVector":
-        vals = []
-        for t in config.types:
-            vals += [t.optimism, t.reactivity, t.trade_fraction]
-        vals.append(config.price_impact)
-        return cls(config.type_names, np.array(vals))
+        vals = [getattr(t, f) for t in config.types for f in market.BEHAVIOR_FIELDS]
+        return cls(config.type_names, np.array(vals + [config.price_impact]))
 
     @classmethod
     def random(cls, config: MarketConfig, stream: Stream) -> "ParameterVector":
@@ -87,34 +75,26 @@ class ParameterVector:
             raise ValueError(
                 f"parameter vector is for types {self.type_names}, config has {config.type_names}"
             )
+        rows = self.values[:-1].reshape(len(self.type_names), len(market.BEHAVIOR_FIELDS))
         new_types = tuple(
-            replace(
-                t,
-                optimism=float(self.values[3 * k]),
-                reactivity=float(self.values[3 * k + 1]),
-                trade_fraction=float(self.values[3 * k + 2]),
-            )
-            for k, t in enumerate(config.types)
+            replace(t, **dict(zip(market.BEHAVIOR_FIELDS, row))) for t, row in zip(config.types, rows.tolist())
         )
         return replace(config, types=new_types, price_impact=self.price_impact)
 
     def to_dict(self) -> dict[str, float]:
-        return {name: float(v) for name, v in zip(self.coordinate_names(), self.values)}
+        return dict(zip(self.coordinate_names(), self.values.tolist()))
 
     @classmethod
     def from_dict(cls, data: dict[str, float], type_names: tuple[str, ...]) -> "ParameterVector":
         if not isinstance(data, dict):
             raise ValueError(f"parameter file params must be a JSON object, got {type(data).__name__}")
+        # The layout's names, read off an in-bounds placeholder vector.
+        names = cls(type_names, _bounds(len(type_names))[0]).coordinate_names()
         vals = []
-        for t in type_names:
-            for p in ("optimism", "reactivity", "trade_fraction"):
-                key = f"{t}.{p}"
-                if key not in data:
-                    raise ValueError(f"parameter file missing {key!r}")
-                vals.append(market._number(data[key], f"parameter file {key!r}"))
-        if "price_impact" not in data:
-            raise ValueError("parameter file missing 'price_impact'")
-        vals.append(market._number(data["price_impact"], "parameter file 'price_impact'"))
+        for key in names:
+            if key not in data:
+                raise ValueError(f"parameter file missing {key!r}")
+            vals.append(market._number(data[key], f"parameter file {key!r}"))
         return cls(type_names, np.array(vals))
 
 
@@ -153,12 +133,12 @@ def replication_mapes(config: MarketConfig, masks: list[list[bool]], target: Tim
 
     Run [m, r] simulates `config` with the types of masks[m] and master seed
     substream(config.master_seed, r) from the target's first value over its
-    dates; all M * R runs share one simulate_batch call.
+    length; all M * R runs share one simulate_batch call.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     seeds = [substream(config.master_seed, r) for r in range(replications)]
-    prices, _ = market.simulate_batch(config, seeds, masks, target.values[0], len(target), target.dates)
+    prices, _ = market.simulate_batch(config, seeds, masks, target.values[0], len(target))
     return mape_rows(target, prices)
 
 

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -67,6 +67,10 @@ REACTIVITY_BOUNDS = (-1.0, 1.0)
 # tiny floors below are what jitter and proposals clamp to.
 TRADE_FRACTION_BOUNDS = (1e-6, 1.0)
 PRICE_IMPACT_BOUNDS = (1e-6, 0.1)
+# Every investor type's learnable fields and their bounds, in the one order
+# shared by the jitter streams and the parameter vector (amr.learner).
+BEHAVIOR_FIELDS = ("optimism", "reactivity", "trade_fraction")
+BEHAVIOR_BOUNDS = (OPTIMISM_BOUNDS, REACTIVITY_BOUNDS, TRADE_FRACTION_BOUNDS)
 JITTER_MAX = 0.2
 MAX_TYPES = 16
 
@@ -189,23 +193,7 @@ def only_enabled(config: MarketConfig, type_names: Iterable[str]) -> MarketConfi
 
 
 def config_to_dict(config: MarketConfig) -> dict:
-    return {
-        "types": [
-            {
-                "name": t.name,
-                "assets_per_investor": t.assets_per_investor,
-                "count": t.count,
-                "optimism": t.optimism,
-                "reactivity": t.reactivity,
-                "trade_fraction": t.trade_fraction,
-                "enabled": t.enabled,
-            }
-            for t in config.types
-        ],
-        "price_impact": config.price_impact,
-        "jitter": config.jitter,
-        "master_seed": config.master_seed,
-    }
+    return {**asdict(config), "types": [asdict(t) for t in config.types]}
 
 
 def _number(value, field: str) -> float:
@@ -231,7 +219,7 @@ def _type_from_dict(t: dict, position: int) -> InvestorType:
     enabled = t.get("enabled", True)
     if not isinstance(enabled, bool):
         raise ValueError(f"investor type {name!r}: enabled must be true or false, got {enabled!r}")
-    fields = ("assets_per_investor", "optimism", "reactivity", "trade_fraction")
+    fields = ("assets_per_investor", *BEHAVIOR_FIELDS)
     return InvestorType(
         name=name,
         count=_integer(t["count"], f"investor type {name!r}: count"),
@@ -291,23 +279,19 @@ class AgentPopulation:
     def __len__(self) -> int:
         return len(self.type_index)
 
-    @property
-    def enabled_asset_share(self) -> float:
-        return float(np.sum(self.assets[self.enabled])) / self.normalization_assets
-
 
 def _jittered(config: MarketConfig, seeds: Sequence[int]) -> np.ndarray:
-    """(optimism, reactivity, trade_fraction) of every agent under each seed, shaped (S, 3, n).
+    """The BEHAVIOR_FIELDS of every agent under each seed, shaped (S, 3, n).
 
-    Noise for agent a's parameter d under seed s is uniform in
+    Noise for agent a's field d under seed s is uniform in
     +/- config.jitter, drawn from the counter stream keyed by (s, jitter
     tag, d, a) and clamped to the parameter's bounds.  Enabled flags play
     no part, so one seed's values serve every mask.
     """
     counts = [t.count for t in config.types]
-    base = np.repeat([[t.optimism, t.reactivity, t.trade_fraction] for t in config.types], counts, axis=0).T
-    lo, hi = np.array([OPTIMISM_BOUNDS, REACTIVITY_BOUNDS, TRADE_FRACTION_BOUNDS]).T[:, :, None]
-    keys = [fold(seed, TAG_JITTER, d) for seed in seeds for d in range(3)]
+    base = np.repeat([[getattr(t, f) for f in BEHAVIOR_FIELDS] for t in config.types], counts, axis=0).T
+    lo, hi = np.array(BEHAVIOR_BOUNDS).T[:, :, None]
+    keys = [fold(seed, TAG_JITTER, d) for seed in seeds for d in range(len(BEHAVIOR_FIELDS))]
     bits = fold_matrix(keys, np.arange(base.shape[1], dtype=np.uint64))
     noise = (2.0 * u01_array(bits) - 1.0) * config.jitter
     return np.clip(base + noise.reshape(len(seeds), *base.shape), lo, hi)
@@ -546,7 +530,6 @@ def simulate_batch(
     enabled: Sequence[Sequence[bool]],
     p0: float,
     horizon: int,
-    dates: Sequence[date],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate `config` under every seed and every enabled mask together.
@@ -559,8 +542,6 @@ def simulate_batch(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if len(dates) != horizon:
-        raise ValueError(f"got {len(dates)} dates for horizon {horizon}")
     if not 0 < p0 < math.inf:
         raise ValueError(f"p0 must be positive and finite, got {p0}")
     if not len(seeds):
@@ -635,8 +616,10 @@ def simulate_pk(
     price that overflows to inf raises ValueError naming p0 and the first
     date that overflowed.
     """
+    if len(dates) != horizon:
+        raise ValueError(f"got {len(dates)} dates for horizon {horizon}")
     mask = [t.enabled for t in config.types]
-    prices, demands = simulate_batch(config, [config.master_seed], [mask], p0, horizon, dates, chunk_size)
+    prices, demands = simulate_batch(config, [config.master_seed], [mask], p0, horizon, chunk_size)
     overflowed = np.flatnonzero(np.isinf(prices[0, 0]))
     if overflowed.size:
         raise ValueError(f"p0 {p0!r} is too large: the simulated price overflows to inf on "

@@ -15,7 +15,7 @@ under the same sub-seeds, so their scores differ only by which types act.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import sqrt
 from typing import Iterable, Sequence
@@ -78,15 +78,11 @@ class ReductionReport:
 
     def to_dict(self) -> dict:
         return {
-            "benchmark": {"mean": self.benchmark.mean, "std": self.benchmark.std},
-            "baseline": {"mean": self.baseline.mean, "std": self.baseline.std},
-            "singletons": {
-                name: {"mean": s.mean, "std": s.std} for name, s in self.singletons.items()
-            },
+            "benchmark": asdict(self.benchmark),
+            "baseline": asdict(self.baseline),
+            "singletons": {name: asdict(s) for name, s in self.singletons.items()},
             "ranking": list(self.ranking),
-            "selection_trace": [
-                {"added": name, "mean": s.mean, "std": s.std} for name, s in self.selection_trace
-            ],
+            "selection_trace": [{"added": name, **asdict(s)} for name, s in self.selection_trace],
             "reduced_set": list(self.reduced_set.member_names),
             "tolerance": self.tolerance_used,
             "replications": self.eval_replications,
@@ -249,13 +245,9 @@ class ExhaustiveReport:
 
     def to_dict(self) -> dict:
         return {
-            "table": [
-                {"subset": list(ms.member_names), "mean": s.mean, "std": s.std}
-                for ms, s in self.table
-            ],
+            "table": [{"subset": list(ms.member_names), **asdict(s)} for ms, s in self.table],
             "best_by_size": {
-                str(k): {"subset": list(ms.member_names), "mean": s.mean, "std": s.std}
-                for k, (ms, s) in self.best_by_size.items()
+                str(k): {"subset": list(ms.member_names), **asdict(s)} for k, (ms, s) in self.best_by_size.items()
             },
         }
 

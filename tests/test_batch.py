@@ -38,7 +38,7 @@ def _single_run(subset, seed, **kwargs):
 ])
 def test_rows_equal_single_runs(subsets, seeds, chunk_size):
     masks = [[n in subset for n in BASE.type_names] for subset in subsets]
-    prices, demands = simulate_batch(BASE, seeds, masks, 100.0, HORIZON, DATES, chunk_size=chunk_size)
+    prices, demands = simulate_batch(BASE, seeds, masks, 100.0, HORIZON, chunk_size=chunk_size)
     assert prices.shape == (len(masks), len(seeds), HORIZON)
     assert demands.shape == (len(masks), len(seeds), HORIZON - 1)
     for m, subset in enumerate(subsets):
@@ -51,7 +51,7 @@ def test_rows_equal_single_runs(subsets, seeds, chunk_size):
 def test_uniform_blocks_span_several_steps_and_seeds(monkeypatch):
     # Tiny blocks force a refill on every step, each shared by all masks.
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 3 * 500)
-    prices, _ = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON, DATES)
+    prices, _ = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON)
     monkeypatch.undo()
     for m, subset in enumerate(SUBSETS):
         for s, seed in enumerate(SEEDS):
@@ -107,11 +107,11 @@ def test_slabbed_steps_equal_unpatched_runs(monkeypatch, block_elements):
     # slabs of 42 or 333 positions.
     config = bank_dominated_config(master_seed=5)
     population = init_population(config, 64)
-    batch = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON, DATES)
+    batch = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON)
     run = simulate_pk(config, 100.0, HORIZON, DATES, chunk_size=64)
     monkeypatch.setattr(market_module, "_uniform_slot", (None, None))
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", block_elements)
-    patched = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON, DATES)
+    patched = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON)
     assert patched[0].tobytes() == batch[0].tobytes()
     assert patched[1].tobytes() == batch[1].tobytes()
     prices = [100.0]
@@ -123,14 +123,14 @@ def test_slabbed_steps_equal_unpatched_runs(monkeypatch, block_elements):
 
 def test_empty_batch_rejected():
     with pytest.raises(ValueError, match="at least one seed"):
-        simulate_batch(BASE, [], MASKS, 100.0, HORIZON, DATES)
+        simulate_batch(BASE, [], MASKS, 100.0, HORIZON)
     with pytest.raises(ValueError, match="at least one enabled mask"):
-        simulate_batch(BASE, SEEDS, [], 100.0, HORIZON, DATES)
+        simulate_batch(BASE, SEEDS, [], 100.0, HORIZON)
 
 
 def test_mask_of_wrong_length_rejected():
     with pytest.raises(ValueError, match="enabled mask of 4 flags"):
-        simulate_batch(BASE, SEEDS, [[True, False]], 100.0, HORIZON, DATES)
+        simulate_batch(BASE, SEEDS, [[True, False]], 100.0, HORIZON)
 
 
 def test_exhaustive_over_several_kernel_calls_equals_single_subsets(monkeypatch):
@@ -156,14 +156,13 @@ def test_exhaustive_over_several_kernel_calls_equals_single_subsets(monkeypatch)
 
 def test_uniform_table_matches_fresh_generation(monkeypatch):
     monkeypatch.setattr(market_module, "_uniform_slot", (None, None))
-    other_dates = weekdays(date(2009, 1, 2), 60)
     calls = [  # A, A, A, B (same seeds, other horizon), C (other seeds), A
-        (SEEDS, HORIZON, DATES), (SEEDS, HORIZON, DATES), (SEEDS, HORIZON, DATES),
-        (SEEDS, 60, other_dates), ([21, 22], HORIZON, DATES), (SEEDS, HORIZON, DATES),
+        (SEEDS, HORIZON), (SEEDS, HORIZON), (SEEDS, HORIZON),
+        (SEEDS, 60), ([21, 22], HORIZON), (SEEDS, HORIZON),
     ]
     cached, tables = [], []
-    for seeds, horizon, dates in calls:
-        cached.append(simulate_batch(BASE, seeds, MASKS, 100.0, horizon, dates))
+    for seeds, horizon in calls:
+        cached.append(simulate_batch(BASE, seeds, MASKS, 100.0, horizon))
         key, table = market_module._uniform_slot
         assert key == (tuple(seeds), 500, 500, horizon - 1)
         tables.append(table)
@@ -174,8 +173,8 @@ def test_uniform_table_matches_fresh_generation(monkeypatch):
         tables[1][0, 0, 0] = 0.5
 
     monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", 0)
-    for (seeds, horizon, dates), (prices, demands) in zip(calls, cached):
-        fresh_prices, fresh_demands = simulate_batch(BASE, seeds, MASKS, 100.0, horizon, dates)
+    for (seeds, horizon), (prices, demands) in zip(calls, cached):
+        fresh_prices, fresh_demands = simulate_batch(BASE, seeds, MASKS, 100.0, horizon)
         assert prices.tobytes() == fresh_prices.tobytes()
         assert demands.tobytes() == fresh_demands.tobytes()
         assert market_module._uniform_slot[1] is None  # over the cap: nothing is stored

@@ -73,6 +73,17 @@ class TestTrain:
         assert run_train(workspace, out_name="fits") == 2
         assert "--out is a directory" in capsys.readouterr().err
 
+    def test_unwritable_out_directory_exits_2_before_annealing(self, workspace, capsys, monkeypatch):
+        # Root ignores mode bits, so the directory is made unwritable by denying os.access.
+        def no_anneal(*args, **kwargs):
+            raise AssertionError("annealed before checking --out")
+
+        monkeypatch.setattr("amr.learner.anneal", no_anneal)
+        monkeypatch.setattr("amr.cli.os.access", lambda path, mode: False)
+        assert run_train(workspace) == 2
+        assert "--out directory is not writable" in capsys.readouterr().err
+        assert not (workspace["dir"] / "fit.json").exists()
+
     def test_missing_data_file_exits_2(self, workspace, capsys):
         code = main(
             [
@@ -313,6 +324,18 @@ class TestExperiment:
         assert main(["experiment", "--spec", str(spec)]) == 2
         assert field in capsys.readouterr().err
         assert not (workspace["dir"] / "never").exists()
+
+    def test_unwritable_out_dir_exits_2_before_annealing(self, workspace, capsys, monkeypatch):
+        # Root ignores mode bits, so the directory is made unwritable by denying os.access.
+        def no_anneal(*args, **kwargs):
+            raise AssertionError("annealed before checking out_dir")
+
+        monkeypatch.setattr("amr.learner.anneal", no_anneal)
+        monkeypatch.setattr("amr.cli.os.access", lambda path, mode: False)
+        spec = self.spec(workspace)
+        assert main(["experiment", "--spec", str(spec)]) == 2
+        assert "out_dir is not writable" in capsys.readouterr().err
+        assert list((workspace["dir"] / "results").iterdir()) == []
 
     def test_worker_counts_are_byte_identical(self, workspace):
         outputs = {}

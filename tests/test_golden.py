@@ -5,7 +5,8 @@ the order of floating-point operations in the simulation kernel shows up
 here.  The simulation pins cover both bundled presets, an all-disabled
 market (including one whose demands are -0.0), several summation chunks and one
 population larger than the default chunk.  The grid pin covers every enabled
-mask of both presets under three seeds and two chunk sizes, and the CLI pins
+mask of both presets under three seeds and two chunk sizes, the config pins
+cover the bytes `save_config` writes for both presets, and the CLI pins
 cover every file written by `experiment --exhaustive`, `reduce --exhaustive`,
 `simulate` and `plotdata`.
 """
@@ -120,6 +121,21 @@ def test_mask_grid_digest():
                     digest.update(np.asarray(run.predicted.values, dtype=np.float64).tobytes())
                     digest.update(np.asarray(run.demands, dtype=np.float64).tobytes())
     assert digest.hexdigest() == GRID_DIGEST
+
+
+CONFIG_DIGESTS = {
+    "bank_dominated": "6c44769cde67977d7d80a01301ea173dfc530b56f605e8bf51a9b089d31950ed",
+    "balanced": "55aff10db411254141b88b99cb93f4089e8c1c26ff641b0a9583ff30ad8c0e2b",
+}
+
+
+@pytest.mark.parametrize("name, make_config", [
+    ("bank_dominated", bank_dominated_config),
+    ("balanced", balanced_config),
+])
+def test_saved_config_digest(tmp_path, name, make_config):
+    save_config(make_config(), tmp_path / "config.json")
+    assert hashlib.sha256((tmp_path / "config.json").read_bytes()).hexdigest() == CONFIG_DIGESTS[name]
 
 
 # sha256 of every file each command writes, on the `cli_workspace` inputs.
