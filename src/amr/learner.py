@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import exp, inf
+from typing import Sequence
 
 import numpy as np
 
@@ -127,7 +128,7 @@ class FitResult:
     evaluations: int
 
 
-def replication_mapes(config: MarketConfig, masks: list[list[bool]], target: TimeSeries,
+def replication_mapes(config: MarketConfig, masks: Sequence[Sequence[bool]], target: TimeSeries,
                       replications: int) -> np.ndarray:
     """MAPE against `target` of every (mask, replication) run, shaped (M, R).
 
@@ -193,8 +194,9 @@ def anneal(
 ) -> FitResult:
     """Metropolis search with geometric cooling over the parameter box.
 
-    Starts from a uniformly random in-bounds vector, computes exactly
-    schedule.total_evaluations energies (the start included), and cools
+    Starts from a uniformly random in-bounds vector, takes exactly
+    schedule.total_evaluations energies (the start included; a proposal
+    clamped back onto the current vector reuses its energy), and cools
     T <- cooling_factor * T every proposals_per_epoch proposals.  Fully
     deterministic given (train, config, schedule, seed); `workers` is
     accepted for compatibility and changes nothing.
@@ -212,7 +214,11 @@ def anneal(
     proposals = 0
     while len(trace) < schedule.total_evaluations:
         candidate = propose(current, schedule.proposal_sigma, stream)
-        candidate_energy = energy(candidate, train, config, schedule.replications)
+        if candidate.values.tobytes() == current.values.tobytes():
+            # Clamped at a bound: the energy is a pure function of the vector.
+            candidate_energy = current_energy
+        else:
+            candidate_energy = energy(candidate, train, config, schedule.replications)
         if candidate_energy < best_energy:
             best, best_energy = candidate, candidate_energy
         if accept(candidate_energy - current_energy, temperature, stream):

@@ -63,8 +63,8 @@ from .timeseries import TimeSeries
 
 OPTIMISM_BOUNDS = (0.0, 1.0)
 REACTIVITY_BOUNDS = (-1.0, 1.0)
-# Lower bounds of trade_fraction and price_impact are open (> 0); the
-# tiny floors below are what jitter and proposals clamp to.
+# trade_fraction and price_impact have tiny floors, not 0: configs below
+# them are rejected, and jitter and proposals clamp to them.
 TRADE_FRACTION_BOUNDS = (1e-6, 1.0)
 PRICE_IMPACT_BOUNDS = (1e-6, 0.1)
 # Every investor type's learnable fields and their bounds, in the one order
@@ -102,7 +102,7 @@ class InvestorType:
     count: int
     optimism: float  # baseline buy probability, in [0, 1]
     reactivity: float  # sensitivity of buy probability to the last return, in [-1, 1]
-    trade_fraction: float  # share of assets placed per decision, in (0, 1]
+    trade_fraction: float  # share of assets placed per decision, in TRADE_FRACTION_BOUNDS
     enabled: bool = True
 
     def __post_init__(self):
@@ -116,8 +116,9 @@ class InvestorType:
             raise ValueError(f"{self.name}: optimism {self.optimism} outside [0, 1]")
         if not -1.0 <= self.reactivity <= 1.0:
             raise ValueError(f"{self.name}: reactivity {self.reactivity} outside [-1, 1]")
-        if not 0.0 < self.trade_fraction <= 1.0:
-            raise ValueError(f"{self.name}: trade_fraction {self.trade_fraction} outside (0, 1]")
+        lo, hi = TRADE_FRACTION_BOUNDS
+        if not lo <= self.trade_fraction <= hi:
+            raise ValueError(f"{self.name}: trade_fraction {self.trade_fraction} outside [{lo}, {hi}]")
 
     @property
     def total_assets(self) -> float:
@@ -129,7 +130,7 @@ class MarketConfig:
     """A full market: investor types plus global simulation knobs."""
 
     types: tuple[InvestorType, ...]
-    price_impact: float  # in (0, 0.1]; with |demand| <= 1 this keeps prices positive
+    price_impact: float  # in PRICE_IMPACT_BOUNDS; with |demand| <= 1 this keeps prices positive
     jitter: float = 0.05  # amplitude of per-agent parameter noise, in [0, 0.2]
     master_seed: int = 0
 
@@ -139,8 +140,9 @@ class MarketConfig:
         names = [t.name for t in self.types]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate type names in {names}")
-        if not 0.0 < self.price_impact <= PRICE_IMPACT_BOUNDS[1]:
-            raise ValueError(f"price_impact {self.price_impact} outside (0, {PRICE_IMPACT_BOUNDS[1]}]")
+        lo, hi = PRICE_IMPACT_BOUNDS
+        if not lo <= self.price_impact <= hi:
+            raise ValueError(f"price_impact {self.price_impact} outside [{lo}, {hi}]")
         if not 0.0 <= self.jitter <= JITTER_MAX:
             raise ValueError(f"jitter {self.jitter} outside [0, {JITTER_MAX}]")
         if not isinstance(self.master_seed, int):

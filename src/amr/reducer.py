@@ -11,6 +11,13 @@ subset and serves as the validation oracle.
 Subsets are evaluated by toggling enabled flags only: parameters stay as
 trained on the full set, and learner.replication_mapes runs every subset
 under the same sub-seeds, so their scores differ only by which types act.
+
+Each subset is simulated once per (config, parameters, target,
+replications), across greedy_reduce and the oracle: a one-slot memo,
+_score_slot, keeps every subset score under the last such key, and a
+call with any other key empties it.  A kernel row equals its solo run
+bit for bit and each row is scored on its own, so a remembered score
+equals a fresh one whatever masks shared its kernel call.
 """
 
 from __future__ import annotations
@@ -114,6 +121,12 @@ def _score(samples: Sequence[float]) -> Score:
     return Score(mean, sqrt(var))
 
 
+# The key (config with the parameters applied, target, replications) of the
+# last subset scores and every score taken under it, by enabled mask.  At most
+# 2^n scores, like the ExhaustiveReport that an oracle call returns.
+_score_slot: tuple[tuple | None, dict[tuple[bool, ...], Score]] = (None, {})
+
+
 def _subset_scores(
     subsets: Iterable[tuple[str, ...]],
     params: ParameterVector,
@@ -123,18 +136,25 @@ def _subset_scores(
 ) -> list[Score]:
     """Score of each subset, in order, from its replication_mapes row.
 
-    The subsets are scored in as few calls as MAX_BATCH_ELEMENTS allows.
+    Only the distinct subsets that _score_slot does not hold under this
+    key are simulated, in as few calls as MAX_BATCH_ELEMENTS allows.
     """
+    global _score_slot
     cfg = params.apply(config)
     member_sets = [ModelSet.of(cfg, members) for members in subsets]
-    masks = [[n in members for n in cfg.type_names] for members in member_sets]
+    masks = [tuple(n in members for n in cfg.type_names) for members in member_sets]
+    key = (cfg, target, replications)
+    if _score_slot[0] != key:
+        _score_slot = (key, {})
+    known = _score_slot[1]
+    todo = [mask for mask in dict.fromkeys(masks) if mask not in known]
     # At least one mask per call; replication_mapes rejects replications < 1.
     per_call = max(1, MAX_BATCH_ELEMENTS // (max(replications, 1) * sum(t.count for t in cfg.types)))
-    scores = []
-    for lo in range(0, len(masks), per_call):
-        mapes = replication_mapes(cfg, masks[lo : lo + per_call], target, replications)
-        scores += [_score(row) for row in mapes.tolist()]
-    return scores
+    for lo in range(0, len(todo), per_call):
+        batch = todo[lo : lo + per_call]
+        mapes = replication_mapes(cfg, batch, target, replications)
+        known.update(zip(batch, map(_score, mapes.tolist())))
+    return [known[mask] for mask in masks]
 
 
 def evaluate_subset(
@@ -204,11 +224,12 @@ def greedy_reduce(
             p = anneal(retrain_train, subset_cfg, retrain_schedule, retrain_seed).best_params
         return evaluate_subset(members, p, config, target, replications)
 
-    # Full set, baseline and singletons run as one batch; retraining rescores the full set.
+    # Full set, baseline and singletons run as one batch; without retraining,
+    # the cumulative scores of the full set and the first pick read the slot.
     names = config.type_names
     subsets = [names, (), *((n,) for n in names)]
-    full, baseline, *singles = _subset_scores(subsets, params, config, target, replications)
-    benchmark = full if retrain_schedule is None else cumulative_score(names)
+    _, baseline, *singles = _subset_scores(subsets, params, config, target, replications)
+    benchmark = cumulative_score(names)
     singletons = dict(zip(names, singles))
     ranking = tuple(n for n, _ in sorted(singletons.items(), key=lambda item: item[1].mean))
 
@@ -216,10 +237,7 @@ def greedy_reduce(
     trace: list[tuple[str, Score]] = []
     for name in ranking:
         chosen.append(name)
-        if len(chosen) == 1 and retrain_schedule is None:
-            score = singletons[name]
-        else:
-            score = cumulative_score(tuple(chosen))
+        score = cumulative_score(tuple(chosen))
         trace.append((name, score))
         if score.mean <= benchmark.mean + tolerance:
             break

@@ -2,9 +2,16 @@ from __future__ import annotations
 
 import pytest
 
+from amr import reducer
 from amr.learner import ParameterVector
 from amr.presets import balanced_config, bank_dominated_config, synthetic_target
 from amr.rng import substream
+
+
+@pytest.fixture(autouse=True)
+def empty_score_slot(monkeypatch):
+    """Each test starts with no subset scores remembered from an earlier one."""
+    monkeypatch.setattr(reducer, "_score_slot", (None, {}))
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ from math import exp, sqrt
 import numpy as np
 import pytest
 
+from amr import learner, market
 from amr.learner import (
     AnnealingSchedule,
     ParameterVector,
@@ -65,6 +66,14 @@ class TestParameterVector:
         del d["price_impact"]
         with pytest.raises(ValueError, match="price_impact"):
             ParameterVector.from_dict(d, small_cfg.type_names)
+
+    def test_round_trip_at_the_floors(self, small_cfg):
+        lo_trade, lo_impact = market.TRADE_FRACTION_BOUNDS[0], market.PRICE_IMPACT_BOUNDS[0]
+        floored = replace(small_cfg, price_impact=lo_impact,
+                          types=tuple(replace(t, trade_fraction=lo_trade) for t in small_cfg.types))
+        vec = ParameterVector.from_config(floored)
+        assert vec.apply(floored) == floored
+        assert vec.apply(small_cfg) == floored
 
     def test_random_within_bounds(self, small_cfg):
         stream = Stream(3)
@@ -189,6 +198,32 @@ class TestAnneal:
         f1 = anneal(small_target, small_cfg, schedule, seed=5)
         f2 = anneal(small_target, small_cfg, schedule, seed=6)
         assert f1.energy_trace != f2.energy_trace
+
+    def test_unchanged_proposal_is_not_rescored(self, small_cfg, small_target, monkeypatch):
+        events = []  # ("propose", current values) and ("energy", scored values), in call order
+        real_propose, real_energy = learner.propose, learner.energy
+
+        def recording_propose(params, sigma, stream):
+            events.append(("propose", params.values.tobytes()))
+            return real_propose(params, sigma, stream)
+
+        def recording_energy(params, *args):
+            events.append(("energy", params.values.tobytes()))
+            return real_energy(params, *args)
+
+        monkeypatch.setattr(learner, "propose", recording_propose)
+        monkeypatch.setattr(learner, "energy", recording_energy)
+        # A wide sigma clamps many proposals at a bound, back onto the current vector.
+        schedule = AnnealingSchedule(total_evaluations=60, proposal_sigma=0.5, replications=1)
+        fit = anneal(small_target, small_cfg, schedule, seed=4)
+        scored_after_proposal = [(cur, vec) for (k1, cur), (k2, vec) in zip(events, events[1:])
+                                 if k1 == "propose" and k2 == "energy"]
+        assert all(vec != cur for cur, vec in scored_after_proposal)
+        proposals = sum(kind == "propose" for kind, _ in events)
+        unchanged = proposals - len(scored_after_proposal)
+        assert proposals == 59 and unchanged > 0
+        assert sum(kind == "energy" for kind, _ in events) == 60 - unchanged
+        assert fit.evaluations == len(fit.energy_trace) == 60
 
     def test_needs_two_observations(self, small_cfg, small_target):
         one = TimeSeries(small_target.dates[:1], small_target.values[:1])

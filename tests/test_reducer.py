@@ -1,5 +1,9 @@
+import json
+from dataclasses import replace
+
 import pytest
 
+from amr import reducer
 from amr.learner import AnnealingSchedule, ParameterVector
 from amr.market import InvestorType, MarketConfig
 from amr.presets import synthetic_target
@@ -189,7 +193,90 @@ class TestExhaustive:
         with pytest.raises(ValueError, match="limit"):
             exhaustive_reduce(cfg_a, params_a, short_a, replications=1)
 
-    def test_worker_count_is_invisible(self, cfg_a, params_a, short_a):
+    def test_worker_count_is_invisible(self, cfg_a, params_a, short_a, monkeypatch):
         serial = exhaustive_reduce(cfg_a, params_a, short_a, replications=2, workers=1)
+        monkeypatch.setattr(reducer, "_score_slot", (None, {}))  # simulate again, not from the slot
         threaded = exhaustive_reduce(cfg_a, params_a, short_a, replications=2, workers=4)
         assert serial == threaded
+
+
+@pytest.fixture()
+def simulated_masks(monkeypatch):
+    """Every mask the reducer passes to replication_mapes, in call order."""
+    seen = []
+    real = reducer.replication_mapes
+
+    def counting(config, masks, target, replications):
+        seen.extend(tuple(mask) for mask in masks)
+        return real(config, masks, target, replications)
+
+    monkeypatch.setattr(reducer, "replication_mapes", counting)
+    return seen
+
+
+def _empty_slot(monkeypatch):
+    monkeypatch.setattr(reducer, "_score_slot", (None, {}))
+
+
+class TestScoreSlot:
+    @pytest.mark.parametrize("preset", ["a", "b"])
+    def test_greedy_then_oracle_equals_fresh_runs(self, request, monkeypatch, preset):
+        cfg, params, target = (request.getfixturevalue(f"{n}_{preset}") for n in ("cfg", "params", "short"))
+        greedy = greedy_reduce(cfg, params, target, replications=REPS)
+        oracle = exhaustive_reduce(cfg, params, target, replications=REPS)
+        _empty_slot(monkeypatch)
+        fresh_greedy = greedy_reduce(cfg, params, target, replications=REPS)
+        _empty_slot(monkeypatch)
+        fresh_oracle = exhaustive_reduce(cfg, params, target, replications=REPS)
+        assert json.dumps(greedy.to_dict()) == json.dumps(fresh_greedy.to_dict())
+        assert json.dumps(oracle.to_dict()) == json.dumps(fresh_oracle.to_dict())
+        # A score does not depend on the masks that shared its kernel call:
+        # every oracle row equals its subset simulated alone.
+        for model_set, score in oracle.table:
+            _empty_slot(monkeypatch)
+            assert evaluate_subset(model_set, params, cfg, target, replications=REPS) == score
+
+    def test_oracle_after_greedy_simulates_only_new_masks(self, cfg_a, params_a, target_a, simulated_masks):
+        greedy = greedy_reduce(cfg_a, params_a, target_a)
+        assert greedy.reduced_set.member_names == ("Banks",)
+        assert len(simulated_masks) == 6  # full set, baseline, four singletons
+        exhaustive_reduce(cfg_a, params_a, target_a)
+        assert len(simulated_masks) == 6 + 10
+        assert len(set(simulated_masks)) == 16  # no mask simulated twice
+
+    def test_any_other_key_recomputes(self, cfg_a, params_a, short_a, simulated_masks, monkeypatch):
+        subsets = [("Banks",), ("Banks", "Govt"), cfg_a.type_names]
+        impact_halved = params_a.values.copy()
+        impact_halved[-1] /= 2
+        other_seed = replace(cfg_a, master_seed=cfg_a.master_seed + 1)
+        variants = {
+            "target": (cfg_a, params_a, synthetic_target(cfg_a, seed=903, n_days=150), REPS),
+            "params": (cfg_a, ParameterVector(params_a.type_names, impact_halved), short_a, REPS),
+            "replications": (cfg_a, params_a, short_a, REPS + 1),
+            "master_seed": (other_seed, ParameterVector.from_config(other_seed), short_a, REPS),
+        }
+
+        def scores(cfg, params, target, replications):
+            return [evaluate_subset(s, params, cfg, target, replications) for s in subsets]
+
+        for name, variant in variants.items():
+            _empty_slot(monkeypatch)
+            base = scores(cfg_a, params_a, short_a, REPS)
+            before = len(simulated_masks)
+            changed = scores(*variant)
+            assert len(simulated_masks) - before == len(subsets), name
+            _empty_slot(monkeypatch)
+            assert changed == scores(*variant) != base, name
+
+    def test_one_type_config_simulates_its_full_set_once(self, simulated_masks):
+        cfg = MarketConfig(
+            types=(InvestorType("Only", 10.0, 3, 0.6, 0.1, 0.5),),
+            price_impact=0.01,
+            master_seed=5,
+        )
+        target = synthetic_target(cfg, seed=6, n_days=60)
+        params = ParameterVector.from_config(cfg)
+        report = greedy_reduce(cfg, params, target, replications=3)
+        oracle = exhaustive_reduce(cfg, params, target, replications=3)
+        assert sorted(simulated_masks) == [(False,), (True,)]
+        assert report.benchmark == report.singletons["Only"] == oracle.table[0][1]

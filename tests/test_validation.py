@@ -8,7 +8,7 @@ import pytest
 
 from amr.cli import main
 from amr.learner import AnnealingSchedule, ParameterVector, energy, params_from_fit_dict
-from amr.market import config_from_dict, config_to_dict, save_config
+from amr.market import PRICE_IMPACT_BOUNDS, TRADE_FRACTION_BOUNDS, config_from_dict, config_to_dict, save_config
 from amr.presets import bank_dominated_config, synthetic_target, weekdays
 from amr.reducer import evaluate_subset, exhaustive_reduce, greedy_reduce
 from amr.timeseries import TimeSeries, load_csv, save_csv
@@ -159,6 +159,23 @@ def test_cli_bad_config_exits_2(simulate_args, tmp_path, capsys, config_text, fi
     (tmp_path / "config.json").write_text(config_text)
     assert main(simulate_args + ["--p0", "100.0"]) == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "prediction.csv").exists()
+
+
+def test_trade_fraction_below_floor_exits_2(simulate_args, tmp_path, capsys):
+    floor = TRADE_FRACTION_BOUNDS[0]
+    (tmp_path / "config.json").write_text(json.dumps(_type_dict(trade_fraction=floor / 10)))
+    assert main(simulate_args + ["--p0", "100.0"]) == 2
+    assert "Banks: trade_fraction 1e-07 outside" in capsys.readouterr().err
+    assert not (tmp_path / "prediction.csv").exists()
+
+
+def test_price_impact_below_floor_exits_2(simulate_args, tmp_path, capsys):
+    floor = PRICE_IMPACT_BOUNDS[0]
+    data = {**config_to_dict(bank_dominated_config()), "price_impact": floor / 10}
+    (tmp_path / "config.json").write_text(json.dumps(data))
+    assert main(simulate_args + ["--p0", "100.0"]) == 2
+    assert "price_impact 1e-07 outside" in capsys.readouterr().err
     assert not (tmp_path / "prediction.csv").exists()
 
 
