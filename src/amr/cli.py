@@ -2,9 +2,9 @@
 
 Exit codes are a stable scripting contract: 0 on success, 2 on input or
 validation errors, 1 on internal errors.  Every command is idempotent:
-identical inputs and seed produce byte-identical output files, for any
-worker count (``--workers`` / the ``AMR_WORKERS`` environment variable,
-validated but unused: the simulation is single-threaded and batched).
+identical inputs and seed produce byte-identical output files: demand
+is summed in fixed 4096-agent chunks (market.CHUNK_SIZE) in one thread, so
+``--workers`` / ``AMR_WORKERS`` is validated but changes no output.
 Every output file is written whole or not at all (write_atomically).
 """
 
@@ -192,6 +192,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     spec = json.loads(spec_path.read_text())
     if not isinstance(spec, dict) or not isinstance(spec.get("schedule", {}), dict):
         raise ValueError("experiment spec and its schedule must be JSON objects")
+    market._known_keys(spec, ("data", "split", "market_config", "schedule", "tolerance", "replications",
+                              "seed", "exhaustive", "out_dir"), "experiment spec")
     for key in ("data", "split", "market_config"):
         if key not in spec:
             raise ValueError(f"experiment spec missing {key!r}")
@@ -222,9 +224,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     overrides = spec.get("schedule", {})
     parsers = {f.name: market._integer if isinstance(f.default, int) else market._number
                for f in fields(AnnealingSchedule)}
-    unknown = set(overrides) - set(parsers)
-    if unknown:
-        raise ValueError(f"unknown schedule override(s): {sorted(unknown)}")
+    market._known_keys(overrides, parsers, "experiment spec schedule")
     schedule = AnnealingSchedule(
         **{k: parsers[k](v, f"experiment spec schedule.{k}") for k, v in overrides.items()}
     )
@@ -274,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_workers(p):
         p.add_argument("--workers", type=int, default=None,
-                       help="worker count, validated but unused: simulation is single-threaded "
-                            "and batched (default: AMR_WORKERS env var or 1)")
+                       help="worker count, validated but changes no output: simulation runs in "
+                            "one thread (default: AMR_WORKERS env var or 1)")
 
     p = sub.add_parser("train", help="fit market parameters to the training window")
     p.add_argument("--data", required=True, help="target CSV (date,value)")

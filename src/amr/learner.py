@@ -12,7 +12,7 @@ vector is deterministic and the whole chain is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import exp, inf
+from math import exp, inf, ulp
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +30,11 @@ def _bounds(n_types: int) -> tuple[np.ndarray, np.ndarray]:
     """Box bounds for the flat layout: each type's BEHAVIOR_FIELDS in turn, then the impact."""
     lo, hi = np.array([*market.BEHAVIOR_BOUNDS * n_types, market.PRICE_IMPACT_BOUNDS]).T
     return lo, hi
+
+
+def _coordinate_names(type_names: Sequence[str]) -> list[str]:
+    """Names of the flat layout's coordinates, `<type>.<field>` then `price_impact`."""
+    return [f"{t}.{f}" for t in type_names for f in market.BEHAVIOR_FIELDS] + ["price_impact"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +58,7 @@ class ParameterVector:
         return _bounds(len(self.type_names))
 
     def coordinate_names(self) -> list[str]:
-        return [f"{t}.{f}" for t in self.type_names for f in market.BEHAVIOR_FIELDS] + ["price_impact"]
+        return _coordinate_names(self.type_names)
 
     @property
     def price_impact(self) -> float:
@@ -89,13 +94,13 @@ class ParameterVector:
     def from_dict(cls, data: dict[str, float], type_names: tuple[str, ...]) -> "ParameterVector":
         if not isinstance(data, dict):
             raise ValueError(f"parameter file params must be a JSON object, got {type(data).__name__}")
-        # The layout's names, read off an in-bounds placeholder vector.
-        names = cls(type_names, _bounds(len(type_names))[0]).coordinate_names()
+        names = _coordinate_names(type_names)
         vals = []
         for key in names:
             if key not in data:
                 raise ValueError(f"parameter file missing {key!r}")
             vals.append(market._number(data[key], f"parameter file {key!r}"))
+        market._known_keys(data, names, "parameter file params")
         return cls(type_names, np.array(vals))
 
 
@@ -197,9 +202,10 @@ def anneal(
     Starts from a uniformly random in-bounds vector, takes exactly
     schedule.total_evaluations energies (the start included; a proposal
     clamped back onto the current vector reuses its energy), and cools
-    T <- cooling_factor * T every proposals_per_epoch proposals.  Fully
-    deterministic given (train, config, schedule, seed); `workers` is
-    accepted for compatibility and changes nothing.
+    T <- cooling_factor * T every proposals_per_epoch proposals, but never
+    below ulp(0.0), where every uphill move is rejected (the T -> 0 limit).
+    Fully deterministic given (train, config, schedule, seed); `workers`
+    is accepted for compatibility and changes nothing.
     """
     if len(train) < 2:
         raise ValueError("training series needs at least 2 observations")
@@ -226,7 +232,7 @@ def anneal(
         trace.append(best_energy)
         proposals += 1
         if proposals % schedule.proposals_per_epoch == 0:
-            temperature *= schedule.cooling_factor
+            temperature = max(temperature * schedule.cooling_factor, ulp(0.0))
 
     return FitResult(
         best_params=best,

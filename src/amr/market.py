@@ -10,21 +10,21 @@ demand moves the price multiplicatively.
 
 Determinism contract: every random draw is a pure function of
 (master_seed, purpose, step, agent) via counter-based streams, and net
-demand is summed in fixed chunks combined in chunk order.  Worker counts
-therefore never change the output, bit for bit.
+demand is summed in fixed chunks of CHUNK_SIZE = 4096 agents, each in
+agent order, with the chunk totals added in chunk order.  That order is
+part of every output: the pinned digests fix it, so the chunk width is a
+constant, not a setting.
 
-One single-threaded kernel, simulate_batch, runs one config under S seeds
-and M enabled masks as one agent-major state of shape (C, K, M, S): the
-agents fill K chunks of C positions (C = chunk_size when there is more
-than one chunk, else C = n_agents), position (c, k) holds agent
-k * C + c, and padding agents at the end of the last chunk have weight
-0.  Each of the K * M * S chunk sums then runs down the leading axis
-with its lane contiguous, so NumPy adds every lane in strict agent order
-at once; step() places its one agent row the same way.  Jitter, drawn
-once per call, depends only on (seed, agent) and the decision uniforms
-only on (seed, step, agent), so every mask shares them.  `workers`
-arguments are still accepted but start no threads: the thread pools
-were removed after 2 workers measured slower than 1.
+One kernel, simulate_batch, runs one config under S seeds and M enabled
+masks as one agent-major state of shape (C, K, M, S): the agents fill K
+chunks of C positions (C = CHUNK_SIZE when there is more than one chunk,
+else C = n_agents), position (c, k) holds agent k * C + c, and padding
+agents at the end of the last chunk have weight 0.  Each of the
+K * M * S chunk sums then runs down the leading axis with its lane
+contiguous, so NumPy adds every lane in strict agent order at once;
+step() places its one agent row the same way.  Jitter, drawn once per
+call, depends only on (seed, agent) and the decision uniforms only on
+(seed, step, agent), so every mask shares them.
 
 The decision uniforms are a pure function of (seed, step, agent), so
 calls with the same seeds, agent count and horizon read the same values
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -74,8 +74,9 @@ BEHAVIOR_BOUNDS = (OPTIMISM_BOUNDS, REACTIVITY_BOUNDS, TRADE_FRACTION_BOUNDS)
 JITTER_MAX = 0.2
 MAX_TYPES = 16
 
-# Fixed unit of demand aggregation; recorded on every run.
-DEFAULT_CHUNK_SIZE = 4096
+# Agents per demand-summation chunk.  It fixes the order of every demand
+# sum, so changing it changes outputs; _chunking reads it at call time.
+CHUNK_SIZE = 4096
 
 # Lanes (chunks x rows) from which a demand sum reduces the agent axis in
 # one call; narrower sums accumulate (see _row_sums).
@@ -212,27 +213,36 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _known_keys(data: dict, known: Iterable[str], what: str) -> None:
+    """Raise naming every key of `data` not in `known`: a misspelt key would silently take its default."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"{what} has unknown key(s) {unknown}")
+
+
 def _type_from_dict(t: dict, position: int) -> InvestorType:
     if not isinstance(t, dict):
         raise ValueError(f"market config types[{position}] must be a JSON object, got {t!r}")
     name = t["name"]
     if not isinstance(name, str) or not name:
         raise ValueError(f"market config types[{position}].name must be a non-empty string, got {name!r}")
+    _known_keys(t, (f.name for f in fields(InvestorType)), f"investor type {name!r}")
     enabled = t.get("enabled", True)
     if not isinstance(enabled, bool):
         raise ValueError(f"investor type {name!r}: enabled must be true or false, got {enabled!r}")
-    fields = ("assets_per_investor", *BEHAVIOR_FIELDS)
+    numbers = ("assets_per_investor", *BEHAVIOR_FIELDS)
     return InvestorType(
         name=name,
         count=_integer(t["count"], f"investor type {name!r}: count"),
         enabled=enabled,
-        **{f: _number(t[f], f"investor type {name!r}: {f}") for f in fields},
+        **{f: _number(t[f], f"investor type {name!r}: {f}") for f in numbers},
     )
 
 
 def config_from_dict(data: dict) -> MarketConfig:
     if not isinstance(data, dict):
         raise ValueError(f"market config must be a JSON object, got {type(data).__name__}")
+    _known_keys(data, (f.name for f in fields(MarketConfig)), "market config")
     if not isinstance(data.get("types", []), list):
         raise ValueError(f"market config types must be a JSON list, got {data['types']!r}")
     try:
@@ -276,7 +286,6 @@ class AgentPopulation:
     enabled: np.ndarray  # bool mask
     normalization_assets: float
     price_impact: float
-    chunk_size: int
 
     def __len__(self) -> int:
         return len(self.type_index)
@@ -304,13 +313,11 @@ def _demand_weight(trade_fraction, assets, enabled, total_assets: float) -> np.n
     return np.where(enabled, trade_fraction * assets / total_assets, 0.0)
 
 
-def init_population(config: MarketConfig, chunk_size: int = DEFAULT_CHUNK_SIZE) -> AgentPopulation:
+def init_population(config: MarketConfig) -> AgentPopulation:
     """One agent per individual investor, parameters jittered within bounds (see _jittered).
 
     Disabled types' agents are created too; they simply emit no demand.
     """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     counts = np.array([t.count for t in config.types], dtype=np.int64)
     optimism, reactivity, trade_fraction = _jittered(config, [config.master_seed])[0]
     return AgentPopulation(
@@ -322,13 +329,12 @@ def init_population(config: MarketConfig, chunk_size: int = DEFAULT_CHUNK_SIZE) 
         enabled=np.repeat(np.array([t.enabled for t in config.types], dtype=bool), counts),
         normalization_assets=config.total_assets,
         price_impact=config.price_impact,
-        chunk_size=chunk_size,
     )
 
 
-def _chunking(n_agents: int, chunk_size: int) -> tuple[int, int]:
+def _chunking(n_agents: int) -> tuple[int, int]:
     """(C, K): the agents fill K chunks of C positions; C = n_agents when one chunk holds them all."""
-    size = chunk_size if n_agents > chunk_size else n_agents
+    size = CHUNK_SIZE if n_agents > CHUNK_SIZE else n_agents
     return size, -(-n_agents // size)
 
 
@@ -424,7 +430,7 @@ def step(
     """
     if not 0 < price < math.inf:
         raise ValueError(f"price must be positive and finite, got {price}")
-    size, chunks = _chunking(len(population), population.chunk_size)
+    size, chunks = _chunking(len(population))
     ids = _position_ids(size, chunks)
     step_keys = np.array([[fold(master_seed, TAG_DECISION, step_index)]], dtype=np.uint64)
     above = _fill_uniforms(np.empty((1, len(ids), 1)), step_keys, ids)
@@ -491,12 +497,11 @@ def _uniform_steps(step_keys: np.ndarray, ids: np.ndarray) -> Iterable[np.ndarra
         yield from steps_view[:n]
 
 
-def _decision_uniforms(seeds: Sequence[int], n_agents: int, chunk_size: int,
-                       steps: int) -> Iterable[np.ndarray]:
+def _decision_uniforms(seeds: Sequence[int], n_agents: int, steps: int) -> Iterable[np.ndarray]:
     """Each step's (P, S) decision uniforms, moved up one float, in step order.
 
     Positions are agent-major, as _position_ids lays them out for chunks
-    of C = _chunking(n_agents, chunk_size)[0].  Uniforms are
+    of C = _chunking(n_agents)[0].  Uniforms are
     price-independent, so they are hashed ahead of the sequential price
     loop, a block at a time, into one block buffer reused for the whole
     call: every step yielded is a read-only view into that buffer and is
@@ -508,7 +513,8 @@ def _decision_uniforms(seeds: Sequence[int], n_agents: int, chunk_size: int,
     the same on either path.
     """
     global _uniform_slot
-    size, chunks = _chunking(n_agents, chunk_size)
+    size, chunks = _chunking(n_agents)
+    # C is in the key, so a call under another CHUNK_SIZE never reads this table.
     key = (tuple(seeds), n_agents, size, steps)
     last_key, table = _uniform_slot
     if key == last_key and table is not None:
@@ -532,7 +538,6 @@ def simulate_batch(
     enabled: Sequence[Sequence[bool]],
     p0: float,
     horizon: int,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate `config` under every seed and every enabled mask together.
 
@@ -548,8 +553,6 @@ def simulate_batch(
         raise ValueError(f"p0 must be positive and finite, got {p0}")
     if not len(seeds):
         raise ValueError("simulate_batch needs at least one seed")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     masks = np.array(enabled, dtype=bool)
     if not len(enabled) or masks.shape != (len(enabled), len(config.types)):
         raise ValueError(f"simulate_batch needs at least one enabled mask of {len(config.types)} flags")
@@ -561,7 +564,7 @@ def simulate_batch(
     weight = _demand_weight(trade_fraction, assets, agent_masks, config.total_assets)
 
     n_masks, n_seeds, n_agents = weight.shape
-    size, chunks = _chunking(n_agents, chunk_size)
+    size, chunks = _chunking(n_agents)
     # Optimism and reactivity are copied for every mask too: broadcasting
     # them over masks inside each position would cut every step's
     # elementwise loops to S lanes.
@@ -577,7 +580,7 @@ def simulate_batch(
     # An overflowed price makes later returns inf or NaN; such a row stays
     # at inf and the caller judges it, so the arithmetic raises no warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, above in enumerate(_decision_uniforms(seeds, n_agents, chunk_size, horizon - 1)):
+        for t, above in enumerate(_decision_uniforms(seeds, n_agents, horizon - 1)):
             if t > 0:
                 np.subtract(prices[t], prices[t - 1], out=returns)
                 returns /= prices[t - 1]
@@ -598,7 +601,6 @@ class SimulationRun:
     predicted: TimeSeries
     demands: tuple[float, ...]  # one per step taken (horizon - 1)
     seed_used: int
-    chunk_size: int
 
 
 def simulate_pk(
@@ -607,21 +609,20 @@ def simulate_pk(
     horizon: int,
     dates: Sequence[date],
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> SimulationRun:
     """Simulate `horizon` days seeded only by the starting price p0.
 
     predicted[0] = p0; each later value comes from step()'s update fed
     with the return of the simulation's own previous move (0 for the
     first step, which has no history).  The run is a pure function of
-    (config, p0, horizon): worker count never changes the result.  A
-    price that overflows to inf raises ValueError naming p0 and the first
-    date that overflowed.
+    (config, p0, horizon); `workers` is accepted for compatibility and
+    changes nothing.  A price that overflows to inf raises ValueError
+    naming p0 and the first date that overflowed.
     """
     if len(dates) != horizon:
         raise ValueError(f"got {len(dates)} dates for horizon {horizon}")
     mask = [t.enabled for t in config.types]
-    prices, demands = simulate_batch(config, [config.master_seed], [mask], p0, horizon, chunk_size)
+    prices, demands = simulate_batch(config, [config.master_seed], [mask], p0, horizon)
     overflowed = np.flatnonzero(np.isinf(prices[0, 0]))
     if overflowed.size:
         raise ValueError(f"p0 {p0!r} is too large: the simulated price overflows to inf on "
@@ -630,5 +631,4 @@ def simulate_pk(
         predicted=TimeSeries(tuple(dates), tuple(prices[0, 0].tolist())),
         demands=tuple(demands[0, 0].tolist()),
         seed_used=config.master_seed,
-        chunk_size=chunk_size,
     )

@@ -224,14 +224,15 @@ def greedy_reduce(
             p = anneal(retrain_train, subset_cfg, retrain_schedule, retrain_seed).best_params
         return evaluate_subset(members, p, config, target, replications)
 
-    # Full set, baseline and singletons run as one batch; without retraining,
-    # the cumulative scores of the full set and the first pick read the slot.
+    # Full set, baseline and singletons run as one batch.  The ranking reads
+    # the slot before any retraining changes its key; without retraining, so
+    # do the cumulative scores of the full set and the first pick.
     names = config.type_names
     subsets = [names, (), *((n,) for n in names)]
     _, baseline, *singles = _subset_scores(subsets, params, config, target, replications)
-    benchmark = cumulative_score(names)
     singletons = dict(zip(names, singles))
-    ranking = tuple(n for n, _ in sorted(singletons.items(), key=lambda item: item[1].mean))
+    ranking = tuple(n for n, _ in rank_models(config, params, target, replications))
+    benchmark = cumulative_score(names)
 
     chosen: list[str] = []
     trace: list[tuple[str, Score]] = []

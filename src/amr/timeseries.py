@@ -65,7 +65,7 @@ class SplitSpec:
 
 
 def load_csv(path: str | Path) -> TimeSeries:
-    """Read `date,value` rows (ISO dates, optional one-line header).
+    """Read `date,value` rows (ISO dates; line 1 is a header when its first field is not one).
 
     Rows may arrive unsorted; the result is sorted ascending by date.
     Raises FileNotFoundError for a missing file and ValueError (with the
@@ -84,11 +84,11 @@ def load_csv(path: str | Path) -> TimeSeries:
             if len(record) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'date,value', got {len(record)} fields")
             raw_date, raw_value = record[0].strip(), record[1].strip()
-            if lineno == 1 and not _is_number(raw_value):
-                continue  # header line, e.g. "date,close"
             try:
                 d = date.fromisoformat(raw_date)
             except ValueError:
+                if lineno == 1:
+                    continue  # header line, e.g. "date,close"
                 raise ValueError(f"{path}:{lineno}: bad date {raw_date!r} (want ISO-8601)") from None
             try:
                 v = float(raw_value)
@@ -167,11 +167,3 @@ def mape_rows(actual: TimeSeries, predicted: np.ndarray) -> np.ndarray:
     """MAPE against `actual` of every row of `predicted`, an array shaped (..., len(actual))."""
     x = actual.values_array()
     return np.mean(np.abs(x - predicted) / x, axis=-1)
-
-
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False

@@ -15,7 +15,7 @@ from datetime import date
 
 import numpy as np
 
-from amr import reducer
+from amr import market, reducer
 from amr.cli import main
 from amr.learner import AnnealingSchedule, anneal
 from amr.market import InvestorType, MarketConfig, save_config, simulate_pk
@@ -137,10 +137,9 @@ def test_criterion_6_determinism_under_parallelism(tmp_path, monkeypatch):
     with criterion(6, "bit-identical outputs for 1, 2, and 8 workers"):
         config = bank_dominated_config(master_seed=321)
         dates = weekdays(date(2009, 1, 2), 100)
-        runs = [
-            simulate_pk(config, 100.0, 100, dates, workers=w, chunk_size=64)
-            for w in (1, 2, 8)
-        ]
+        with monkeypatch.context() as m:
+            m.setattr(market, "CHUNK_SIZE", 64)  # several chunks on 500 agents
+            runs = [simulate_pk(config, 100.0, 100, dates, workers=w) for w in (1, 2, 8)]
         for other in runs[1:]:
             assert other.predicted.values == runs[0].predicted.values
             assert other.demands == runs[0].demands

@@ -24,26 +24,27 @@ SUBSETS = [BASE.type_names, ("Banks",), ("Funds", "Govt"), (), ("Individual",)]
 MASKS = [[n in subset for n in BASE.type_names] for subset in SUBSETS]
 
 
-def _single_run(subset, seed, **kwargs):
+def _single_run(subset, seed):
     config = only_enabled(replace(BASE, master_seed=seed), subset)
-    return simulate_pk(config, 100.0, HORIZON, DATES, **kwargs)
+    return simulate_pk(config, 100.0, HORIZON, DATES)
 
 
-@pytest.mark.parametrize("subsets, seeds, chunk_size", [
-    pytest.param(SUBSETS, SEEDS, market_module.DEFAULT_CHUNK_SIZE, id="4096"),
+@pytest.mark.parametrize("subsets, seeds, chunk_width", [
+    pytest.param(SUBSETS, SEEDS, market_module.CHUNK_SIZE, id="4096"),
     pytest.param(SUBSETS, SEEDS, 64, id="64"),
     # Narrow batches: fewer than _REDUCE_WIDTH lanes, in one chunk and in four.
-    pytest.param(SUBSETS[:1], SEEDS, market_module.DEFAULT_CHUNK_SIZE, id="1x3"),
+    pytest.param(SUBSETS[:1], SEEDS, market_module.CHUNK_SIZE, id="1x3"),
     pytest.param(SUBSETS[2:3], SEEDS[:1], 128, id="1x1-128"),
 ])
-def test_rows_equal_single_runs(subsets, seeds, chunk_size):
+def test_rows_equal_single_runs(monkeypatch, subsets, seeds, chunk_width):
+    monkeypatch.setattr(market_module, "CHUNK_SIZE", chunk_width)
     masks = [[n in subset for n in BASE.type_names] for subset in subsets]
-    prices, demands = simulate_batch(BASE, seeds, masks, 100.0, HORIZON, chunk_size=chunk_size)
+    prices, demands = simulate_batch(BASE, seeds, masks, 100.0, HORIZON)
     assert prices.shape == (len(masks), len(seeds), HORIZON)
     assert demands.shape == (len(masks), len(seeds), HORIZON - 1)
     for m, subset in enumerate(subsets):
         for s, seed in enumerate(seeds):
-            run = _single_run(subset, seed, chunk_size=chunk_size)
+            run = _single_run(subset, seed)
             assert prices[m, s].tobytes() == np.array(run.predicted.values).tobytes()
             assert demands[m, s].tobytes() == np.array(run.demands).tobytes()
 
@@ -69,7 +70,7 @@ def test_slab_ends_match_scalar_fold(monkeypatch, block_elements, seeds, n_agent
     # 128 splits every step into slabs of 128 (S = 1) or 42 (S = 3) positions, which
     # divide neither 1000 nor 500; the default packs several whole steps into one slab.
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", block_elements)
-    ids = market_module._position_ids(*market_module._chunking(n_agents, 4096))
+    ids = market_module._position_ids(*market_module._chunking(n_agents))
     step_keys = np.array([[fold(seed, TAG_DECISION, t) for seed in seeds] for t in range(steps)],
                          dtype=np.uint64)
     out = market_module._fill_uniforms(np.empty((steps, n_agents, len(seeds))), step_keys, ids)
@@ -90,7 +91,7 @@ def test_slab_ends_match_scalar_fold(monkeypatch, block_elements, seeds, n_agent
 def test_yielded_steps_are_read_only_views_of_one_buffer(monkeypatch):
     monkeypatch.setattr(market_module, "_uniform_slot", (None, None))
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 1000)
-    steps = list(market_module._decision_uniforms(SEEDS, 500, 4096, 6))  # six 1-step blocks
+    steps = list(market_module._decision_uniforms(SEEDS, 500, 6))  # six 1-step blocks
     assert len(steps) == 6
     for t, above in enumerate(steps):
         assert not above.flags.writeable
@@ -104,16 +105,20 @@ def test_yielded_steps_are_read_only_views_of_one_buffer(monkeypatch):
 @pytest.mark.parametrize("block_elements", [128, 1000])
 def test_slabbed_steps_equal_unpatched_runs(monkeypatch, block_elements):
     # With 3 seeds a slab of 128 or 1000 values splits every 500-agent step into
-    # slabs of 42 or 333 positions.
+    # slabs of 42 or 333 positions.  The batches run in one 500-agent chunk,
+    # the single run and the chained steps in chunks of 64.
     config = bank_dominated_config(master_seed=5)
-    population = init_population(config, 64)
+    population = init_population(config)
     batch = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON)
-    run = simulate_pk(config, 100.0, HORIZON, DATES, chunk_size=64)
+    with monkeypatch.context() as m:
+        m.setattr(market_module, "CHUNK_SIZE", 64)
+        run = simulate_pk(config, 100.0, HORIZON, DATES)
     monkeypatch.setattr(market_module, "_uniform_slot", (None, None))
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", block_elements)
     patched = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON)
     assert patched[0].tobytes() == batch[0].tobytes()
     assert patched[1].tobytes() == batch[1].tobytes()
+    monkeypatch.setattr(market_module, "CHUNK_SIZE", 64)
     prices = [100.0]
     for t in range(HORIZON - 1):
         last_return = (prices[t] - prices[t - 1]) / prices[t - 1] if t else 0.0
@@ -205,14 +210,15 @@ def test_replication_mapes_equal_per_run_mape(n_days):
             assert float(mapes[m, r]).hex() == mape(target, run.predicted).hex()
 
 
-@pytest.mark.parametrize("chunk_size", [market_module.DEFAULT_CHUNK_SIZE, 64])
+@pytest.mark.parametrize("chunk_width", [market_module.CHUNK_SIZE, 64])
 @pytest.mark.parametrize("config", [
     bank_dominated_config(master_seed=5), balanced_config(master_seed=6),
     set_enabled(bank_dominated_config(master_seed=7), ["Banks"], False),
 ], ids=["bank_dominated", "balanced", "banks_disabled"])
-def test_chained_steps_equal_simulate_pk(config, chunk_size):
-    population = init_population(config, chunk_size)
-    run = simulate_pk(config, 100.0, HORIZON, DATES, chunk_size=chunk_size)
+def test_chained_steps_equal_simulate_pk(monkeypatch, config, chunk_width):
+    monkeypatch.setattr(market_module, "CHUNK_SIZE", chunk_width)
+    population = init_population(config)
+    run = simulate_pk(config, 100.0, HORIZON, DATES)
     prices, demands = [100.0], []
     for t in range(HORIZON - 1):
         last_return = (prices[t] - prices[t - 1]) / prices[t - 1] if t else 0.0
@@ -223,12 +229,12 @@ def test_chained_steps_equal_simulate_pk(config, chunk_size):
     assert np.array(demands).tobytes() == np.array(run.demands).tobytes()
 
 
-def _loop_row_sum(values, chunk_size):
+def _loop_row_sum(values, chunk_width):
     """Net demand of one row by plain float additions, left to right in agent order."""
     totals = []
-    for lo in range(0, len(values), chunk_size):
+    for lo in range(0, len(values), chunk_width):
         total = values[lo]
-        for v in values[lo + 1 : lo + chunk_size]:
+        for v in values[lo + 1 : lo + chunk_width]:
             total += v
         totals.append(total)
     if len(totals) == 1:
@@ -239,20 +245,21 @@ def _loop_row_sum(values, chunk_size):
     return demand
 
 
-@pytest.mark.parametrize("n_agents, chunk_size, rows", [
+@pytest.mark.parametrize("n_agents, chunk_width, rows", [
     (500, 4096, 1), (500, 4096, 3), (500, 128, 1), (37, 8, 1),  # fewer than _REDUCE_WIDTH lanes
     (500, 4096, 8), (500, 64, 15), (300, 100, 3), (1, 4096, 9),  # reduced lanes
 ])
-def test_row_sums_equal_left_to_right_loop(n_agents, chunk_size, rows):
-    rng = np.random.default_rng(n_agents * 31 + chunk_size + rows)
+def test_row_sums_equal_left_to_right_loop(monkeypatch, n_agents, chunk_width, rows):
+    monkeypatch.setattr(market_module, "CHUNK_SIZE", chunk_width)
+    rng = np.random.default_rng(n_agents * 31 + chunk_width + rows)
     values = rng.standard_normal((rows, n_agents)) * 10.0 ** rng.integers(-12, 12, (rows, n_agents))
     values[0] = -0.0  # a row of -0.0 votes: all agents disabled and selling
     if rows > 1:
-        values[1, -min(n_agents, chunk_size):] = -0.0  # a last chunk of -0.0 votes, then padding
-    size, chunks = market_module._chunking(n_agents, chunk_size)
+        values[1, -min(n_agents, chunk_width):] = -0.0  # a last chunk of -0.0 votes, then padding
+    size, chunks = market_module._chunking(n_agents)
     placed = market_module._place(values[None], size, chunks)  # (C, K, 1, rows)
     demand = market_module._row_sums(placed.reshape(size, chunks, rows))
-    expected = [_loop_row_sum(row.tolist(), chunk_size) for row in values]
+    expected = [_loop_row_sum(row.tolist(), chunk_width) for row in values]
     assert [float(d).hex() for d in demand] == [e.hex() for e in expected]
 
 

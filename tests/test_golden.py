@@ -4,8 +4,8 @@ Each digest is the sha256 of an output's exact bytes, so any change to
 the order of floating-point operations in the simulation kernel shows up
 here.  The simulation pins cover both bundled presets, an all-disabled
 market (including one whose demands are -0.0), several summation chunks and one
-population larger than the default chunk.  The grid pin covers every enabled
-mask of both presets under three seeds and two chunk sizes, the config pins
+population larger than one 4096-agent chunk.  The grid pin covers every enabled
+mask of both presets under three seeds and two chunk widths, the config pins
 cover the bytes `save_config` writes for both presets, and the CLI pins
 cover every file written by `experiment --exhaustive`, `reduce --exhaustive`,
 `simulate` and `plotdata`.
@@ -20,6 +20,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+import amr.market as market_module
 from amr.cli import main
 from amr.learner import ParameterVector
 from amr.market import only_enabled, save_config, simulate_pk
@@ -39,13 +40,14 @@ def _silent_sellers():
     return replace(config, types=types, jitter=0.0)
 
 
+# name -> (config factory, horizon, market.CHUNK_SIZE during the run)
 SIMULATIONS = {
-    "bank_dominated": (lambda: bank_dominated_config(), 250, {}),
-    "balanced": (lambda: balanced_config(), 250, {}),
-    "all_disabled": (lambda: only_enabled(bank_dominated_config(), ()), 250, {}),
-    "all_disabled_sellers": (_silent_sellers, 250, {}),
-    "chunk_64": (lambda: bank_dominated_config(master_seed=77), 250, {"chunk_size": 64}),
-    "over_4096_agents": (lambda: _scaled(bank_dominated_config(master_seed=5), 10), 60, {}),
+    "bank_dominated": (lambda: bank_dominated_config(), 250, 4096),
+    "balanced": (lambda: balanced_config(), 250, 4096),
+    "all_disabled": (lambda: only_enabled(bank_dominated_config(), ()), 250, 4096),
+    "all_disabled_sellers": (_silent_sellers, 250, 4096),
+    "chunk_64": (lambda: bank_dominated_config(master_seed=77), 250, 64),
+    "over_4096_agents": (lambda: _scaled(bank_dominated_config(master_seed=5), 10), 60, 4096),
 }
 
 SIMULATION_DIGESTS = {
@@ -74,9 +76,10 @@ def _json_digest(payload) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATIONS))
-def test_simulation_digest(name):
-    make_config, horizon, kwargs = SIMULATIONS[name]
-    run = simulate_pk(make_config(), 100.0, horizon, weekdays(date(2009, 1, 2), horizon), **kwargs)
+def test_simulation_digest(monkeypatch, name):
+    make_config, horizon, chunk_width = SIMULATIONS[name]
+    monkeypatch.setattr(market_module, "CHUNK_SIZE", chunk_width)
+    run = simulate_pk(make_config(), 100.0, horizon, weekdays(date(2009, 1, 2), horizon))
     assert _run_digest(run) == SIMULATION_DIGESTS[name]
 
 
@@ -104,20 +107,21 @@ def test_exhaustive_reduce_digest(reduction_inputs):
     assert _json_digest(report.to_dict()) == REDUCTION_DIGESTS["exhaustive"]
 
 
-# Every preset x chunk size x seed x enabled mask, hashed in that loop order.
+# Every preset x chunk width x seed x enabled mask, hashed in that loop order.
 GRID_DIGEST = "5e8d9804bdcd57e47bdfc94d057e06b8df97b80c1956c9690cb9b9ace146202b"
 
 
-def test_mask_grid_digest():
+def test_mask_grid_digest(monkeypatch):
     dates = weekdays(date(2009, 1, 2), 120)
     digest = hashlib.sha256()
     for config in (bank_dominated_config(11), balanced_config(3)):
-        for chunk_size in (4096, 64):
+        for chunk_width in (4096, 64):
+            monkeypatch.setattr(market_module, "CHUNK_SIZE", chunk_width)
             for seed in (11, 12, 13):
                 for mask in itertools.product([False, True], repeat=4):
                     names = [n for n, on in zip(config.type_names, mask) if on]
                     cell = only_enabled(replace(config, master_seed=seed), names)
-                    run = simulate_pk(cell, 100.0, 120, dates, chunk_size=chunk_size)
+                    run = simulate_pk(cell, 100.0, 120, dates)
                     digest.update(np.asarray(run.predicted.values, dtype=np.float64).tobytes())
                     digest.update(np.asarray(run.demands, dtype=np.float64).tobytes())
     assert digest.hexdigest() == GRID_DIGEST

@@ -1,5 +1,5 @@
 from dataclasses import replace
-from math import exp, sqrt
+from math import exp, sqrt, ulp
 
 import numpy as np
 import pytest
@@ -224,6 +224,27 @@ class TestAnneal:
         assert proposals == 59 and unchanged > 0
         assert sum(kind == "energy" for kind, _ in events) == 60 - unchanged
         assert fit.evaluations == len(fit.energy_trace) == 60
+
+    def test_temperature_underflow_rejects_uphill_moves(self, small_cfg, small_target, monkeypatch):
+        # Halving T after every proposal takes 0.05 below the smallest
+        # subnormal float after about 1070 proposals.
+        calls = []  # (delta, temperature, accepted) of every acceptance test
+        real_accept = learner.accept
+
+        def recording_accept(delta, temperature, stream):
+            calls.append((delta, temperature, real_accept(delta, temperature, stream)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(learner, "accept", recording_accept)
+        short = TimeSeries(small_target.dates[:10], small_target.values[:10])
+        schedule = AnnealingSchedule(cooling_factor=0.5, proposals_per_epoch=1,
+                                     total_evaluations=1200, replications=1)
+        fit = anneal(short, small_cfg, schedule, seed=1)
+        assert fit.evaluations == len(fit.energy_trace) == 1200
+        assert min(t for _, t, _ in calls) == ulp(0.0)
+        floored = [(delta, ok) for delta, t, ok in calls if t == ulp(0.0)]
+        assert len(floored) > 100
+        assert not any(ok for delta, ok in floored if delta > 0)
 
     def test_needs_two_observations(self, small_cfg, small_target):
         one = TimeSeries(small_target.dates[:1], small_target.values[:1])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amr import market
 from amr.market import (
     InvestorType,
     MarketConfig,
@@ -206,21 +207,18 @@ class TestSimulatePK:
         assert r1.predicted == r2.predicted
         assert r1.demands == r2.demands
 
-    def test_worker_count_is_invisible(self, cfg_a):
+    def test_worker_count_is_invisible(self, cfg_a, monkeypatch):
         # Small chunks force multi-chunk aggregation across workers.
+        monkeypatch.setattr(market, "CHUNK_SIZE", 64)
         dates = weekdays(date(2009, 1, 2), 80)
         runs = [
-            simulate_pk(cfg_a, 100.0, 80, dates, workers=w, chunk_size=64)
+            simulate_pk(cfg_a, 100.0, 80, dates, workers=w)
             for w in (1, 2, 8)
         ]
         for other in runs[1:]:
             assert other.predicted.values == runs[0].predicted.values
             assert other.demands == runs[0].demands
-
-    def test_chunk_size_recorded(self, cfg_a):
-        run = simulate_pk(cfg_a, 100.0, 2, weekdays(date(2009, 1, 2), 2), chunk_size=128)
-        assert run.chunk_size == 128
-        assert run.seed_used == cfg_a.master_seed
+        assert runs[0].seed_used == cfg_a.master_seed
 
     def test_demand_never_exceeds_enabled_share(self, cfg_a):
         for off in ([], ["Govt"], ["Banks"], ["Individual", "Funds", "Govt"]):

@@ -95,6 +95,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=r":2:"):
             load_csv(p)
 
+    def test_bad_first_row_is_not_a_header(self, tmp_path):
+        # Line 1 is a header only when its first field is not an ISO date.
+        p = tmp_path / "t.csv"
+        p.write_text("2008-01-02,1O0.5\n2008-01-03,101\n2008-01-04,102\n")
+        with pytest.raises(ValueError, match=r":1: bad value '1O0.5'"):
+            load_csv(p)
+
     def test_wrong_field_count(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("2008-01-03,1,2\n")

@@ -302,3 +302,40 @@ def test_cli_experiment_spec_paths_must_be_strings(reduce_args, tmp_path, capsys
     assert main(["experiment", "--spec", str(tmp_path / "experiment.json")]) == 2
     assert f"experiment spec {field} must be a path string" in capsys.readouterr().err
     assert set(tmp_path.iterdir()) == before
+
+
+def test_cli_unknown_config_key_exits_2(simulate_args, tmp_path, capsys):
+    data = {**config_to_dict(bank_dominated_config()), "jiter": 0.2}
+    (tmp_path / "config.json").write_text(json.dumps(data))
+    assert main(simulate_args + ["--p0", "100.0"]) == 2
+    assert "market config has unknown key(s) ['jiter']" in capsys.readouterr().err
+    assert not (tmp_path / "prediction.csv").exists()
+
+
+def test_cli_unknown_type_key_exits_2(simulate_args, tmp_path, capsys):
+    (tmp_path / "config.json").write_text(json.dumps(_type_dict(enabeld=False)))
+    assert main(simulate_args + ["--p0", "100.0"]) == 2
+    assert "investor type 'Banks' has unknown key(s) ['enabeld']" in capsys.readouterr().err
+    assert not (tmp_path / "prediction.csv").exists()
+
+
+def test_cli_unknown_experiment_spec_key_exits_2(reduce_args, tmp_path, capsys):
+    spec = {"data": "target.csv", "split": reduce_args[4], "market_config": "config.json",
+            "schedule": {"total_evaluations": 2, "replications": 1}, "replications": 1,
+            "out_dir": "out", "tolerence": 0.01}
+    (tmp_path / "experiment.json").write_text(json.dumps(spec))
+    assert main(["experiment", "--spec", str(tmp_path / "experiment.json")]) == 2
+    assert "experiment spec has unknown key(s) ['tolerence']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_unknown_fit_params_key_exits_2(simulate_args, tmp_path, capsys):
+    params = ParameterVector.from_config(bank_dominated_config()).to_dict()
+    argv = simulate_args + ["--p0", "100.0", "--params", str(tmp_path / "fit.json")]
+    (tmp_path / "fit.json").write_text(json.dumps({"params": {**params, "Banks.optimsm": 0.5}}))
+    assert main(argv) == 2
+    assert "parameter file params has unknown key(s) ['Banks.optimsm']" in capsys.readouterr().err
+    assert not (tmp_path / "prediction.csv").exists()
+    # Keys beside `params` (best_mape, seed, ... or any other) stay allowed.
+    (tmp_path / "fit.json").write_text(json.dumps({"params": params, "note": "hand-written"}))
+    assert main(argv) == 0
