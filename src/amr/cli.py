@@ -129,6 +129,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if not os.access(out_dir, os.W_OK):  # before the search, which can score 65,535 subsets
+        raise PermissionError(f"--out directory is not writable: {out_dir}")
     _reduce_and_write(config, params, target, args.tolerance, args.replications, args.exhaustive, out_dir)
     print(f"-> {out_dir / 'reduction.json'}, {out_dir / 'reduction.txt'}")
     return 0
@@ -212,8 +214,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     # Every field is checked before out_dir is created or the anneal starts.
     series = load_csv(data_path)
-    boundary = _parse_date(str(spec["split"]))
-    train, test = split(series, SplitSpec(boundary))
+    boundary = spec["split"]
+    if not isinstance(boundary, str):
+        raise ValueError(f"experiment spec split must be an ISO date string, got {boundary!r}")
+    train, test = split(series, SplitSpec(_parse_date(boundary)))
     def _field(key: str, parse, default):
         return parse(spec.get(key, default), f"experiment spec {key}")
 

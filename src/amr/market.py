@@ -29,13 +29,13 @@ call, depends only on (seed, agent) and the decision uniforms only on
 The decision uniforms are a pure function of (seed, step, agent), so
 calls with the same seeds, agent count and horizon read the same values
 (common random numbers: every annealing energy replays the same
-replication seeds).  A one-slot table keeps them across calls, in the
-(steps, C * K, S) layout.  A key (seeds, n_agents, C, horizon - 1) is
-admitted on its second consecutive call, and only if its table holds at
-most 2**19 float64 values (4 MB); the table is then filled slab by
-slab and marked read-only, and later calls with that key read it.  Any
-other key empties the slot.  The table holds the very values the blocks
-would produce, so results are bit-identical with or without it.
+replication seeds).  A one-slot memo, _uniform_table (an lru_cache of
+size 1), keeps them across calls, in the (steps, C * K, S) layout.  A key
+(seeds, C, K, horizon - 1) whose table holds at most 2**20 float64 values
+(8 MB) is tabled on first sight: the table is filled slab by slab, marked
+read-only, and read by later calls with that key.  Any other key empties
+the memo, and a larger one is streamed.  The table holds the very values
+the blocks would produce, so results are bit-identical with or without it.
 
 Uniforms are hashed in place (rng.u01_grid), in slabs of at most
 _UNIFORM_BLOCK_ELEMENTS values, so that a 200k-agent step is hashed in
@@ -53,6 +53,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import date
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -85,13 +86,8 @@ _REDUCE_WIDTH = 8
 # Upper bound on decision uniforms hashed in one slab, and held at once
 # when a step fits (elements; 512 KB, so a slab and its scratch stay in L2).
 _UNIFORM_BLOCK_ELEMENTS = 1 << 16
-# Largest decision-uniform table kept across calls (elements; 4 MB).
-_UNIFORM_TABLE_ELEMENTS = 1 << 19
-
-# The key of the last simulate_batch call and, once that key has repeated,
-# its read-only uniform table.  One tuple, so a reader never pairs a key
-# with another key's table.
-_uniform_slot: tuple[tuple | None, np.ndarray | None] = (None, None)
+# Largest decision-uniform table kept across calls (elements; 8 MB).
+_UNIFORM_TABLE_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -161,12 +157,6 @@ class MarketConfig:
     @property
     def enabled_asset_share(self) -> float:
         return sum(t.total_assets for t in self.types if t.enabled) / self.total_assets
-
-    def type_named(self, name: str) -> InvestorType:
-        for t in self.types:
-            if t.name == name:
-                return t
-        raise ValueError(f"unknown investor type {name!r}; have {list(self.type_names)}")
 
 
 def set_enabled(config: MarketConfig, type_names: Iterable[str], enabled: bool) -> MarketConfig:
@@ -497,39 +487,42 @@ def _uniform_steps(step_keys: np.ndarray, ids: np.ndarray) -> Iterable[np.ndarra
         yield from steps_view[:n]
 
 
+def _step_keys(seeds: Sequence[int], steps: int) -> np.ndarray:
+    """(steps, S) keys fold(seed, decision tag, step), one fold_array per seed."""
+    step_ids = np.arange(steps, dtype=np.uint64)
+    return np.stack([fold_array(fold(seed, TAG_DECISION), step_ids) for seed in seeds], axis=1)
+
+
+@lru_cache(maxsize=1)
+def _uniform_table(seeds: tuple[int, ...], size: int, chunks: int, steps: int) -> np.ndarray:
+    """The read-only (steps, C * K, S) decision uniforms of the last key that fit.
+
+    C and K are in the key, so a call under another CHUNK_SIZE never
+    reads a table laid out for the old width.
+    """
+    ids = _position_ids(size, chunks)
+    table = _fill_uniforms(np.empty((steps, len(ids), len(seeds))), _step_keys(seeds, steps), ids)
+    table.setflags(write=False)
+    return table
+
+
 def _decision_uniforms(seeds: Sequence[int], n_agents: int, steps: int) -> Iterable[np.ndarray]:
     """Each step's (P, S) decision uniforms, moved up one float, in step order.
 
     Positions are agent-major, as _position_ids lays them out for chunks
-    of C = _chunking(n_agents)[0].  Uniforms are
-    price-independent, so they are hashed ahead of the sequential price
-    loop, a block at a time, into one block buffer reused for the whole
-    call: every step yielded is a read-only view into that buffer and is
-    valid only until the next step is requested, which is how
-    simulate_batch consumes them.  A key (seeds, n_agents, C, steps) that
-    repeats on consecutive calls and fits _UNIFORM_TABLE_ELEMENTS is
-    instead hashed, slab by slab, into the rows of the read-only table of
-    _uniform_slot, which later calls with that key read.  The values are
-    the same on either path.
+    of C = _chunking(n_agents)[0].  A call whose uniforms fit
+    _UNIFORM_TABLE_ELEMENTS reads them from _uniform_table.  A larger one
+    empties that memo and hashes them ahead of the sequential price loop,
+    a block at a time, into one block buffer reused for the whole call:
+    every step yielded is a read-only view into that buffer and is valid
+    only until the next step is requested, which is how simulate_batch
+    consumes them.  The values are the same on either path.
     """
-    global _uniform_slot
     size, chunks = _chunking(n_agents)
-    # C is in the key, so a call under another CHUNK_SIZE never reads this table.
-    key = (tuple(seeds), n_agents, size, steps)
-    last_key, table = _uniform_slot
-    if key == last_key and table is not None:
-        return table
-    ids = _position_ids(size, chunks)
-    step_ids = np.arange(steps, dtype=np.uint64)
-    step_keys = np.stack([fold_array(fold(seed, TAG_DECISION), step_ids) for seed in seeds], axis=1)
-    if key != last_key or steps * len(seeds) * len(ids) > _UNIFORM_TABLE_ELEMENTS:
-        # First sighting or too large: no table, so a one-off call costs no memory.
-        _uniform_slot = (key, None)
-        return _uniform_steps(step_keys, ids)
-    table = _fill_uniforms(np.empty((steps, len(ids), len(seeds))), step_keys, ids)
-    table.setflags(write=False)
-    _uniform_slot = (key, table)
-    return table
+    if steps * len(seeds) * size * chunks <= _UNIFORM_TABLE_ELEMENTS:
+        return _uniform_table(tuple(seeds), size, chunks, steps)
+    _uniform_table.cache_clear()  # any other key empties the memo
+    return _uniform_steps(_step_keys(seeds, steps), _position_ids(size, chunks))
 
 
 def simulate_batch(

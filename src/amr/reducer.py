@@ -14,15 +14,17 @@ under the same sub-seeds, so their scores differ only by which types act.
 
 Each subset is simulated once per (config, parameters, target,
 replications), across greedy_reduce and the oracle: a one-slot memo,
-_score_slot, keeps every subset score under the last such key, and a
-call with any other key empties it.  A kernel row equals its solo run
-bit for bit and each row is scored on its own, so a remembered score
-equals a fresh one whatever masks shared its kernel call.
+_known_scores (an lru_cache of size 1), keeps every subset score under
+the last such key, and a call with any other key empties it.  A kernel
+row equals its solo run bit for bit and each row is scored on its own,
+so a remembered score equals a fresh one whatever masks shared its
+kernel call.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import sqrt
 from typing import Iterable, Sequence
@@ -33,7 +35,6 @@ from .market import simulate_pk  # noqa: F401  (perfbench/layers.py wraps reduce
 from .timeseries import TimeSeries
 from .timeseries import mape  # noqa: F401  (perfbench/layers.py wraps reducer.mape)
 
-MAX_EXHAUSTIVE_TYPES = 16
 DEFAULT_TOLERANCE = 0.005  # MAPE fraction, i.e. half a percentage point
 DEFAULT_REPLICATIONS = 10
 # Masks x seeds x agents per simulate_batch call: bounds the memory of a 16-type oracle.
@@ -121,10 +122,14 @@ def _score(samples: Sequence[float]) -> Score:
     return Score(mean, sqrt(var))
 
 
-# The key (config with the parameters applied, target, replications) of the
-# last subset scores and every score taken under it, by enabled mask.  At most
-# 2^n scores, like the ExhaustiveReport that an oracle call returns.
-_score_slot: tuple[tuple | None, dict[tuple[bool, ...], Score]] = (None, {})
+@lru_cache(maxsize=1)
+def _known_scores(cfg: MarketConfig, target: TimeSeries, replications: int) -> dict[tuple[bool, ...], Score]:
+    """Every subset score taken under this key, by enabled mask; a new key starts an empty dict.
+
+    cfg is the config with the parameters applied.  The dict holds at most
+    2^n scores, like the ExhaustiveReport that an oracle call returns.
+    """
+    return {}
 
 
 def _subset_scores(
@@ -136,17 +141,13 @@ def _subset_scores(
 ) -> list[Score]:
     """Score of each subset, in order, from its replication_mapes row.
 
-    Only the distinct subsets that _score_slot does not hold under this
+    Only the distinct subsets that _known_scores does not hold under this
     key are simulated, in as few calls as MAX_BATCH_ELEMENTS allows.
     """
-    global _score_slot
     cfg = params.apply(config)
     member_sets = [ModelSet.of(cfg, members) for members in subsets]
     masks = [tuple(n in members for n in cfg.type_names) for members in member_sets]
-    key = (cfg, target, replications)
-    if _score_slot[0] != key:
-        _score_slot = (key, {})
-    known = _score_slot[1]
+    known = _known_scores(cfg, target, replications)
     todo = [mask for mask in dict.fromkeys(masks) if mask not in known]
     # At least one mask per call; replication_mapes rejects replications < 1.
     per_call = max(1, MAX_BATCH_ELEMENTS // (max(replications, 1) * sum(t.count for t in cfg.types)))
@@ -225,7 +226,7 @@ def greedy_reduce(
         return evaluate_subset(members, p, config, target, replications)
 
     # Full set, baseline and singletons run as one batch.  The ranking reads
-    # the slot before any retraining changes its key; without retraining, so
+    # the memo before any retraining changes its key; without retraining, so
     # do the cumulative scores of the full set and the first pick.
     names = config.type_names
     subsets = [names, (), *((n,) for n in names)]
@@ -278,13 +279,8 @@ def exhaustive_reduce(
     replications: int = DEFAULT_REPLICATIONS,
     workers: int = 1,
 ) -> ExhaustiveReport:
-    """Score all 2^n - 1 non-empty subsets (n <= 16 guard)."""
+    """Score all 2^n - 1 non-empty subsets; n <= market.MAX_TYPES (16), which MarketConfig enforces."""
     names = config.type_names
-    if len(names) > MAX_EXHAUSTIVE_TYPES:
-        raise ValueError(
-            f"exhaustive search over {len(names)} types would evaluate "
-            f"2^{len(names)} - 1 subsets; limit is {MAX_EXHAUSTIVE_TYPES}"
-        )
     subsets = [combo for size in range(1, len(names) + 1) for combo in combinations(names, size)]
     scores = _subset_scores(subsets, params, config, target, replications)
 

@@ -86,11 +86,6 @@ def _mix64_inplace(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarr
     return x
 
 
-def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 over a uint64 array (wrapping arithmetic)."""
-    return _mix64_inplace(np.array(x, dtype=np.uint64))
-
-
 def fold_array(key: int, parts: np.ndarray) -> np.ndarray:
     """fold(key, p) for every p in `parts` (uint64 array), vectorized."""
     base = np.uint64((key + _GAMMA) & MASK64)

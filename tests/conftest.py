@@ -2,16 +2,17 @@ from __future__ import annotations
 
 import pytest
 
-from amr import reducer
+from amr import market, reducer
 from amr.learner import ParameterVector
 from amr.presets import balanced_config, bank_dominated_config, synthetic_target
 from amr.rng import substream
 
 
 @pytest.fixture(autouse=True)
-def empty_score_slot(monkeypatch):
-    """Each test starts with no subset scores remembered from an earlier one."""
-    monkeypatch.setattr(reducer, "_score_slot", (None, {}))
+def empty_memos():
+    """Each test starts with no subset scores and no uniform table remembered from an earlier one."""
+    reducer._known_scores.cache_clear()
+    market._uniform_table.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -159,7 +159,7 @@ def test_criterion_6_determinism_under_parallelism(tmp_path, monkeypatch):
         (tmp_path / "experiment.json").write_text(json.dumps(spec))
         outputs = {}
         for w in (1, 2, 8):
-            monkeypatch.setattr(reducer, "_score_slot", (None, {}))  # simulate again, not from the slot
+            reducer._known_scores.cache_clear()  # simulate again, not from the memo
             out = tmp_path / f"out{w}"
             code = main(["experiment", "--spec", str(tmp_path / "experiment.json"),
                          "--out", str(out), "--workers", str(w)])

@@ -50,8 +50,10 @@ def test_rows_equal_single_runs(monkeypatch, subsets, seeds, chunk_width):
 
 
 def test_uniform_blocks_span_several_steps_and_seeds(monkeypatch):
-    # Tiny blocks force a refill on every step, each shared by all masks.
+    # Tiny blocks force a refill on every step, each shared by all masks;
+    # a cap of 0 streams the uniforms instead of tabling them.
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 3 * 500)
+    monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", 0)
     prices, _ = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON)
     monkeypatch.undo()
     for m, subset in enumerate(SUBSETS):
@@ -89,7 +91,7 @@ def test_slab_ends_match_scalar_fold(monkeypatch, block_elements, seeds, n_agent
 
 
 def test_yielded_steps_are_read_only_views_of_one_buffer(monkeypatch):
-    monkeypatch.setattr(market_module, "_uniform_slot", (None, None))
+    monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", 0)  # stream, do not table
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 1000)
     steps = list(market_module._decision_uniforms(SEEDS, 500, 6))  # six 1-step blocks
     assert len(steps) == 6
@@ -106,14 +108,15 @@ def test_yielded_steps_are_read_only_views_of_one_buffer(monkeypatch):
 def test_slabbed_steps_equal_unpatched_runs(monkeypatch, block_elements):
     # With 3 seeds a slab of 128 or 1000 values splits every 500-agent step into
     # slabs of 42 or 333 positions.  The batches run in one 500-agent chunk,
-    # the single run and the chained steps in chunks of 64.
+    # the single run and the chained steps in chunks of 64.  Every run streams
+    # its uniforms (cap 0), so the patched batch reads no table.
+    monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", 0)
     config = bank_dominated_config(master_seed=5)
     population = init_population(config)
     batch = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON)
     with monkeypatch.context() as m:
         m.setattr(market_module, "CHUNK_SIZE", 64)
         run = simulate_pk(config, 100.0, HORIZON, DATES)
-    monkeypatch.setattr(market_module, "_uniform_slot", (None, None))
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", block_elements)
     patched = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON)
     assert patched[0].tobytes() == batch[0].tobytes()
@@ -160,38 +163,48 @@ def test_exhaustive_over_several_kernel_calls_equals_single_subsets(monkeypatch)
 
 
 def test_uniform_table_matches_fresh_generation(monkeypatch):
-    monkeypatch.setattr(market_module, "_uniform_slot", (None, None))
+    memo = market_module._uniform_table
     calls = [  # A, A, A, B (same seeds, other horizon), C (other seeds), A
         (SEEDS, HORIZON), (SEEDS, HORIZON), (SEEDS, HORIZON),
         (SEEDS, 60), ([21, 22], HORIZON), (SEEDS, HORIZON),
     ]
-    cached, tables = [], []
+    cached, builds, tables = [], [], []
     for seeds, horizon in calls:
         cached.append(simulate_batch(BASE, seeds, MASKS, 100.0, horizon))
-        key, table = market_module._uniform_slot
-        assert key == (tuple(seeds), 500, 500, horizon - 1)
-        tables.append(table)
-    # The second A builds the table, the third reads it; B, C and the last A are first sightings.
-    assert [t is not None for t in tables] == [False, True, True, False, False, False]
-    assert tables[2] is tables[1] and tables[1].shape == (HORIZON - 1, 500, len(SEEDS))
+        builds.append(memo.cache_info().misses)
+        assert memo.cache_info().currsize == 1
+        tables.append(memo(tuple(seeds), 500, 1, horizon - 1))  # the table that call read
+    # Every key is tabled on first sight: the first A builds the table and the
+    # next two read it; B and C replace it, so the last A builds it again.
+    assert builds == [1, 1, 1, 2, 3, 4]
+    assert tables[0] is tables[1] is tables[2] and tables[5] is not tables[0]
+    assert tables[0].shape == (HORIZON - 1, 500, len(SEEDS))
+    assert tables[5].tobytes() == tables[0].tobytes()
     with pytest.raises(ValueError, match="read-only"):
-        tables[1][0, 0, 0] = 0.5
+        tables[0][0, 0, 0] = 0.5
 
     monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", 0)
     for (seeds, horizon), (prices, demands) in zip(calls, cached):
         fresh_prices, fresh_demands = simulate_batch(BASE, seeds, MASKS, 100.0, horizon)
         assert prices.tobytes() == fresh_prices.tobytes()
         assert demands.tobytes() == fresh_demands.tobytes()
-        assert market_module._uniform_slot[1] is None  # over the cap: nothing is stored
+        assert memo.cache_info().currsize == 0  # over the cap: the memo is emptied, nothing stored
 
 
-def test_anneal_repeats_in_one_process(monkeypatch):
-    monkeypatch.setattr(market_module, "_uniform_slot", (None, None))
+def test_table_cap_holds_a_390_day_energy():
+    # 3 seeds x 500 agents x 389 steps = 583,500 uniforms fit the table; 10 seeds do not.
+    simulate_batch(BASE, SEEDS, MASKS[:1], 100.0, 390)
+    assert market_module._uniform_table.cache_info().currsize == 1
+    simulate_batch(BASE, list(range(10)), MASKS[:1], 100.0, 390)
+    assert market_module._uniform_table.cache_info().currsize == 0
+
+
+def test_anneal_repeats_in_one_process():
     config = bank_dominated_config()
     target = synthetic_target(config, seed=5, n_days=60)
     schedule = AnnealingSchedule(total_evaluations=12, proposals_per_epoch=4)
     first = anneal(target, config, schedule, seed=3)
-    assert market_module._uniform_slot[1] is not None
+    assert market_module._uniform_table.cache_info().currsize == 1
     second = anneal(target, config, schedule, seed=3)
     assert first.energy_trace == second.energy_trace
     assert first.best_params.values.tobytes() == second.best_params.values.tobytes()

@@ -246,6 +246,28 @@ class TestReduce:
         assert code == 2
         assert "nofit.json" in capsys.readouterr().err
 
+    def test_unwritable_out_dir_exits_2_before_reducing(self, workspace, capsys, monkeypatch):
+        # Root ignores mode bits, so the directory is made unwritable by denying os.access.
+        def no_reduce(*args, **kwargs):
+            raise AssertionError("reduced before checking --out")
+
+        run_train(workspace)
+        monkeypatch.setattr("amr.reducer.greedy_reduce", no_reduce)
+        monkeypatch.setattr("amr.cli.os.access", lambda path, mode: False)
+        out_dir = workspace["dir"] / "red"
+        code = main(
+            ["reduce",
+             "--data", str(workspace["dir"] / "target.csv"),
+             "--split", workspace["split"],
+             "--config", str(workspace["dir"] / "config.json"),
+             "--params", str(workspace["dir"] / "fit.json"),
+             "--exhaustive",
+             "--out", str(out_dir)]
+        )
+        assert code == 2
+        assert "--out" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
 
 class TestPlotdata:
     def test_merges_columns(self, workspace):

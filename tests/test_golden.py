@@ -75,10 +75,18 @@ def _json_digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(SIMULATIONS))
-def test_simulation_digest(monkeypatch, name):
+# Uniform-table cap by path: the default tables every pinned run, 0 streams it.
+TABLE_CAPS = {"table": market_module._UNIFORM_TABLE_ELEMENTS, "stream": 0}
+
+
+@pytest.mark.parametrize("name, table_cap", [
+    pytest.param(name, cap, id=name if path == "table" else f"{name}-{path}")
+    for path, cap in TABLE_CAPS.items() for name in sorted(SIMULATIONS)
+])
+def test_simulation_digest(monkeypatch, name, table_cap):
     make_config, horizon, chunk_width = SIMULATIONS[name]
     monkeypatch.setattr(market_module, "CHUNK_SIZE", chunk_width)
+    monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", table_cap)
     run = simulate_pk(make_config(), 100.0, horizon, weekdays(date(2009, 1, 2), horizon))
     assert _run_digest(run) == SIMULATION_DIGESTS[name]
 
@@ -111,7 +119,9 @@ def test_exhaustive_reduce_digest(reduction_inputs):
 GRID_DIGEST = "5e8d9804bdcd57e47bdfc94d057e06b8df97b80c1956c9690cb9b9ace146202b"
 
 
-def test_mask_grid_digest(monkeypatch):
+@pytest.mark.parametrize("table_cap", list(TABLE_CAPS.values()), ids=list(TABLE_CAPS))
+def test_mask_grid_digest(monkeypatch, table_cap):
+    monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", table_cap)
     dates = weekdays(date(2009, 1, 2), 120)
     digest = hashlib.sha256()
     for config in (bank_dominated_config(11), balanced_config(3)):

@@ -45,7 +45,7 @@ class TestInvestorType:
         assert {t.name: t.total_assets for t in cfg_a.types} == {
             "Individual": 15.0, "Funds": 10000.0, "Banks": 245000.0, "Govt": 50000.0
         }
-        assert cfg_b.type_named("Govt").total_assets == 500000.0
+        assert {t.name: t.total_assets for t in cfg_b.types}["Govt"] == 500000.0
 
     @pytest.mark.parametrize(
         "field,value",

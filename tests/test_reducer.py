@@ -186,16 +186,9 @@ class TestExhaustive:
         for k, (_, score) in enumerate(report.selection_trace, start=1):
             assert oracle.best_by_size[k][1].mean <= score.mean + 1e-15
 
-    def test_too_many_types_guarded(self, cfg_a, params_a, short_a, monkeypatch):
-        import amr.reducer as reducer_module
-
-        monkeypatch.setattr(reducer_module, "MAX_EXHAUSTIVE_TYPES", 3)
-        with pytest.raises(ValueError, match="limit"):
-            exhaustive_reduce(cfg_a, params_a, short_a, replications=1)
-
-    def test_worker_count_is_invisible(self, cfg_a, params_a, short_a, monkeypatch):
+    def test_worker_count_is_invisible(self, cfg_a, params_a, short_a):
         serial = exhaustive_reduce(cfg_a, params_a, short_a, replications=2, workers=1)
-        monkeypatch.setattr(reducer, "_score_slot", (None, {}))  # simulate again, not from the slot
+        reducer._known_scores.cache_clear()  # simulate again, not from the memo
         threaded = exhaustive_reduce(cfg_a, params_a, short_a, replications=2, workers=4)
         assert serial == threaded
 
@@ -214,26 +207,22 @@ def simulated_masks(monkeypatch):
     return seen
 
 
-def _empty_slot(monkeypatch):
-    monkeypatch.setattr(reducer, "_score_slot", (None, {}))
-
-
 class TestScoreSlot:
     @pytest.mark.parametrize("preset", ["a", "b"])
-    def test_greedy_then_oracle_equals_fresh_runs(self, request, monkeypatch, preset):
+    def test_greedy_then_oracle_equals_fresh_runs(self, request, preset):
         cfg, params, target = (request.getfixturevalue(f"{n}_{preset}") for n in ("cfg", "params", "short"))
         greedy = greedy_reduce(cfg, params, target, replications=REPS)
         oracle = exhaustive_reduce(cfg, params, target, replications=REPS)
-        _empty_slot(monkeypatch)
+        reducer._known_scores.cache_clear()
         fresh_greedy = greedy_reduce(cfg, params, target, replications=REPS)
-        _empty_slot(monkeypatch)
+        reducer._known_scores.cache_clear()
         fresh_oracle = exhaustive_reduce(cfg, params, target, replications=REPS)
         assert json.dumps(greedy.to_dict()) == json.dumps(fresh_greedy.to_dict())
         assert json.dumps(oracle.to_dict()) == json.dumps(fresh_oracle.to_dict())
         # A score does not depend on the masks that shared its kernel call:
         # every oracle row equals its subset simulated alone.
         for model_set, score in oracle.table:
-            _empty_slot(monkeypatch)
+            reducer._known_scores.cache_clear()
             assert evaluate_subset(model_set, params, cfg, target, replications=REPS) == score
 
     def test_oracle_after_greedy_simulates_only_new_masks(self, cfg_a, params_a, target_a, simulated_masks):
@@ -244,7 +233,7 @@ class TestScoreSlot:
         assert len(simulated_masks) == 6 + 10
         assert len(set(simulated_masks)) == 16  # no mask simulated twice
 
-    def test_any_other_key_recomputes(self, cfg_a, params_a, short_a, simulated_masks, monkeypatch):
+    def test_any_other_key_recomputes(self, cfg_a, params_a, short_a, simulated_masks):
         subsets = [("Banks",), ("Banks", "Govt"), cfg_a.type_names]
         impact_halved = params_a.values.copy()
         impact_halved[-1] /= 2
@@ -260,12 +249,12 @@ class TestScoreSlot:
             return [evaluate_subset(s, params, cfg, target, replications) for s in subsets]
 
         for name, variant in variants.items():
-            _empty_slot(monkeypatch)
+            reducer._known_scores.cache_clear()
             base = scores(cfg_a, params_a, short_a, REPS)
             before = len(simulated_masks)
             changed = scores(*variant)
             assert len(simulated_masks) - before == len(subsets), name
-            _empty_slot(monkeypatch)
+            reducer._known_scores.cache_clear()
             assert changed == scores(*variant) != base, name
 
     def test_one_type_config_simulates_its_full_set_once(self, simulated_masks):

@@ -11,7 +11,6 @@ from amr.rng import (
     fold_array,
     fold_matrix,
     mix64,
-    mix64_array,
     substream,
     u01,
     u01_array,
@@ -46,7 +45,7 @@ def test_mix64_matches_splitmix64_reference():
 @given(st.integers(min_value=0, max_value=MASK64))
 def test_vectorized_mix_matches_scalar(x):
     arr = np.array([x], dtype=np.uint64)
-    assert int(mix64_array(arr)[0]) == mix64(x)
+    assert int(_mix64_inplace(arr)[0]) == mix64(x)
 
 
 @given(
@@ -133,7 +132,6 @@ def test_vector_functions_leave_inputs_untouched():
     parts = np.arange(50, dtype=np.uint64)
     bits = fold_array(3, parts)
     before_parts, before_bits = parts.copy(), bits.copy()
-    mix64_array(parts)
     fold_array(5, parts)
     fold_matrix([1, 2], parts)
     u01_array(bits)
@@ -180,4 +178,4 @@ def test_u01_grid_rejects_a_strided_out():
 def test_mixer_scratch_gives_the_same_words():
     x = fold_array(11, np.arange(1000, dtype=np.uint64))
     scratch = np.empty_like(x)
-    assert np.array_equal(mix64_array(x), _mix64_inplace(x.copy(), scratch))
+    assert np.array_equal(_mix64_inplace(x.copy()), _mix64_inplace(x.copy(), scratch))

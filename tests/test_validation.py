@@ -275,6 +275,7 @@ def test_cli_fit_file_null_value_exits_2(simulate_args, tmp_path, capsys):
     ("schedule.initial_temperature", None), ("schedule.total_evaluations", "3"),
     ("schedule.replications", 1.0), ("tolerance", None), ("replications", None),
     ("replications", 2.7), ("seed", None), ("seed", "11"), ("exhaustive", "false"), ("exhaustive", 1),
+    ("split", None), ("split", 20090130),
 ])
 def test_cli_experiment_spec_fields_parse_strictly(reduce_args, tmp_path, capsys, field, value):
     spec = {"data": "target.csv", "split": reduce_args[4], "market_config": "config.json",
