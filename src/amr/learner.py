@@ -139,12 +139,20 @@ def replication_mapes(config: MarketConfig, masks: Sequence[Sequence[bool]], tar
 
     Run [m, r] simulates `config` with the types of masks[m] and master seed
     substream(config.master_seed, r) from the target's first value over its
-    length; all M * R runs share one simulate_batch call.
+    length; the runs of every mask that enables a type share one
+    simulate_batch call.  A mask that enables none is not simulated: its
+    agents all weigh 0, so each step's price is (+-0 * impact + 1) * price
+    = price, and its runs are filled with the target's first value, the
+    very prices the kernel would return.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     seeds = [substream(config.master_seed, r) for r in range(replications)]
-    prices, _ = market.simulate_batch(config, seeds, masks, target.values[0], len(target))
+    prices = np.full((len(masks), replications, len(target)), target.values[0])
+    live = [m for m, mask in enumerate(masks) if any(mask)]
+    if live:
+        prices[live], _ = market.simulate_batch(config, seeds, [masks[m] for m in live],
+                                                target.values[0], len(target))
     return mape_rows(target, prices)
 
 

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import date
 from functools import lru_cache
@@ -78,6 +79,9 @@ MAX_TYPES = 16
 # Agents per demand-summation chunk.  It fixes the order of every demand
 # sum, so changing it changes outputs; _chunking reads it at call time.
 CHUNK_SIZE = 4096
+
+# The sign bit of a float64, as the uint64 mask that _advance keeps of each difference.
+_SIGN_BIT = np.uint64(1 << 63)
 
 # Lanes (chunks x rows) from which a demand sum reduces the agent axis in
 # one call; narrower sums accumulate (see _row_sums).
@@ -373,29 +377,35 @@ def _advance(
     last_return: np.ndarray,
     optimism: np.ndarray,
     reactivity: np.ndarray,
-    weight: np.ndarray,
+    abs_weight_bits: np.ndarray,
     above: np.ndarray,
     price_impact: float,
     scratch: np.ndarray,
+    scratch_bits: np.ndarray,
     next_price: np.ndarray,
     demand: np.ndarray,
 ) -> None:
     """One day for every row: writes the rows' net demand and next price, both flat (M * S).
 
-    scratch, weight, optimism and reactivity are (C, K, M, S); above,
-    the decision uniforms moved up one float, is (C, K, 1, S);
-    last_return is an (M, S) view of the flat returns.
+    scratch, optimism and reactivity are (C, K, M, S); scratch_bits is
+    scratch's uint64 view and abs_weight_bits the uint64 bits of |weight|,
+    of the same shape; above, the decision uniforms moved up one float, is
+    (C, K, 1, S); last_return is an (M, S) view of the flat returns.
     """
     np.multiply(reactivity, last_return, out=scratch)
     scratch += optimism
     # The agent buys when u < x.  No clamp of x to [0, 1]: every uniform
     # lies in [0, 1 - 2**-53].  x - nextafter(u, +inf) >= 0 exactly when
-    # u < x, and is never -0.0, so copysign gives +weight or -weight bit
-    # for bit as (2 * [u < x] - 1) * weight did, for every x but NaN.  x
-    # is NaN only after the row's price overflowed to inf, and from then
-    # on the price stays inf whatever the votes.
+    # u < x, and is never -0.0, so |weight| with its sign bit gives +weight
+    # or -weight bit for bit as (2 * [u < x] - 1) * weight did, for every
+    # x but NaN.  x is NaN only after the row's price overflowed to inf,
+    # and from then on the price stays inf whatever the votes.  The two
+    # integer passes are copysign(weight, x - nextafter(u, +inf)), which
+    # IEEE 754 defines as exactly that, for every input; NumPy runs them
+    # with SIMD and its copysign without.
     scratch -= above
-    np.copysign(weight, scratch, out=scratch)
+    scratch_bits &= _SIGN_BIT
+    scratch_bits |= abs_weight_bits
     demand[:] = _row_sums(scratch.reshape(scratch.shape[0], scratch.shape[1], -1))
     np.multiply(demand, price_impact, out=next_price)
     next_price += 1.0
@@ -429,10 +439,11 @@ def step(
     optimism, reactivity, weight = (
         _place(a[None, None], size, chunks) for a in (population.optimism, population.reactivity, weight)
     )
+    scratch = np.empty_like(weight)
     next_price, demand = np.empty(1), np.empty(1)
-    _advance(np.array([price]), np.full((1, 1), last_return), optimism, reactivity, weight,
-             above.reshape(size, chunks, 1, 1), population.price_impact, np.empty_like(weight),
-             next_price, demand)
+    _advance(np.array([price]), np.full((1, 1), last_return), optimism, reactivity,
+             np.abs(weight, out=weight).view(np.uint64), above.reshape(size, chunks, 1, 1),
+             population.price_impact, scratch, scratch.view(np.uint64), next_price, demand)
     return float(next_price[0]), float(demand[0])
 
 
@@ -538,12 +549,15 @@ def simulate_batch(
     demands) of shapes (M, S, horizon) and (M, S, horizon - 1); cell
     [m, s] is bit for bit what simulate_pk produces for `config` with
     master seed seeds[s] and exactly the types flagged in enabled[m].
-    A run whose price overflows to inf stays at inf.
+    A run whose price overflows to inf stays at inf.  p0 must be a
+    normal float: positive, finite and at least sys.float_info.min.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if not 0 < p0 < math.inf:
-        raise ValueError(f"p0 must be positive and finite, got {p0}")
+    # A subnormal p0 keeps only a few mantissa bits, so its run would not
+    # scale with p0 as a normal one does.
+    if not sys.float_info.min <= p0 < math.inf:
+        raise ValueError(f"p0 must be positive, finite and normal (>= {sys.float_info.min!r}), got {p0!r}")
     if not len(seeds):
         raise ValueError("simulate_batch needs at least one seed")
     masks = np.array(enabled, dtype=bool)
@@ -569,7 +583,9 @@ def simulate_batch(
     demands = np.empty((horizon - 1, n_masks * n_seeds))
     returns = np.zeros(n_masks * n_seeds)
     last_return = returns.reshape(n_masks, n_seeds)  # a view of returns
+    abs_weight_bits = np.abs(weight, out=weight).view(np.uint64)
     scratch = np.empty_like(weight)
+    scratch_bits = scratch.view(np.uint64)
     # An overflowed price makes later returns inf or NaN; such a row stays
     # at inf and the caller judges it, so the arithmetic raises no warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -577,9 +593,9 @@ def simulate_batch(
             if t > 0:
                 np.subtract(prices[t], prices[t - 1], out=returns)
                 returns /= prices[t - 1]
-            _advance(prices[t], last_return, optimism, reactivity, weight,
+            _advance(prices[t], last_return, optimism, reactivity, abs_weight_bits,
                      above.reshape(size, chunks, 1, n_seeds), config.price_impact, scratch,
-                     prices[t + 1], demands[t])
+                     scratch_bits, prices[t + 1], demands[t])
     # Contiguous copies: a strided view would make mape_rows' mean over
     # days sum in another order than NumPy's pairwise sum of a
     # contiguous axis.

@@ -11,6 +11,9 @@ subset and serves as the validation oracle.
 Subsets are evaluated by toggling enabled flags only: parameters stay as
 trained on the full set, and learner.replication_mapes runs every subset
 under the same sub-seeds, so their scores differ only by which types act.
+The empty subset, greedy's constant baseline, is not simulated:
+replication_mapes fills its runs with the target's first value, the
+prices the kernel would return, so its score is the same bit for bit.
 
 Each subset is simulated once per (config, parameters, target,
 replications), across greedy_reduce and the oracle: a one-slot memo,
@@ -167,9 +170,10 @@ def evaluate_subset(
 ) -> Score:
     """MAPE of the market restricted to `subset`, over the target window.
 
-    Enables exactly the subset's types (the empty subset is the constant
-    baseline) and scores its replication_mapes runs.  Every subset uses
-    the same sub-seeds, making subset scores directly comparable.
+    Enables exactly the subset's types and scores its replication_mapes
+    runs; the empty subset is the constant baseline, whose runs are filled
+    with the target's first value rather than simulated.  Every subset
+    uses the same sub-seeds, making subset scores directly comparable.
     """
     members = subset.member_names if isinstance(subset, ModelSet) else tuple(subset)
     return _subset_scores([members], params, config, target, replications)[0]

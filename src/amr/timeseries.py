@@ -1,9 +1,10 @@
 """Dated price series: ingestion, train/test splitting, and the MAPE objective.
 
 A series is an ordered list of (calendar day, price) observations with
-strictly ascending dates and strictly positive, finite values.  Both
-are enforced at construction so MAPE (which divides by the target
-values) is total and finite everywhere else.
+strictly ascending dates and positive, finite, normal (not subnormal)
+values.  Both are enforced at construction so MAPE (which divides by the
+target values) is total and finite everywhere else, and any value can
+start a simulation.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import sys
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -20,7 +22,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Immutable (date, value) observations, ascending, positive and finite."""
+    """Immutable (date, value) observations, ascending, positive, finite and normal."""
 
     dates: tuple[date, ...]
     values: tuple[float, ...]
@@ -35,6 +37,8 @@ class TimeSeries:
         for i, v in enumerate(self.values):
             if not 0 < v < math.inf:
                 raise ValueError(f"non-positive or non-finite value {v!r} at position {i}")
+            if v < sys.float_info.min:
+                raise ValueError(f"subnormal value {v!r} at position {i} (below {sys.float_info.min!r})")
         for i in range(1, len(self.dates)):
             if self.dates[i] <= self.dates[i - 1]:
                 raise ValueError(
@@ -69,8 +73,8 @@ def load_csv(path: str | Path) -> TimeSeries:
 
     Rows may arrive unsorted; the result is sorted ascending by date.
     Raises FileNotFoundError for a missing file and ValueError (with the
-    offending line number) for malformed rows, non-positive or non-finite
-    values, or duplicate dates.
+    offending line number) for malformed rows, non-positive, subnormal or
+    non-finite values, or duplicate dates.
     """
     path = Path(path)
     if not path.exists():
@@ -96,6 +100,8 @@ def load_csv(path: str | Path) -> TimeSeries:
                 raise ValueError(f"{path}:{lineno}: bad value {raw_value!r}") from None
             if not 0 < v < math.inf:
                 raise ValueError(f"{path}:{lineno}: non-positive or non-finite value {raw_value}")
+            if v < sys.float_info.min:
+                raise ValueError(f"{path}:{lineno}: subnormal value {raw_value} (below {sys.float_info.min!r})")
             rows.append((d, v))
 
     if not rows:

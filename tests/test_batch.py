@@ -1,5 +1,6 @@
 """The batched kernel agrees with one-run-at-a-time simulation, bit for bit."""
 
+import hashlib
 import math
 from dataclasses import replace
 from datetime import date
@@ -12,9 +13,9 @@ import amr.reducer as reducer_module
 from amr.learner import AnnealingSchedule, ParameterVector, anneal, replication_mapes
 from amr.market import init_population, only_enabled, set_enabled, simulate_batch, simulate_pk, step
 from amr.presets import balanced_config, bank_dominated_config, synthetic_target, weekdays
-from amr.reducer import evaluate_subset, exhaustive_reduce
+from amr.reducer import evaluate_subset, exhaustive_reduce, greedy_reduce
 from amr.rng import TAG_DECISION, fold, substream, u01
-from amr.timeseries import mape
+from amr.timeseries import TimeSeries, mape
 
 HORIZON = 90
 DATES = weekdays(date(2009, 1, 2), HORIZON)
@@ -282,10 +283,86 @@ def test_copysign_vote_equals_less_vote():
     above = market_module._next_up(u.copy())
     assert above.tobytes() == np.nextafter(u, np.inf).tobytes()
     probes = [-np.inf, -1.0, -tiny, -0.0, 0.0, tiny, 0.25, 0.5, 1.0, 2.0, np.inf]
-    x = np.array(probes + list(u) + list(above) + list(np.nextafter(u, -np.inf)))
+    ordered = probes + list(u) + list(above) + list(np.nextafter(u, -np.inf))
+    x = np.array(ordered + [np.nan, -np.nan])  # NaN differences, either sign bit
     weight = np.array([0.0, 1e-300, 0.125, 3.0])
-    xs, us, ws = np.meshgrid(x, u, weight, indexing="ij")
-    _, aboves, _ = np.meshgrid(x, above, weight, indexing="ij")
-    old = (2.0 * np.less(us, xs) - 1.0) * ws
-    new = np.copysign(ws, xs - aboves)
-    assert new.tobytes() == old.tobytes()
+    odd_weight = [-0.0, -0.125, -3.0, np.nan, -np.nan]  # only a hand-built population has these
+    xs, us, ws = np.meshgrid(x, u, np.concatenate([weight, odd_weight]), indexing="ij")
+    _, aboves, _ = np.meshgrid(x, above, ws[0, 0], indexing="ij")
+    copysign = np.copysign(ws, xs - aboves)
+
+    # The kernel's votes, one lane per grid point: reactivity 0 and optimism x
+    # give x - above.  At >= _REDUCE_WIDTH lanes _row_sums leaves them in scratch.
+    lanes = (1, 1, 1, xs.size)
+    scratch = np.empty(lanes)
+    market_module._advance(np.ones(xs.size), np.zeros((1, xs.size)), xs.reshape(lanes), np.zeros(lanes),
+                           np.abs(ws).reshape(lanes).view(np.uint64), aboves.reshape(lanes), 0.01,
+                           scratch, scratch.view(np.uint64), np.empty(xs.size), np.empty(xs.size))
+    votes = scratch.reshape(xs.shape)
+    assert votes.tobytes() == copysign.tobytes()
+
+    less_grid = np.s_[: len(ordered), :, : len(weight)]  # no NaN difference, no sign on a weight
+    old = (2.0 * np.less(us[less_grid], xs[less_grid]) - 1.0) * ws[less_grid]
+    assert copysign[less_grid].tobytes() == old.tobytes()
+    assert votes[less_grid].tobytes() == old.tobytes()
+
+    # step() on a hand-built population, some of whose weights are negative.
+    population = market_module.AgentPopulation(
+        type_index=np.zeros(6, dtype=np.int64),
+        optimism=np.array([0.1, 0.9, 0.5, 0.3, 0.7, 0.5]),
+        reactivity=np.array([0.5, -0.5, 1.0, -1.0, 0.25, 0.0]),
+        trade_fraction=np.array([-0.5, 0.25, -1.0, 0.75, -0.125, 1.0]),
+        assets=np.array([2.0, 3.0, 1.0, 5.0, 7.0, 11.0]),
+        enabled=np.ones(6, dtype=bool),
+        normalization_assets=29.0,
+        price_impact=0.01,
+    )
+    price, last_return, step_index, seed = 100.0, 0.02, 7, 5
+    x = population.reactivity * last_return + population.optimism
+    uniforms = np.array([_expected_above(seed, step_index, agent) for agent in range(6)])
+    weight = population.trade_fraction * population.assets / population.normalization_assets
+    demand = _loop_row_sum(np.copysign(weight, x - uniforms).tolist(), 6)
+    assert demand != _loop_row_sum(weight.tolist(), 6)  # the votes do not all agree with the weights
+    next_price, stepped_demand = step(price, last_return, population, step_index, seed)
+    assert stepped_demand.hex() == demand.hex()
+    assert next_price.hex() == ((demand * population.price_impact + 1.0) * price).hex()
+
+
+def test_greedy_fills_the_baseline_instead_of_simulating_it(monkeypatch, cfg_a, params_a, target_a):
+    sent = []
+    original = market_module.simulate_batch
+
+    def counting(config, seeds, enabled, *args):
+        sent.append(len(enabled))
+        return original(config, seeds, enabled, *args)
+
+    monkeypatch.setattr(market_module, "simulate_batch", counting)
+    greedy_reduce(cfg_a, params_a, target_a, replications=3)
+    # The first call scores the full set, the baseline and the 4 singletons;
+    # the baseline, which enables no type, never reaches the kernel.
+    assert sent[0] == 5
+
+
+def test_all_off_mask_makes_no_kernel_call(monkeypatch):
+    target = synthetic_target(balanced_config(3), seed=19, n_days=60)
+
+    def refuse(*args):
+        raise AssertionError("an all-off mask reached simulate_batch")
+
+    monkeypatch.setattr(market_module, "simulate_batch", refuse)
+    mapes = replication_mapes(BASE, [[False] * len(BASE.types)], target, len(SEEDS))
+    constant = TimeSeries(target.dates, (target.values[0],) * len(target))
+    assert [float(m).hex() for m in mapes[0]] == [mape(target, constant).hex()] * len(SEEDS)
+
+
+# An anneal in which no type is enabled, pinned while every energy still ran the kernel.
+ALL_OFF_ANNEAL_ENERGY = "0x1.399282671dc89p-6"
+ALL_OFF_ANNEAL_BEST = "6d8e3d577a33a427d81b662ad219c32d00176458ca8cee8e89c64534b7442bf6"
+
+
+def test_anneal_with_every_type_disabled_keeps_its_pinned_trace():
+    config = only_enabled(bank_dominated_config(), ())
+    target = synthetic_target(bank_dominated_config(), seed=5, n_days=60)
+    fit = anneal(target, config, AnnealingSchedule(total_evaluations=12, proposals_per_epoch=4), seed=3)
+    assert [e.hex() for e in fit.energy_trace] == [ALL_OFF_ANNEAL_ENERGY] * 12
+    assert hashlib.sha256(fit.best_params.values.tobytes()).hexdigest() == ALL_OFF_ANNEAL_BEST

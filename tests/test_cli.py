@@ -183,6 +183,16 @@ class TestSimulate:
         assert out.read_bytes() == before
         assert not list(workspace["dir"].glob("*.tmp")) and not list(workspace["dir"].glob(".*"))
 
+    @pytest.mark.parametrize("p0", ["1e-310", "2.2250738585072014e-309"])
+    def test_subnormal_p0_exits_2(self, workspace, capsys, p0):
+        # A subnormal start keeps only a few mantissa bits: its run would not scale with p0.
+        out = workspace["dir"] / "tiny.csv"
+        code = main(["simulate", "--config", str(workspace["dir"] / "config.json"),
+                     "--p0", p0, "--horizon", "100", "--out", str(out)])
+        assert code == 2
+        assert "p0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_needs_horizon_or_dates(self, workspace, capsys):
         code = main(
             ["simulate", "--config", str(workspace["dir"] / "config.json"),

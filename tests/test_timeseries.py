@@ -37,6 +37,11 @@ class TestInvariants:
         with pytest.raises(ValueError, match="non-positive"):
             series([100.0, -5.0])
 
+    def test_subnormal_rejected_and_smallest_normal_kept(self):
+        with pytest.raises(ValueError, match="subnormal value 1e-310 at position 1"):
+            series([100.0, 1e-310])
+        assert series([100.0, 2.2250738585072014e-308]).values[1] == 2.2250738585072014e-308
+
     def test_unsorted_dates_rejected(self):
         with pytest.raises(ValueError, match="ascending"):
             TimeSeries((date(2008, 1, 4), date(2008, 1, 3)), (1.0, 2.0))
@@ -63,6 +68,12 @@ class TestLoadCsv:
         p = tmp_path / "t.csv"
         p.write_text("2008-01-03,0.0\n")
         with pytest.raises(ValueError, match="non-positive"):
+            load_csv(p)
+
+    def test_subnormal_value_rejected_naming_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("date,close\n2008-01-03,1.0\n2008-01-04,5e-324\n")
+        with pytest.raises(ValueError, match="t.csv:3: subnormal value 5e-324"):
             load_csv(p)
 
     def test_header_plus_252_rows(self, tmp_path):
