@@ -11,13 +11,12 @@ Swap in a real index CSV (date,close) to run against market data.
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
 from amr.market import save_config
 from amr.presets import balanced_config, bank_dominated_config, synthetic_target
 from amr.rng import substream
-from amr.timeseries import save_csv
+from amr.timeseries import save_csv, write_json
 
 
 def main() -> None:
@@ -50,7 +49,7 @@ def main() -> None:
         "seed": args.seed,
         "out_dir": "results",
     }
-    (out / "experiment.json").write_text(json.dumps(spec, indent=2) + "\n")
+    write_json(out / "experiment.json", spec)
 
     print(f"wrote {out}/config_bank_dominated.json, config_balanced.json, target.csv, experiment.json")
     print(f"next: amr experiment --spec {out}/experiment.json")

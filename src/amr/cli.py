@@ -11,7 +11,6 @@ Every output file is written whole or not at all (write_atomically).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields, replace
@@ -21,7 +20,8 @@ from pathlib import Path
 from . import learner, market, reducer
 from .learner import AnnealingSchedule, ParameterVector
 from .presets import weekdays
-from .timeseries import SplitSpec, TimeSeries, load_csv, mape, save_csv, split, write_atomically
+from .timeseries import (SplitSpec, TimeSeries, check_aligned, load_csv, mape, read_json, save_csv, split,
+                         write_atomically, write_json)
 
 
 def _check_workers(args: argparse.Namespace) -> None:
@@ -44,10 +44,6 @@ def _parse_date(text: str) -> date:
         raise ValueError(f"bad date {text!r} (want ISO-8601, e.g. 2008-12-31)") from None
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    write_atomically(path, json.dumps(payload, indent=2) + "\n")
-
-
 def _schedule_from_args(args: argparse.Namespace) -> AnnealingSchedule:
     flags = {"initial_temperature": args.initial_temp, "cooling_factor": args.cooling,
              "proposals_per_epoch": args.per_epoch, "total_evaluations": args.evaluations,
@@ -56,11 +52,17 @@ def _schedule_from_args(args: argparse.Namespace) -> AnnealingSchedule:
 
 
 def _load_params(path: str | Path, config: market.MarketConfig) -> ParameterVector:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"parameter file not found: {path}")
-    data = json.loads(path.read_text())
-    return learner.params_from_fit_dict(data, config.type_names)
+    return learner.params_from_fit_dict(read_json(path, "parameter file"), config.type_names)
+
+
+def _run_inputs(data: str | Path, boundary: str, config_path: str | Path,
+                seed: int | None) -> tuple[TimeSeries, TimeSeries, market.MarketConfig]:
+    """(train, test, config): the series split after `boundary`, the config under `seed` (None keeps its own)."""
+    train, test = split(load_csv(data), SplitSpec(_parse_date(boundary)))
+    config = market.load_config(config_path)
+    if seed is not None:
+        config = replace(config, master_seed=seed)
+    return train, test, config
 
 
 # -- subcommands ----------------------------------------------------------
@@ -74,15 +76,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise IsADirectoryError(f"--out is a directory, not a file: {out}")
     if not os.access(out.parent, os.W_OK):
         raise PermissionError(f"--out directory is not writable: {out.parent}")
-    series = load_csv(args.data)
-    train, _test = split(series, SplitSpec(_parse_date(args.split)))
-    config = market.load_config(args.config)
-    seed = args.seed if args.seed is not None else config.master_seed
-    config = replace(config, master_seed=seed)
+    train, _test, config = _run_inputs(args.data, args.split, args.config, args.seed)
     schedule = _schedule_from_args(args)
 
-    fit = learner.anneal(train, config, schedule, seed=seed)
-    _write_json(learner.fit_to_dict(fit), out)
+    fit = learner.anneal(train, config, schedule, seed=config.master_seed)
+    write_json(out, learner.fit_to_dict(fit))
     print(f"train MAPE: {100 * fit.best_energy:.2f}% ({fit.evaluations} evaluations) -> {args.out}")
     return 0
 
@@ -115,11 +113,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         raise ValueError(f"--tolerance must be >= 0, got {args.tolerance}")
     if args.replications < 1:
         raise ValueError(f"--replications must be >= 1, got {args.replications}")
-    series = load_csv(args.data)
-    train, test = split(series, SplitSpec(_parse_date(args.split)))
-    config = market.load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
+    train, test, config = _run_inputs(args.data, args.split, args.config, args.seed)
     params = _load_params(args.params, config)
 
     target = test
@@ -146,7 +140,7 @@ def _reduce_and_write(config: market.MarketConfig, params: ParameterVector, targ
         oracle = reducer.exhaustive_reduce(config, params, target, replications=replications)
         payload["exhaustive"] = oracle.to_dict()
         table += "\n\n" + _format_exhaustive(oracle, report)
-    _write_json(payload, out_dir / "reduction.json")
+    write_json(out_dir / "reduction.json", payload)
     write_atomically(out_dir / "reduction.txt", table + "\n")
     print(table)
 
@@ -170,11 +164,7 @@ def _format_exhaustive(oracle: reducer.ExhaustiveReport, report: reducer.Reducti
 def cmd_plotdata(args: argparse.Namespace) -> int:
     actual = load_csv(args.actual)
     predicted = load_csv(args.predicted)
-    if len(actual) != len(predicted):
-        raise ValueError(f"length mismatch: actual {len(actual)} vs predicted {len(predicted)} rows")
-    for i, (a, p) in enumerate(zip(actual.dates, predicted.dates)):
-        if a != p:
-            raise ValueError(f"date mismatch at row {i}: actual {a} vs predicted {p}")
+    check_aligned(actual, predicted)
     _write_plotdata(actual, predicted, Path(args.out))
     print(f"wrote {len(actual)} rows -> {args.out}")
     return 0
@@ -189,9 +179,7 @@ def _write_plotdata(actual: TimeSeries, predicted: TimeSeries, path: Path) -> No
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     spec_path = Path(args.spec)
-    if not spec_path.exists():
-        raise FileNotFoundError(f"experiment spec not found: {spec_path}")
-    spec = json.loads(spec_path.read_text())
+    spec = read_json(spec_path, "experiment spec")
     if not isinstance(spec, dict) or not isinstance(spec.get("schedule", {}), dict):
         raise ValueError("experiment spec and its schedule must be JSON objects")
     market._known_keys(spec, ("data", "split", "market_config", "schedule", "tolerance", "replications",
@@ -213,17 +201,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else _resolve("out_dir", "experiment-out")
 
     # Every field is checked before out_dir is created or the anneal starts.
-    series = load_csv(data_path)
-    boundary = spec["split"]
-    if not isinstance(boundary, str):
-        raise ValueError(f"experiment spec split must be an ISO date string, got {boundary!r}")
-    train, test = split(series, SplitSpec(_parse_date(boundary)))
     def _field(key: str, parse, default):
         return parse(spec.get(key, default), f"experiment spec {key}")
 
-    config = market.load_config(config_path)
-    seed = _field("seed", market._integer, config.master_seed)
-    config = replace(config, master_seed=seed)
+    boundary = spec["split"]
+    if not isinstance(boundary, str):
+        raise ValueError(f"experiment spec split must be an ISO date string, got {boundary!r}")
+    seed = market._integer(spec["seed"], "experiment spec seed") if "seed" in spec else None
+    train, test, config = _run_inputs(data_path, boundary, config_path, seed)
 
     overrides = spec.get("schedule", {})
     parsers = {f.name: market._integer if isinstance(f.default, int) else market._number
@@ -239,16 +224,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     replications = _field("replications", market._integer, reducer.DEFAULT_REPLICATIONS)
     if replications < 1:
         raise ValueError(f"experiment spec replications must be >= 1, got {replications}")
-    exhaustive = spec.get("exhaustive", False)
-    if not isinstance(exhaustive, bool):
-        raise ValueError(f"experiment spec exhaustive must be true or false, got {exhaustive!r}")
+    exhaustive = _field("exhaustive", market._boolean, False)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
         raise PermissionError(f"out_dir is not writable: {out_dir}")
 
     # train
-    fit = learner.anneal(train, config, schedule, seed=seed)
-    _write_json(learner.fit_to_dict(fit), out_dir / "fit.json")
+    fit = learner.anneal(train, config, schedule, seed=config.master_seed)
+    write_json(out_dir / "fit.json", learner.fit_to_dict(fit))
     print(f"train MAPE: {100 * fit.best_energy:.2f}%")
 
     # simulate the full model over the test window
@@ -256,7 +239,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     run = market.simulate_pk(fitted, p0=test.values[0], horizon=len(test), dates=test.dates)
     save_csv(run.predicted, out_dir / "prediction.csv")
     test_full = mape(test, run.predicted)
-    print(f"test MAPE (full set, seed {seed}): {100 * test_full:.2f}%")
+    print(f"test MAPE (full set, seed {config.master_seed}): {100 * test_full:.2f}%")
 
     _reduce_and_write(
         config, fit.best_params, test, tolerance, replications, exhaustive or args.exhaustive, out_dir

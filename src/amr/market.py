@@ -49,10 +49,9 @@ function of its key, so the slab order changes no bit.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from datetime import date
 from functools import lru_cache
 from pathlib import Path
@@ -61,10 +60,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .rng import TAG_DECISION, TAG_JITTER, fold, fold_array, fold_matrix, u01_array, u01_grid
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, read_json, write_json
 
-OPTIMISM_BOUNDS = (0.0, 1.0)
-REACTIVITY_BOUNDS = (-1.0, 1.0)
 # trade_fraction and price_impact have tiny floors, not 0: configs below
 # them are rejected, and jitter and proposals clamp to them.
 TRADE_FRACTION_BOUNDS = (1e-6, 1.0)
@@ -72,7 +69,7 @@ PRICE_IMPACT_BOUNDS = (1e-6, 0.1)
 # Every investor type's learnable fields and their bounds, in the one order
 # shared by the jitter streams and the parameter vector (amr.learner).
 BEHAVIOR_FIELDS = ("optimism", "reactivity", "trade_fraction")
-BEHAVIOR_BOUNDS = (OPTIMISM_BOUNDS, REACTIVITY_BOUNDS, TRADE_FRACTION_BOUNDS)
+BEHAVIOR_BOUNDS = ((0.0, 1.0), (-1.0, 1.0), TRADE_FRACTION_BOUNDS)
 JITTER_MAX = 0.2
 MAX_TYPES = 16
 
@@ -96,14 +93,14 @@ _UNIFORM_TABLE_ELEMENTS = 1 << 20
 
 @dataclass(frozen=True)
 class InvestorType:
-    """Behavioral template from which a population of agents is built."""
+    """Behavioral template from which a population of agents is built; BEHAVIOR_FIELDS lie in BEHAVIOR_BOUNDS."""
 
     name: str
     assets_per_investor: float  # millions
     count: int
-    optimism: float  # baseline buy probability, in [0, 1]
-    reactivity: float  # sensitivity of buy probability to the last return, in [-1, 1]
-    trade_fraction: float  # share of assets placed per decision, in TRADE_FRACTION_BOUNDS
+    optimism: float  # baseline buy probability
+    reactivity: float  # sensitivity of buy probability to the last return
+    trade_fraction: float  # share of assets placed per decision
     enabled: bool = True
 
     def __post_init__(self):
@@ -113,13 +110,10 @@ class InvestorType:
             raise ValueError(f"{self.name}: assets_per_investor must be > 0 and finite")
         if not (isinstance(self.count, int) and self.count >= 1):
             raise ValueError(f"{self.name}: count must be an integer >= 1")
-        if not 0.0 <= self.optimism <= 1.0:
-            raise ValueError(f"{self.name}: optimism {self.optimism} outside [0, 1]")
-        if not -1.0 <= self.reactivity <= 1.0:
-            raise ValueError(f"{self.name}: reactivity {self.reactivity} outside [-1, 1]")
-        lo, hi = TRADE_FRACTION_BOUNDS
-        if not lo <= self.trade_fraction <= hi:
-            raise ValueError(f"{self.name}: trade_fraction {self.trade_fraction} outside [{lo}, {hi}]")
+        for field, (lo, hi) in zip(BEHAVIOR_FIELDS, BEHAVIOR_BOUNDS):
+            value = getattr(self, field)
+            if not lo <= value <= hi:
+                raise ValueError(f"{self.name}: {field} {value} outside [{lo}, {hi}]")
 
     @property
     def total_assets(self) -> float:
@@ -207,11 +201,29 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _boolean(value, field: str) -> bool:
+    """A JSON true or false; anything else (the string "false" included) raises naming `field`."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{field} must be true or false, got {value!r}")
+    return value
+
+
 def _known_keys(data: dict, known: Iterable[str], what: str) -> None:
     """Raise naming every key of `data` not in `known`: a misspelt key would silently take its default."""
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise ValueError(f"{what} has unknown key(s) {unknown}")
+
+
+def _parsed_fields(cls, data: dict, parsers: dict, prefix: str) -> dict:
+    """Each field of `cls` in `parsers`, parsed from `data`; one with a default may be absent (KeyError if not)."""
+    return {f.name: parsers[f.name](data[f.name], prefix + f.name) for f in fields(cls)
+            if f.name in parsers and (f.name in data or f.default is MISSING)}
+
+
+_TYPE_PARSERS = {"assets_per_investor": _number, "count": _integer,
+                 **{f: _number for f in BEHAVIOR_FIELDS}, "enabled": _boolean}
+_CONFIG_PARSERS = {"price_impact": _number, "jitter": _number, "master_seed": _integer}
 
 
 def _type_from_dict(t: dict, position: int) -> InvestorType:
@@ -221,16 +233,8 @@ def _type_from_dict(t: dict, position: int) -> InvestorType:
     if not isinstance(name, str) or not name:
         raise ValueError(f"market config types[{position}].name must be a non-empty string, got {name!r}")
     _known_keys(t, (f.name for f in fields(InvestorType)), f"investor type {name!r}")
-    enabled = t.get("enabled", True)
-    if not isinstance(enabled, bool):
-        raise ValueError(f"investor type {name!r}: enabled must be true or false, got {enabled!r}")
-    numbers = ("assets_per_investor", *BEHAVIOR_FIELDS)
-    return InvestorType(
-        name=name,
-        count=_integer(t["count"], f"investor type {name!r}: count"),
-        enabled=enabled,
-        **{f: _number(t[f], f"investor type {name!r}: {f}") for f in numbers},
-    )
+    return InvestorType(name=name, **_parsed_fields(InvestorType, t, _TYPE_PARSERS,
+                                                    f"investor type {name!r}: "))
 
 
 def config_from_dict(data: dict) -> MarketConfig:
@@ -242,23 +246,18 @@ def config_from_dict(data: dict) -> MarketConfig:
     try:
         return MarketConfig(
             types=tuple(_type_from_dict(t, i) for i, t in enumerate(data["types"])),
-            price_impact=_number(data["price_impact"], "market config price_impact"),
-            jitter=_number(data.get("jitter", 0.05), "market config jitter"),
-            master_seed=_integer(data.get("master_seed", 0), "market config master_seed"),
+            **_parsed_fields(MarketConfig, data, _CONFIG_PARSERS, "market config "),
         )
     except KeyError as missing:
         raise ValueError(f"market config missing field {missing}") from None
 
 
 def load_config(path: str | Path) -> MarketConfig:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"market config not found: {path}")
-    return config_from_dict(json.loads(path.read_text()))
+    return config_from_dict(read_json(path, "market config"))
 
 
 def save_config(config: MarketConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2) + "\n")
+    write_json(path, config_to_dict(config))
 
 
 # -- population ---------------------------------------------------------
@@ -412,6 +411,13 @@ def _advance(
     next_price *= price
 
 
+def _check_normal(price: float, name: str) -> None:
+    """Raise unless `price` is normal: a subnormal one keeps too few mantissa bits for a run to scale with it."""
+    if not sys.float_info.min <= price < math.inf:
+        raise ValueError(f"{name} must be positive, finite and normal (>= {sys.float_info.min!r}), "
+                         f"got {price!r}")
+
+
 def step(
     price: float,
     last_return: float,
@@ -428,8 +434,7 @@ def step(
     The draw exists for every agent, enabled or not, so toggling types
     never shifts anyone else's stream.
     """
-    if not 0 < price < math.inf:
-        raise ValueError(f"price must be positive and finite, got {price}")
+    _check_normal(price, "price")
     size, chunks = _chunking(len(population))
     ids = _position_ids(size, chunks)
     step_keys = np.array([[fold(master_seed, TAG_DECISION, step_index)]], dtype=np.uint64)
@@ -554,10 +559,7 @@ def simulate_batch(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    # A subnormal p0 keeps only a few mantissa bits, so its run would not
-    # scale with p0 as a normal one does.
-    if not sys.float_info.min <= p0 < math.inf:
-        raise ValueError(f"p0 must be positive, finite and normal (>= {sys.float_info.min!r}), got {p0!r}")
+    _check_normal(p0, "p0")
     if not len(seeds):
         raise ValueError("simulate_batch needs at least one seed")
     masks = np.array(enabled, dtype=bool)
@@ -625,19 +627,21 @@ def simulate_pk(
     with the return of the simulation's own previous move (0 for the
     first step, which has no history).  The run is a pure function of
     (config, p0, horizon); `workers` is accepted for compatibility and
-    changes nothing.  A price that overflows to inf raises ValueError
-    naming p0 and the first date that overflowed.
+    changes nothing.  A price that is not a normal float (inf, or below
+    sys.float_info.min) raises ValueError naming p0, it and, last, its date.
     """
     if len(dates) != horizon:
         raise ValueError(f"got {len(dates)} dates for horizon {horizon}")
     mask = [t.enabled for t in config.types]
     prices, demands = simulate_batch(config, [config.master_seed], [mask], p0, horizon)
-    overflowed = np.flatnonzero(np.isinf(prices[0, 0]))
-    if overflowed.size:
-        raise ValueError(f"p0 {p0!r} is too large: the simulated price overflows to inf on "
-                         f"{dates[overflowed[0]]}")
+    predicted = prices[0, 0]
+    abnormal = np.flatnonzero(~((predicted >= sys.float_info.min) & (predicted < math.inf)))
+    if abnormal.size:
+        first = float(predicted[abnormal[0]])
+        raise ValueError(f"p0 {p0!r} is too {'large' if first == math.inf else 'small'}: the simulated "
+                         f"price reaches {first!r}, not a normal float, on {dates[abnormal[0]]}")
     return SimulationRun(
-        predicted=TimeSeries(tuple(dates), tuple(prices[0, 0].tolist())),
+        predicted=TimeSeries(tuple(dates), tuple(predicted.tolist())),
         demands=tuple(demands[0, 0].tolist()),
         seed_used=config.master_seed,
     )

@@ -23,11 +23,8 @@ from datetime import date, timedelta
 from .market import InvestorType, MarketConfig, simulate_pk
 from .timeseries import TimeSeries
 
-DEFAULT_PRICE_IMPACT = 0.01
-DEFAULT_JITTER = 0.05
 
-
-def bank_dominated_config(master_seed: int = 2008, jitter: float = DEFAULT_JITTER) -> MarketConfig:
+def bank_dominated_config(master_seed: int = 2008) -> MarketConfig:
     """Four investor types; Banks hold ~80% of total assets."""
     return MarketConfig(
         types=(
@@ -36,31 +33,22 @@ def bank_dominated_config(master_seed: int = 2008, jitter: float = DEFAULT_JITTE
             InvestorType("Banks", 1000.0, 245, optimism=0.55, reactivity=0.30, trade_fraction=0.80),
             InvestorType("Govt", 10000.0, 5, optimism=0.50, reactivity=0.00, trade_fraction=0.30),
         ),
-        price_impact=DEFAULT_PRICE_IMPACT,
-        jitter=jitter,
+        price_impact=0.01,
         master_seed=master_seed,
     )
 
 
-def balanced_config(master_seed: int = 2009, jitter: float = DEFAULT_JITTER) -> MarketConfig:
-    """Same market with Govt assets raised tenfold: two comparable heavyweights.
+def balanced_config(master_seed: int = 2009) -> MarketConfig:
+    """The bank-dominated market with Govt assets raised tenfold: two comparable heavyweights.
 
     Govt agents are few and near-deterministic buyers of a small asset
     slice; Banks are many probabilistic trend followers.  Each carries
     about half of the aggregate demand signal, so neither model alone
     reproduces the target.
     """
-    return MarketConfig(
-        types=(
-            InvestorType("Individual", 0.1, 150, optimism=0.50, reactivity=0.10, trade_fraction=0.50),
-            InvestorType("Funds", 100.0, 100, optimism=0.50, reactivity=0.80, trade_fraction=0.40),
-            InvestorType("Banks", 1000.0, 245, optimism=0.55, reactivity=0.30, trade_fraction=0.80),
-            InvestorType("Govt", 100000.0, 5, optimism=0.95, reactivity=0.00, trade_fraction=0.06),
-        ),
-        price_impact=DEFAULT_PRICE_IMPACT,
-        jitter=jitter,
-        master_seed=master_seed,
-    )
+    config = bank_dominated_config(master_seed)
+    govt = replace(config.types[-1], assets_per_investor=100000.0, optimism=0.95, trade_fraction=0.06)
+    return replace(config, types=config.types[:-1] + (govt,))
 
 
 def weekdays(start: date, n: int) -> tuple[date, ...]:

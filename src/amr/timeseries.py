@@ -1,15 +1,19 @@
-"""Dated price series: ingestion, train/test splitting, and the MAPE objective.
+"""Dated price series, train/test splitting, the MAPE objective, and file I/O.
 
 A series is an ordered list of (calendar day, price) observations with
 strictly ascending dates and positive, finite, normal (not subnormal)
 values.  Both are enforced at construction so MAPE (which divides by the
 target values) is total and finite everywhere else, and any value can
 start a simulation.
+
+The module owns the package's file I/O: series CSVs, JSON files, and
+the atomic write every output goes through (write_atomically).
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 import sys
@@ -138,6 +142,22 @@ def write_atomically(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)  # gone already once renamed
 
 
+def read_json(path: str | Path, what: str):
+    """The JSON value in `path`; `what` (the file's role) and `path` are named in every error."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"{what} not found: {path}")
+    try:
+        return json.loads(path.read_text())
+    except ValueError as err:  # JSONDecodeError, or bytes that are not text
+        raise ValueError(f"{what} {path} is not valid JSON: {err}") from None
+
+
+def write_json(path: str | Path, payload) -> None:
+    """Write `payload` as indented JSON plus a final newline (see write_atomically)."""
+    write_atomically(Path(path), json.dumps(payload, indent=2) + "\n")
+
+
 def split(ts: TimeSeries, spec: SplitSpec) -> tuple[TimeSeries, TimeSeries]:
     """Partition into (train, test): train holds dates <= boundary.
 
@@ -158,15 +178,19 @@ def mape(actual: TimeSeries, predicted: TimeSeries) -> float:
     """Mean absolute percentage error of `predicted` against `actual`.
 
     (1/N) * sum(|actual_i - predicted_i| / actual_i), as a fraction.
-    The two series must cover exactly the same dates.
+    The two series must cover exactly the same dates (see check_aligned).
     """
+    check_aligned(actual, predicted)
+    return float(mape_rows(actual, predicted.values_array()))
+
+
+def check_aligned(actual: TimeSeries, predicted: TimeSeries) -> None:
+    """Raise unless the two series cover exactly the same dates, naming the first difference."""
     if len(actual) != len(predicted):
         raise ValueError(f"length mismatch: actual {len(actual)} vs predicted {len(predicted)}")
-    if actual.dates != predicted.dates:
-        for i, (a, p) in enumerate(zip(actual.dates, predicted.dates)):
-            if a != p:
-                raise ValueError(f"date mismatch at row {i}: actual {a} vs predicted {p}")
-    return float(mape_rows(actual, predicted.values_array()))
+    for i, (a, p) in enumerate(zip(actual.dates, predicted.dates)):
+        if a != p:
+            raise ValueError(f"date mismatch at row {i}: actual {a} vs predicted {p}")
 
 
 def mape_rows(actual: TimeSeries, predicted: np.ndarray) -> np.ndarray:

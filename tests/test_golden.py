@@ -152,6 +152,22 @@ def test_saved_config_digest(tmp_path, name, make_config):
     assert hashlib.sha256((tmp_path / "config.json").read_bytes()).hexdigest() == CONFIG_DIGESTS[name]
 
 
+# The same bytes at master seed 7, the demo workspace's seed, rather than each preset's default.
+SEED_7_CONFIG_DIGESTS = {
+    "bank_dominated": "4a47e124a0739f0b050061a76b915ff210eca0adc98ecf927c9bf6c02f7ebd90",
+    "balanced": "52576f43b7f165cf649295556ed49d0e6fb58b3a65cdad33493ae691ceacc9e7",
+}
+
+
+@pytest.mark.parametrize("name, make_config", [
+    ("bank_dominated", bank_dominated_config),
+    ("balanced", balanced_config),
+])
+def test_saved_config_digest_at_seed_7(tmp_path, name, make_config):
+    save_config(make_config(7), tmp_path / "config.json")
+    assert hashlib.sha256((tmp_path / "config.json").read_bytes()).hexdigest() == SEED_7_CONFIG_DIGESTS[name]
+
+
 # sha256 of every file each command writes, on the `cli_workspace` inputs.
 CLI_DIGESTS = {
     "experiment": {

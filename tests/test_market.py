@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 from datetime import date
 
@@ -187,12 +188,33 @@ class TestStep:
         with pytest.raises(ValueError):
             step(0.0, 0.0, pop, 0, cfg_a.master_seed)
 
+    def test_rejects_subnormal_price_as_simulate_pk_rejects_p0(self, cfg_a):
+        pop = init_population(cfg_a)
+        with pytest.raises(ValueError, match="price must be positive, finite and normal"):
+            step(1e-310, 0.0, pop, 0, cfg_a.master_seed)
+        with pytest.raises(ValueError, match="p0 must be positive, finite and normal"):
+            simulate_pk(cfg_a, 1e-310, 2, weekdays(date(2009, 1, 2), 2))
+        assert step(sys.float_info.min, 0.0, pop, 0, cfg_a.master_seed)[0] > 0
+
 
 class TestSimulatePK:
     def test_horizon_one_is_start_only(self, cfg_a):
         run = simulate_pk(cfg_a, 123.0, 1, weekdays(date(2009, 1, 2), 1))
         assert run.predicted.values == (123.0,)
         assert run.demands == ()
+
+    def test_price_falling_below_normal_names_p0_value_and_date(self, cfg_a):
+        # Every agent sells, so a normal p0 just above the floor decays below it on day 5.
+        types = tuple(replace(t, optimism=0.0, reactivity=0.0) for t in cfg_a.types)
+        cfg = replace(cfg_a, types=types, jitter=0.0)
+        dates = weekdays(date(2009, 1, 2), 30)
+        with pytest.raises(ValueError) as info:
+            simulate_pk(cfg, 2.3e-308, 30, dates)
+        message = str(info.value)
+        assert message.startswith("p0 2.3e-308 is too small")
+        assert "2.22007041640372e-308" in message and "float64" not in message
+        assert message.endswith(" on 2009-01-09")
+        assert simulate_pk(cfg, 2.3e-308, dates.index(date(2009, 1, 9)), dates[:5]).predicted.values[-1] > 0
 
     def test_all_disabled_is_constant(self, cfg_a):
         cfg = set_enabled(cfg_a, cfg_a.type_names, False)

@@ -340,3 +340,18 @@ def test_cli_unknown_fit_params_key_exits_2(simulate_args, tmp_path, capsys):
     # Keys beside `params` (best_mape, seed, ... or any other) stay allowed.
     (tmp_path / "fit.json").write_text(json.dumps({"params": params, "note": "hand-written"}))
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("role", ["market config", "parameter file", "experiment spec"])
+def test_cli_malformed_json_exits_2_naming_the_file(simulate_args, tmp_path, capsys, role):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"types": [\n')
+    argv = {
+        "market config": ["simulate", "--config", str(broken), *simulate_args[3:], "--p0", "100.0"],
+        "parameter file": [*simulate_args, "--p0", "100.0", "--params", str(broken)],
+        "experiment spec": ["experiment", "--spec", str(broken)],
+    }[role]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{role} {broken}" in err and "not valid JSON" in err
+    assert not (tmp_path / "prediction.csv").exists()
