@@ -32,19 +32,29 @@ calls with the same seeds, agent count and horizon read the same values
 replication seeds).  A one-slot memo, _uniform_table (an lru_cache of
 size 1), keeps them across calls, in the (steps, C * K, S) layout.  A key
 (seeds, C, K, horizon - 1) whose table holds at most 2**20 float64 values
-(8 MB) is tabled on first sight: the table is filled slab by slab, marked
-read-only, and read by later calls with that key.  Any other key empties
-the memo, and a larger one is streamed.  The table holds the very values
-the blocks would produce, so results are bit-identical with or without it.
+(8 MB) is tabled on first sight: the table is filled block by block,
+marked read-only, and read by later calls with that key.  Any other key
+empties the memo, and a larger one is streamed; a build drops the old
+table before it allocates the new one, so two are never held.  The table
+holds the very values the blocks would produce, so results are
+bit-identical with or without it.
 
-Uniforms are hashed in place (rng.u01_grid), in slabs of at most
-_UNIFORM_BLOCK_ELEMENTS values, so that a 200k-agent step is hashed in
-pieces that stay in the L2 cache instead of streaming each of the
-hash's passes through memory.  Each call allocates one block buffer and
-one scratch and reuses them for every block; the table is filled slab by
-slab into its own rows, and step() draws through the same routine.  The
-step keys come from one fold_array per seed.  Every value is a pure
-function of its key, so the slab order changes no bit.
+Every simulation, step() included, runs through one time loop, _walk.
+A step whose S * C * K uniforms fit _UNIFORM_BLOCK_ELEMENTS is one
+block: its uniforms are hashed with those of the next steps that fit,
+and it votes and sums over the whole (C, K, M, S) state.  A larger step
+(200k agents) is walked in row blocks [c0, c1) of the leading position
+axis, each of at most _UNIFORM_BLOCK_ELEMENTS votes and balanced so the
+last is no sliver.  Rows c0..c1 are contiguous both in the state and in
+the uniform layout (positions c * K + k), so a block's uniforms are
+hashed in place (rng.u01_grid) into a small buffer just before it votes,
+and its vote passes and its sum run while it is still in the L2 cache
+rather than streaming every pass over the full state through memory.
+The block's chunk sums continue the previous block's: the running totals
+are written into the buffer row just before the block's rows and the sum
+starts from that row, so every lane is still added in strict agent
+order.  Every uniform is a pure function of its key, so neither the
+block size nor the block order changes a bit.
 """
 
 from __future__ import annotations
@@ -53,7 +63,7 @@ import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from datetime import date
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -84,8 +94,9 @@ _SIGN_BIT = np.uint64(1 << 63)
 # one call; narrower sums accumulate (see _row_sums).
 _REDUCE_WIDTH = 8
 
-# Upper bound on decision uniforms hashed in one slab, and held at once
-# when a step fits (elements; 512 KB, so a slab and its scratch stay in L2).
+# Upper bound on the decision uniforms hashed at once and, when a step's
+# uniforms exceed it, on the votes of one row block of the walk (elements;
+# 512 KB, so a block and its scratch stay in L2).
 _UNIFORM_BLOCK_ELEMENTS = 1 << 16
 # Largest decision-uniform table kept across calls (elements; 8 MB).
 _UNIFORM_TABLE_ELEMENTS = 1 << 20
@@ -350,67 +361,6 @@ def _next_up(uniforms: np.ndarray) -> np.ndarray:
     return uniforms
 
 
-def _row_sums(contrib: np.ndarray) -> np.ndarray:
-    """Net demand of every row r of the (C, K, R) `contrib`, which may be overwritten.
-
-    Chunk k of row r, contrib[:, k, r], is summed in strict position
-    order: NumPy reduces a leading axis one lane-row at a time, and the
-    initial -0.0 keeps a sum of -0.0 terms negative.  Below _REDUCE_WIDTH
-    lanes accumulate is faster (and a single lane would be summed
-    pairwise).  Chunk totals are added to 0.0 in chunk order; a lone
-    chunk's total is returned as is, so a row of -0.0 terms keeps its sign.
-    """
-    _, chunks, rows = contrib.shape
-    if chunks * rows >= _REDUCE_WIDTH:
-        totals = np.add.reduce(contrib, axis=0, initial=-0.0)
-    else:
-        totals = np.add.accumulate(contrib, axis=0, out=contrib)[-1]
-    if chunks == 1:
-        return totals[0]
-    totals[0] += 0.0
-    return np.add.accumulate(totals, axis=0, out=totals)[-1]
-
-
-def _advance(
-    price: np.ndarray,
-    last_return: np.ndarray,
-    optimism: np.ndarray,
-    reactivity: np.ndarray,
-    abs_weight_bits: np.ndarray,
-    above: np.ndarray,
-    price_impact: float,
-    scratch: np.ndarray,
-    scratch_bits: np.ndarray,
-    next_price: np.ndarray,
-    demand: np.ndarray,
-) -> None:
-    """One day for every row: writes the rows' net demand and next price, both flat (M * S).
-
-    scratch, optimism and reactivity are (C, K, M, S); scratch_bits is
-    scratch's uint64 view and abs_weight_bits the uint64 bits of |weight|,
-    of the same shape; above, the decision uniforms moved up one float, is
-    (C, K, 1, S); last_return is an (M, S) view of the flat returns.
-    """
-    np.multiply(reactivity, last_return, out=scratch)
-    scratch += optimism
-    # The agent buys when u < x.  No clamp of x to [0, 1]: every uniform
-    # lies in [0, 1 - 2**-53].  x - nextafter(u, +inf) >= 0 exactly when
-    # u < x, and is never -0.0, so |weight| with its sign bit gives +weight
-    # or -weight bit for bit as (2 * [u < x] - 1) * weight did, for every
-    # x but NaN.  x is NaN only after the row's price overflowed to inf,
-    # and from then on the price stays inf whatever the votes.  The two
-    # integer passes are copysign(weight, x - nextafter(u, +inf)), which
-    # IEEE 754 defines as exactly that, for every input; NumPy runs them
-    # with SIMD and its copysign without.
-    scratch -= above
-    scratch_bits &= _SIGN_BIT
-    scratch_bits |= abs_weight_bits
-    demand[:] = _row_sums(scratch.reshape(scratch.shape[0], scratch.shape[1], -1))
-    np.multiply(demand, price_impact, out=next_price)
-    next_price += 1.0
-    next_price *= price
-
-
 def _check_normal(price: float, name: str) -> None:
     """Raise unless `price` is normal: a subnormal one keeps too few mantissa bits for a run to scale with it."""
     if not sys.float_info.min <= price < math.inf:
@@ -436,71 +386,158 @@ def step(
     """
     _check_normal(price, "price")
     size, chunks = _chunking(len(population))
-    ids = _position_ids(size, chunks)
     step_keys = np.array([[fold(master_seed, TAG_DECISION, step_index)]], dtype=np.uint64)
-    above = _fill_uniforms(np.empty((1, len(ids), 1)), step_keys, ids)
     weight = _demand_weight(population.trade_fraction, population.assets, population.enabled,
                             population.normalization_assets)
     optimism, reactivity, weight = (
         _place(a[None, None], size, chunks) for a in (population.optimism, population.reactivity, weight)
     )
-    scratch = np.empty_like(weight)
-    next_price, demand = np.empty(1), np.empty(1)
-    _advance(np.array([price]), np.full((1, 1), last_return), optimism, reactivity,
-             np.abs(weight, out=weight).view(np.uint64), above.reshape(size, chunks, 1, 1),
-             population.price_impact, scratch, scratch.view(np.uint64), next_price, demand)
-    return float(next_price[0]), float(demand[0])
+    prices, demands = np.array([[price], [0.0]]), np.empty((1, 1))
+    _walk(prices, demands, np.array([last_return]), optimism, reactivity,
+          np.abs(weight, out=weight).view(np.uint64), population.price_impact,
+          partial(_streamed_uniforms, step_keys, size, chunks))
+    return float(prices[1, 0]), float(demands[0, 0])
 
 
-def _slab_shape(positions: int, seeds: int) -> tuple[int, int]:
-    """(steps, positions) of one slab of a (steps, positions, seeds) uniform block.
+def _row_blocks(size: int, per_row: int) -> list[tuple[int, int]]:
+    """Bounds [c0, c1) of the fewest blocks of the `size` rows that hold at most
+    _UNIFORM_BLOCK_ELEMENTS values each, at `per_row` values a row (one row at least).
 
-    A slab holds at most _UNIFORM_BLOCK_ELEMENTS values (at least one
-    position of every seed): whole steps when a step fits, else a run of
-    positions of one step.  Either way it is contiguous in the block.
+    The blocks are as even as whole rows allow, the longer ones first, so
+    the last is never a sliver: 4096 rows of 49 values make 4 blocks of 1024.
     """
-    span = min(positions, max(1, _UNIFORM_BLOCK_ELEMENTS // seeds))
-    return max(1, _UNIFORM_BLOCK_ELEMENTS // (positions * seeds)), span
+    n = -(-size // max(1, _UNIFORM_BLOCK_ELEMENTS // per_row))
+    rows, longer = divmod(size, n)
+    edges = [b * rows + min(b, longer) for b in range(n + 1)]
+    return list(zip(edges, edges[1:]))
 
 
-def _fill_uniforms(out: np.ndarray, step_keys: np.ndarray, ids: np.ndarray,
-                   scratch: np.ndarray | None = None) -> np.ndarray:
-    """Write nextafter(u, +inf) of the decision uniforms into out (steps, P, S); returns out.
+def _streamed_uniforms(step_keys: np.ndarray, size: int, chunks: int, rows: int):
+    """above(t, c0, c1): nextafter(u, +inf) of the decision uniforms of rows [c0, c1) of step t.
 
-    Position p of step t holds, for seed s, the uniform of agent ids[p]
-    under the step key step_keys[t, s] = fold(seed, decision tag, step).
-    Each slab (see _slab_shape) is hashed in place and moved up one float
-    while it is still in cache; scratch, a uint64 array of at least one
-    slab, is allocated when not given.
-    """
-    steps, positions, seeds = out.shape
-    rows, span = _slab_shape(positions, seeds)
-    if scratch is None:
-        scratch = np.empty(min(rows, steps) * span * seeds, dtype=np.uint64)
-    for t in range(0, steps, rows):
-        for p in range(0, positions, span):
-            slab = out[t : t + rows, p : p + span]
-            _next_up(u01_grid(step_keys[t : t + rows], ids[p : p + span], slab, scratch[: slab.size]))
-    return out
-
-
-def _uniform_steps(step_keys: np.ndarray, ids: np.ndarray) -> Iterable[np.ndarray]:
-    """Each step's (P, S) uniforms, from one block buffer and one scratch reused throughout.
-
-    A block holds the steps of one slab when a step fits in a slab, else
-    one step.  Every yielded step is a read-only view into the block
-    buffer, valid only until the next step is requested.
+    Row c of the (c1 - c0, K, 1, S) result holds positions c * K + k of
+    seed s, the uniform of agent k * C + c under the step key
+    step_keys[t, s] = fold(seed, decision tag, step).  Blocks are hashed
+    into one buffer of `rows` rows, reused for the whole walk, and moved
+    up one float while they are still in cache.  When a whole step fits
+    _UNIFORM_BLOCK_ELEMENTS, steps are asked for whole and in order, and
+    as many as fit are hashed at once; a larger step is hashed one row
+    block at a time, as it is asked for.  Every block is a read-only view
+    into the buffer, valid only until the next block is asked for.
     """
     steps, seeds = step_keys.shape
-    rows, span = _slab_shape(len(ids), seeds)
-    block = np.empty((min(rows, steps), len(ids), seeds))
-    scratch = np.empty(block[:, :span].size, dtype=np.uint64)
-    steps_view = block.view()
-    steps_view.setflags(write=False)
-    for t in range(0, steps, rows):
-        n = min(rows, steps - t)
-        _fill_uniforms(block[:n], step_keys[t : t + n], ids, scratch)
-        yield from steps_view[:n]
+    ids = _position_ids(size, chunks)
+    group = max(1, _UNIFORM_BLOCK_ELEMENTS // (size * chunks * seeds))
+    block = np.empty((min(group, steps), rows, chunks, 1, seeds))
+    scratch = np.empty(block.size, dtype=np.uint64)
+    read_only = block.view()
+    read_only.setflags(write=False)
+
+    def above(t: int, c0: int, c1: int) -> np.ndarray:
+        g = t % group
+        if not g:
+            n = min(group, steps - t)
+            out = block[:n, : c1 - c0].reshape(n, (c1 - c0) * chunks, seeds)
+            _next_up(u01_grid(step_keys[t : t + n], ids[c0 * chunks : c1 * chunks], out, scratch[: out.size]))
+        return read_only[g, : c1 - c0]
+
+    return above
+
+
+def _walk(
+    prices: np.ndarray,
+    demands: np.ndarray,
+    returns: np.ndarray,
+    optimism: np.ndarray,
+    reactivity: np.ndarray,
+    abs_weight_bits: np.ndarray,
+    price_impact: float,
+    uniforms,
+) -> None:
+    """Every day of R = M * S runs: fills demands (T, R) and prices[1:] from prices[0] (T + 1, R).
+
+    optimism and reactivity are (C, K, M, S) and abs_weight_bits the
+    uint64 bits of |weight| in that layout; returns (R,) holds the first
+    day's last return and then each day's.  uniforms(rows) gives the
+    walk's above(t, c0, c1) (see _streamed_uniforms) for blocks of at
+    most `rows` rows.
+
+    A step whose S * C * K uniforms fit _UNIFORM_BLOCK_ELEMENTS is one
+    block.  A larger one is a walk over row blocks [c0, c1) of at most
+    _UNIFORM_BLOCK_ELEMENTS votes (see _row_blocks): each block's
+    uniforms are hashed, its votes cast and its chunk sums continued
+    while the block is still in cache.  Rows c0..c1 are contiguous both
+    in the state and in the uniform layout.  The votes go to rows 1.. of
+    one buffer; a block after the first reads its chunks' running totals
+    from row 0, just before its own rows, so every lane is still added
+    in strict agent order and the bits do not depend on the blocks.
+    """
+    size, chunks, n_masks, n_seeds = optimism.shape
+    lanes = n_masks * n_seeds
+    if size * chunks * n_seeds <= _UNIFORM_BLOCK_ELEMENTS:
+        bounds = [(0, size)]
+    else:
+        bounds = _row_blocks(size, chunks * lanes)
+    rows = bounds[0][1]  # the first block is the longest
+    above = uniforms(rows)
+    votes = np.empty((rows + 1, chunks, n_masks, n_seeds))
+    vote_bits = votes.view(np.uint64)
+    sums = votes.reshape(rows + 1, chunks, lanes)
+    # NumPy reduces a leading axis one lane-row at a time, so each lane is
+    # summed in strict row order; the initial -0.0 keeps a sum of -0.0
+    # terms negative and leaves a carried total as it is.  Below
+    # _REDUCE_WIDTH lanes accumulate is faster (and a single lane would be
+    # summed pairwise).
+    reduce = chunks * lanes >= _REDUCE_WIDTH
+    totals = np.empty((chunks, lanes))
+    blocks = []
+    for c0, c1 in bounds:
+        summed = sums[int(c0 == 0) : c1 - c0 + 1]  # the block's rows, after the carry row unless first
+        blocks.append((c0, c1, reactivity[c0:c1], optimism[c0:c1], abs_weight_bits[c0:c1],
+                       votes[1 : c1 - c0 + 1], vote_bits[1 : c1 - c0 + 1], summed,
+                       totals if reduce else summed[-1]))
+    last_return = returns.reshape(n_masks, n_seeds)
+    # An overflowed price makes later returns inf or NaN; such a run stays
+    # at inf and the caller judges it, so the arithmetic raises no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(len(demands)):
+            if t > 0:
+                np.subtract(prices[t], prices[t - 1], out=returns)
+                returns /= prices[t - 1]
+            for (c0, c1, block_reactivity, block_optimism, block_weight_bits, block, bits, summed,
+                 block_totals) in blocks:
+                if c0:
+                    sums[0] = chunk_totals  # the previous block's running totals
+                np.multiply(block_reactivity, last_return, out=block)
+                block += block_optimism
+                # The agent buys when u < x.  No clamp of x to [0, 1]: every
+                # uniform lies in [0, 1 - 2**-53].  x - nextafter(u, +inf) >= 0
+                # exactly when u < x, and is never -0.0, so |weight| with its
+                # sign bit gives +weight or -weight bit for bit as
+                # (2 * [u < x] - 1) * weight did, for every x but NaN.  x is NaN
+                # only after the run's price overflowed to inf, and from then on
+                # the price stays inf whatever the votes.  The two integer
+                # passes are copysign(weight, x - nextafter(u, +inf)), which
+                # IEEE 754 defines as exactly that, for every input; NumPy runs
+                # them with SIMD and its copysign without.
+                block -= above(t, c0, c1)
+                bits &= _SIGN_BIT
+                bits |= block_weight_bits
+                if reduce:
+                    np.add.reduce(summed, axis=0, initial=-0.0, out=totals)
+                else:
+                    np.add.accumulate(summed, axis=0, out=summed)
+                chunk_totals = block_totals
+            # Chunk totals are added to 0.0 in chunk order; a lone chunk's
+            # total is taken as is, so a run of -0.0 terms keeps its sign.
+            if chunks == 1:
+                demands[t] = chunk_totals[0]
+            else:
+                chunk_totals[0] += 0.0
+                demands[t] = np.add.accumulate(chunk_totals, axis=0, out=chunk_totals)[-1]
+            np.multiply(demands[t], price_impact, out=prices[t + 1])
+            prices[t + 1] += 1.0
+            prices[t + 1] *= prices[t]
 
 
 def _step_keys(seeds: Sequence[int], steps: int) -> np.ndarray:
@@ -514,31 +551,37 @@ def _uniform_table(seeds: tuple[int, ...], size: int, chunks: int, steps: int) -
     """The read-only (steps, C * K, S) decision uniforms of the last key that fit.
 
     C and K are in the key, so a call under another CHUNK_SIZE never
-    reads a table laid out for the old width.
+    reads a table laid out for the old width.  The body runs only on a
+    miss, and first drops the last key's table, so two tables are never
+    held at once.
     """
-    ids = _position_ids(size, chunks)
-    table = _fill_uniforms(np.empty((steps, len(ids), len(seeds))), _step_keys(seeds, steps), ids)
+    _uniform_table.cache_clear()
+    bounds = _row_blocks(size, chunks * len(seeds))
+    above = _streamed_uniforms(_step_keys(seeds, steps), size, chunks, bounds[0][1])
+    table = np.empty((steps, size, chunks, 1, len(seeds)))
+    for t in range(steps):
+        for c0, c1 in bounds:
+            table[t, c0:c1] = above(t, c0, c1)
     table.setflags(write=False)
-    return table
+    return table.reshape(steps, size * chunks, len(seeds))
 
 
-def _decision_uniforms(seeds: Sequence[int], n_agents: int, steps: int) -> Iterable[np.ndarray]:
-    """Each step's (P, S) decision uniforms, moved up one float, in step order.
+def _decision_uniforms(seeds: Sequence[int], n_agents: int, steps: int, rows: int):
+    """The walk's above(t, c0, c1) for steps 0..steps-1 of every seed (see _streamed_uniforms).
 
     Positions are agent-major, as _position_ids lays them out for chunks
     of C = _chunking(n_agents)[0].  A call whose uniforms fit
-    _UNIFORM_TABLE_ELEMENTS reads them from _uniform_table.  A larger one
-    empties that memo and hashes them ahead of the sequential price loop,
-    a block at a time, into one block buffer reused for the whole call:
-    every step yielded is a read-only view into that buffer and is valid
-    only until the next step is requested, which is how simulate_batch
-    consumes them.  The values are the same on either path.
+    _UNIFORM_TABLE_ELEMENTS reads each block as a slice of _uniform_table.
+    A larger one empties that memo and hashes each block as the walk asks
+    for it, into a buffer of `rows` rows.  The values are the same on
+    either path.
     """
     size, chunks = _chunking(n_agents)
     if steps * len(seeds) * size * chunks <= _UNIFORM_TABLE_ELEMENTS:
-        return _uniform_table(tuple(seeds), size, chunks, steps)
+        table = _uniform_table(tuple(seeds), size, chunks, steps).reshape(steps, size, chunks, 1, len(seeds))
+        return lambda t, c0, c1: table[t, c0:c1]
     _uniform_table.cache_clear()  # any other key empties the memo
-    return _uniform_steps(_step_keys(seeds, steps), _position_ids(size, chunks))
+    return _streamed_uniforms(_step_keys(seeds, steps), size, chunks, rows)
 
 
 def simulate_batch(
@@ -583,21 +626,9 @@ def simulate_batch(
     prices = np.empty((horizon, n_masks * n_seeds))
     prices[0] = p0
     demands = np.empty((horizon - 1, n_masks * n_seeds))
-    returns = np.zeros(n_masks * n_seeds)
-    last_return = returns.reshape(n_masks, n_seeds)  # a view of returns
-    abs_weight_bits = np.abs(weight, out=weight).view(np.uint64)
-    scratch = np.empty_like(weight)
-    scratch_bits = scratch.view(np.uint64)
-    # An overflowed price makes later returns inf or NaN; such a row stays
-    # at inf and the caller judges it, so the arithmetic raises no warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, above in enumerate(_decision_uniforms(seeds, n_agents, horizon - 1)):
-            if t > 0:
-                np.subtract(prices[t], prices[t - 1], out=returns)
-                returns /= prices[t - 1]
-            _advance(prices[t], last_return, optimism, reactivity, abs_weight_bits,
-                     above.reshape(size, chunks, 1, n_seeds), config.price_impact, scratch,
-                     scratch_bits, prices[t + 1], demands[t])
+    _walk(prices, demands, np.zeros(n_masks * n_seeds), optimism, reactivity,
+          np.abs(weight, out=weight).view(np.uint64), config.price_impact,
+          partial(_decision_uniforms, seeds, n_agents, horizon - 1))
     # Contiguous copies: a strided view would make mape_rows' mean over
     # days sum in another order than NumPy's pairwise sum of a
     # contiguous axis.

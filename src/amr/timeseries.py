@@ -24,6 +24,19 @@ from pathlib import Path
 import numpy as np
 
 
+def _value_fault(value: float) -> str | None:
+    """Why `value` cannot be a series value, or None: it must be positive, finite and normal.
+
+    The reason is a str.format template: the caller fills in {value}, the
+    value as it was given, and {where}, its position of it (may be empty).
+    """
+    if not 0 < value < math.inf:
+        return "non-positive or non-finite value {value}{where}"
+    if value < sys.float_info.min:
+        return "subnormal value {value}{where} (below " + repr(sys.float_info.min) + ")"
+    return None
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Immutable (date, value) observations, ascending, positive, finite and normal."""
@@ -39,10 +52,9 @@ class TimeSeries:
         if len(self.dates) < 1:
             raise ValueError("a time series needs at least one observation")
         for i, v in enumerate(self.values):
-            if not 0 < v < math.inf:
-                raise ValueError(f"non-positive or non-finite value {v!r} at position {i}")
-            if v < sys.float_info.min:
-                raise ValueError(f"subnormal value {v!r} at position {i} (below {sys.float_info.min!r})")
+            fault = _value_fault(v)
+            if fault:
+                raise ValueError(fault.format(value=repr(v), where=f" at position {i}"))
         for i in range(1, len(self.dates)):
             if self.dates[i] <= self.dates[i - 1]:
                 raise ValueError(
@@ -102,10 +114,9 @@ def load_csv(path: str | Path) -> TimeSeries:
                 v = float(raw_value)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad value {raw_value!r}") from None
-            if not 0 < v < math.inf:
-                raise ValueError(f"{path}:{lineno}: non-positive or non-finite value {raw_value}")
-            if v < sys.float_info.min:
-                raise ValueError(f"{path}:{lineno}: subnormal value {raw_value} (below {sys.float_info.min!r})")
+            fault = _value_fault(v)
+            if fault:
+                raise ValueError(f"{path}:{lineno}: " + fault.format(value=raw_value, where=""))
             rows.append((d, v))
 
     if not rows:

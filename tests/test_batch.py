@@ -2,8 +2,10 @@
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 from datetime import date
+from functools import partial
 
 import numpy as np
 import pytest
@@ -70,47 +72,51 @@ def _expected_above(seed, step_index, agent):
 @pytest.mark.parametrize("seeds, n_agents, steps", [([5], 1000, 4), ([-3, 7, 2**40], 500, 5)],
                          ids=["S1", "S3"])
 def test_slab_ends_match_scalar_fold(monkeypatch, block_elements, seeds, n_agents, steps):
-    # 128 splits every step into slabs of 128 (S = 1) or 42 (S = 3) positions, which
-    # divide neither 1000 nor 500; the default packs several whole steps into one slab.
+    # 128 splits every step into 8 row blocks of 125 (S = 1) or 12 of 42 and 41 rows
+    # (S = 3); the default hashes every step in one block, all of them at once.
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", block_elements)
-    ids = market_module._position_ids(*market_module._chunking(n_agents))
+    size, chunks = market_module._chunking(n_agents)
+    ids = market_module._position_ids(size, chunks)
     step_keys = np.array([[fold(seed, TAG_DECISION, t) for seed in seeds] for t in range(steps)],
                          dtype=np.uint64)
-    out = market_module._fill_uniforms(np.empty((steps, n_agents, len(seeds))), step_keys, ids)
-    rows, span = market_module._slab_shape(n_agents, len(seeds))
-    assert (rows > 1) == (block_elements > n_agents * len(seeds))
-    assert span == min(n_agents, block_elements // len(seeds))
-    slabs = 0
-    for t0 in range(0, steps, rows):
-        for p0 in range(0, n_agents, span):
-            t1, p1 = min(t0 + rows, steps) - 1, min(p0 + span, n_agents) - 1
-            for t, p in ((t0, p0), (t1, p1)):
+    bounds = market_module._row_blocks(size, chunks * len(seeds))
+    assert len(bounds) == (1 if block_elements > 1500 else {1: 8, 3: 12}[len(seeds)])
+    assert [c0 for c0, _ in bounds[1:]] == [c1 for _, c1 in bounds[:-1]] and bounds[-1][1] == size
+    lengths = [c1 - c0 for c0, c1 in bounds]
+    assert max(lengths) <= max(1, block_elements // len(seeds)) and max(lengths) - min(lengths) <= 1
+    above = market_module._streamed_uniforms(step_keys, size, chunks, lengths[0])
+    for t in range(steps):
+        for c0, c1 in bounds:
+            block = above(t, c0, c1)
+            assert block.shape == (c1 - c0, chunks, 1, len(seeds))
+            for p, value in ((c0 * chunks, block[0, 0, 0]), (c1 * chunks - 1, block[-1, -1, 0])):
                 for s, seed in enumerate(seeds):
-                    assert out[t, p, s] == _expected_above(seed, t, int(ids[p]))
-            slabs += 1
-    assert slabs == -(-steps // rows) * -(-n_agents // span)
+                    assert value[s] == _expected_above(seed, t, int(ids[p]))
 
 
 def test_yielded_steps_are_read_only_views_of_one_buffer(monkeypatch):
     monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", 0)  # stream, do not table
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 1000)
-    steps = list(market_module._decision_uniforms(SEEDS, 500, 6))  # six 1-step blocks
-    assert len(steps) == 6
-    for t, above in enumerate(steps):
-        assert not above.flags.writeable
-        assert np.shares_memory(above, steps[0])
+    bounds = market_module._row_blocks(500, len(SEEDS))  # two blocks of 250 rows a step
+    above = market_module._decision_uniforms(SEEDS, 500, 6, bounds[0][1])
+    blocks = [above(t, c0, c1) for t in range(6) for c0, c1 in bounds]
+    assert len(blocks) == 12
+    for block in blocks:
+        assert not block.flags.writeable
+        assert np.shares_memory(block, blocks[0])
         with pytest.raises(ValueError, match="read-only"):
-            above[0, 0] = 0.5
-    # Every step reads the last block written: each is valid only until the next is requested.
-    assert steps[0][7, 2] == _expected_above(SEEDS[2], 5, 7)
+            block[0, 0, 0, 0] = 0.5
+    # Every block reads the last one hashed: each is valid only until the next is asked for.
+    assert blocks[0][7, 0, 0, 2] == _expected_above(SEEDS[2], 5, 250 + 7)
 
 
 @pytest.mark.parametrize("block_elements", [128, 1000])
 def test_slabbed_steps_equal_unpatched_runs(monkeypatch, block_elements):
-    # With 3 seeds a slab of 128 or 1000 values splits every 500-agent step into
-    # slabs of 42 or 333 positions.  The batches run in one 500-agent chunk,
-    # the single run and the chained steps in chunks of 64.  Every run streams
-    # its uniforms (cap 0), so the patched batch reads no table.
+    # With 3 seeds and 5 masks a budget of 128 or 1000 values splits every
+    # 500-agent step into row blocks of 8 or 63 rows (7 or 62 in the last).
+    # The batches run in one 500-agent chunk, the single run and the chained
+    # steps in chunks of 64.  Every run streams its uniforms (cap 0), so the
+    # patched batch reads no table.
     monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", 0)
     config = bank_dominated_config(master_seed=5)
     population = init_population(config)
@@ -128,6 +134,93 @@ def test_slabbed_steps_equal_unpatched_runs(monkeypatch, block_elements):
         last_return = (prices[t] - prices[t - 1]) / prices[t - 1] if t else 0.0
         prices.append(step(prices[t], last_return, population, t, config.master_seed)[0])
     assert np.array(prices).tobytes() == np.array(run.predicted.values).tobytes()
+
+
+@pytest.mark.parametrize("table_cap", [market_module._UNIFORM_TABLE_ELEMENTS, 0], ids=["table", "stream"])
+@pytest.mark.parametrize("chunk_width, seeds, masks", [
+    pytest.param(64, SEEDS, MASKS, id="K8-3x5"),
+    pytest.param(64, SEEDS[:1], MASKS[:1], id="K8-1x1"),  # 8 lanes: reduced
+    pytest.param(128, SEEDS[:1], MASKS[:1], id="K4-1x1"),  # 4 lanes: accumulated
+    pytest.param(128, SEEDS[1:], MASKS[1:3], id="K4-2x2"),
+])
+def test_walked_blocks_equal_one_block_steps(monkeypatch, table_cap, chunk_width, seeds, masks):
+    monkeypatch.setattr(market_module, "CHUNK_SIZE", chunk_width)
+    monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", table_cap)
+    prices, demands = simulate_batch(BASE, seeds, masks, 100.0, HORIZON)
+    size, chunks = market_module._chunking(500)
+    lanes = chunks * len(masks) * len(seeds)
+    walked = []
+    row_blocks = market_module._row_blocks
+    monkeypatch.setattr(market_module, "_row_blocks",
+                        lambda *args: walked.append(row_blocks(*args)) or walked[-1])
+    # Blocks of at most 5 rows, the shorter last: 13 a step of 64 rows (the
+    # last of 4), 26 of 128 (the last two of 4).
+    monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 5 * lanes)
+    walked_prices, walked_demands = simulate_batch(BASE, seeds, masks, 100.0, HORIZON)
+    lengths = [c1 - c0 for c0, c1 in walked[0]]  # the walk's; a table build would size its own next
+    assert len(lengths) == -(-size // 5) and lengths == sorted(lengths, reverse=True)
+    assert lengths[0] == 5 and lengths[-1] == 4
+    assert walked_prices.tobytes() == prices.tobytes()
+    assert walked_demands.tobytes() == demands.tobytes()
+
+
+@pytest.mark.parametrize("chunk_width", [64, 4096])
+def test_step_walks_blocks_like_one_block(monkeypatch, chunk_width):
+    monkeypatch.setattr(market_module, "CHUNK_SIZE", chunk_width)
+    population = init_population(BASE)
+    size, chunks = market_module._chunking(len(population))
+    calls = [(100.0, 0.0, 0), (101.5, 0.015, 7), (99.0, -0.03, 88)]
+    one_block = [step(price, last_return, population, t, 11) for price, last_return, t in calls]
+    monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 7 * chunks)  # blocks of 7 rows
+    assert len(market_module._row_blocks(size, chunks)) == -(-size // 7) > 1
+    walked = [step(price, last_return, population, t, 11) for price, last_return, t in calls]
+    assert [(p.hex(), d.hex()) for p, d in walked] == [(p.hex(), d.hex()) for p, d in one_block]
+
+
+def test_uniform_table_build_holds_one_table():
+    # 3 seeds x 500 agents x 389 steps: a 4.7 MB table.  The build of key B
+    # drops A's table first, so B's build adds only its hashing buffers.
+    tracemalloc.start()
+    try:
+        table_bytes = market_module._uniform_table(tuple(SEEDS), 500, 1, 389).nbytes
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        market_module._uniform_table((21, 22, 23), 500, 1, 389)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(after - before) < 0.05 * table_bytes  # A's table freed, B's held
+    assert peak - before < 0.3 * table_bytes  # never A's table and B's at once
+
+
+def test_walk_allocates_no_step_sized_block(monkeypatch):
+    # 30,000 agents (8 chunks of 4096) under 3 seeds and 2 masks: a step's
+    # 98,304 uniforms exceed one block, so the step is walked in row blocks,
+    # and 11 steps exceed the table, so every block is hashed as it is walked.
+    config = replace(BASE, types=tuple(replace(t, count=t.count * 60) for t in BASE.types))
+    state_bytes = 8 * 4096 * 8 * len(SEEDS) * 2  # one float64 per position and run
+    walk = market_module._walk
+    walk_peaks = []
+
+    def traced_walk(*args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        walk(*args)
+        walk_peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(market_module, "_walk", traced_walk)
+    tracemalloc.start()
+    try:
+        simulate_batch(config, SEEDS, MASKS[:2], 100.0, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The walk's buffers (one block's votes, uniforms and hash scratch, and the
+    # position ids) come to 3/4 of a state array; a full-size vote scratch
+    # would add one more, and a step-sized uniform block half of one.
+    assert walk_peaks[0] < state_bytes
+    # The whole call, jitter and placement included, stays under 8 state arrays.
+    assert peak < 8 * state_bytes
 
 
 def test_empty_batch_rejected():
@@ -169,10 +262,16 @@ def test_uniform_table_matches_fresh_generation(monkeypatch):
         (SEEDS, HORIZON), (SEEDS, HORIZON), (SEEDS, HORIZON),
         (SEEDS, 60), ([21, 22], HORIZON), (SEEDS, HORIZON),
     ]
+    # A build clears the memo's counters, so builds are counted by the step
+    # keys each one derives; every call here is tabled, so nothing else does.
+    step_keys = market_module._step_keys
+    key_sets = []
+    monkeypatch.setattr(market_module, "_step_keys",
+                        lambda *args: key_sets.append(args) or step_keys(*args))
     cached, builds, tables = [], [], []
     for seeds, horizon in calls:
         cached.append(simulate_batch(BASE, seeds, MASKS, 100.0, horizon))
-        builds.append(memo.cache_info().misses)
+        builds.append(len(key_sets))
         assert memo.cache_info().currsize == 1
         tables.append(memo(tuple(seeds), 500, 1, horizon - 1))  # the table that call read
     # Every key is tabled on first sight: the first A builds the table and the
@@ -184,6 +283,7 @@ def test_uniform_table_matches_fresh_generation(monkeypatch):
     with pytest.raises(ValueError, match="read-only"):
         tables[0][0, 0, 0] = 0.5
 
+    monkeypatch.undo()
     monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", 0)
     for (seeds, horizon), (prices, demands) in zip(calls, cached):
         fresh_prices, fresh_demands = simulate_batch(BASE, seeds, MASKS, 100.0, horizon)
@@ -259,6 +359,25 @@ def _loop_row_sum(values, chunk_width):
     return demand
 
 
+def _walked_row_sums(values):
+    """Net demand of every row of `values` (R, n_agents), by one step of the walk.
+
+    Optimism -2 where a value's sign bit is set and +2 elsewhere, with
+    reactivity 0, make each vote copysign(|v|, x - above) = v itself,
+    whatever the uniform; padding votes are -0.0, as in every batch.
+    """
+    rows = len(values)
+    size, chunks = market_module._chunking(values.shape[1])
+    optimism, reactivity, weight = (market_module._place(a[None], size, chunks) for a in (
+        np.where(np.signbit(values), -2.0, 2.0), np.zeros_like(values), np.abs(values)))
+    step_keys = np.arange(rows, dtype=np.uint64)[None]
+    demands = np.empty((1, rows))
+    market_module._walk(np.ones((2, rows)), demands, np.zeros(rows), optimism, reactivity,
+                        weight.view(np.uint64), 0.01,
+                        partial(market_module._streamed_uniforms, step_keys, size, chunks))
+    return demands[0]
+
+
 @pytest.mark.parametrize("n_agents, chunk_width, rows", [
     (500, 4096, 1), (500, 4096, 3), (500, 128, 1), (37, 8, 1),  # fewer than _REDUCE_WIDTH lanes
     (500, 4096, 8), (500, 64, 15), (300, 100, 3), (1, 4096, 9),  # reduced lanes
@@ -270,11 +389,14 @@ def test_row_sums_equal_left_to_right_loop(monkeypatch, n_agents, chunk_width, r
     values[0] = -0.0  # a row of -0.0 votes: all agents disabled and selling
     if rows > 1:
         values[1, -min(n_agents, chunk_width):] = -0.0  # a last chunk of -0.0 votes, then padding
-    size, chunks = market_module._chunking(n_agents)
-    placed = market_module._place(values[None], size, chunks)  # (C, K, 1, rows)
-    demand = market_module._row_sums(placed.reshape(size, chunks, rows))
     expected = [_loop_row_sum(row.tolist(), chunk_width) for row in values]
-    assert [float(d).hex() for d in demand] == [e.hex() for e in expected]
+    size, chunks = market_module._chunking(n_agents)
+    # One block a step, then row blocks of 3 and of about half the rows, each
+    # block's chunk sums carried into the next: the -0.0 rows cross boundaries.
+    for block_rows in (size, 3, size // 2 + 1):
+        monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", block_rows * chunks * rows)
+        demand = _walked_row_sums(values)
+        assert [float(d).hex() for d in demand] == [e.hex() for e in expected]
 
 
 def test_copysign_vote_equals_less_vote():
@@ -291,14 +413,15 @@ def test_copysign_vote_equals_less_vote():
     _, aboves, _ = np.meshgrid(x, above, ws[0, 0], indexing="ij")
     copysign = np.copysign(ws, xs - aboves)
 
-    # The kernel's votes, one lane per grid point: reactivity 0 and optimism x
-    # give x - above.  At >= _REDUCE_WIDTH lanes _row_sums leaves them in scratch.
+    # The kernel's votes, one run per grid point: reactivity 0 and optimism x
+    # give x - above.  With one agent a run's demand is its vote added to the
+    # sum's initial -0.0, which changes no bit (NaN's sign included).
     lanes = (1, 1, 1, xs.size)
-    scratch = np.empty(lanes)
-    market_module._advance(np.ones(xs.size), np.zeros((1, xs.size)), xs.reshape(lanes), np.zeros(lanes),
-                           np.abs(ws).reshape(lanes).view(np.uint64), aboves.reshape(lanes), 0.01,
-                           scratch, scratch.view(np.uint64), np.empty(xs.size), np.empty(xs.size))
-    votes = scratch.reshape(xs.shape)
+    demands = np.empty((1, xs.size))
+    market_module._walk(np.ones((2, xs.size)), demands, np.zeros(xs.size), xs.reshape(lanes), np.zeros(lanes),
+                        np.abs(ws).reshape(lanes).view(np.uint64), 0.01,
+                        lambda rows: lambda t, c0, c1: aboves.reshape(lanes))
+    votes = demands.reshape(xs.shape)
     assert votes.tobytes() == copysign.tobytes()
 
     less_grid = np.s_[: len(ordered), :, : len(weight)]  # no NaN difference, no sign on a weight

@@ -76,6 +76,23 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="t.csv:3: subnormal value 5e-324"):
             load_csv(p)
 
+    @pytest.mark.parametrize("raw, in_csv, in_series", [
+        ("-0.5", "non-positive or non-finite value -0.5", "non-positive or non-finite value -0.5 at position 1"),
+        ("inf", "non-positive or non-finite value inf", "non-positive or non-finite value inf at position 1"),
+        ("1E-310", "subnormal value 1E-310 (below 2.2250738585072014e-308)",
+         "subnormal value 1e-310 at position 1 (below 2.2250738585072014e-308)"),
+    ])
+    def test_value_rule_messages(self, tmp_path, raw, in_csv, in_series):
+        # load_csv names the value as written and its line; TimeSeries its repr and position.
+        p = tmp_path / "t.csv"
+        p.write_text(f"2008-01-03,1.0\n2008-01-04,{raw}\n")
+        with pytest.raises(ValueError) as err:
+            load_csv(p)
+        assert str(err.value) == f"{p}:2: {in_csv}"
+        with pytest.raises(ValueError) as err:
+            series([1.0, float(raw)])
+        assert str(err.value) == in_series
+
     def test_header_plus_252_rows(self, tmp_path):
         # Row count must equal an independent count of data lines written.
         p = tmp_path / "t.csv"
