@@ -3,7 +3,8 @@
 
 For each market the script prints the benchmark error, the all-disabled
 constant baseline, every singleton model, and the greedily reduced set,
-then cross-checks the greedy pick against the exhaustive-subset oracle.
+then the exhaustive-subset oracle's table, which cross-checks the greedy
+pick against the best subset of its size.
 
 By default the generator's own parameters score the subsets (fast).
 Pass --train to fit parameters by simulated annealing first.
@@ -37,12 +38,7 @@ def study(name, config, seed, days, replications, train_evals):
     print(f"singleton ranking: {' > '.join(report.ranking)}")
 
     oracle = exhaustive_reduce(config, params, target, replications=replications)
-    size = len(report.reduced_set)
-    best_set, best_score = oracle.best_by_size[size]
-    print(
-        f"oracle best size-{size}: {{{', '.join(best_set.member_names)}}} "
-        f"at {best_score.as_percent()}\n"
-    )
+    print(oracle.format_table(report) + "\n")
 
 
 def main() -> None:

@@ -20,8 +20,9 @@ from pathlib import Path
 from . import learner, market, reducer
 from .learner import AnnealingSchedule, ParameterVector
 from .presets import weekdays
-from .timeseries import (SplitSpec, TimeSeries, check_aligned, load_csv, mape, read_json, save_csv, split,
-                         write_atomically, write_json)
+from .timeseries import (SplitSpec, TimeSeries, check_aligned, json_boolean, json_integer, json_number, known_keys,
+                         load_csv, mape, parsed_fields, read_json, save_csv, split, write_atomically,
+                         write_dated_csv, write_json)
 
 
 def _check_workers(args: argparse.Namespace) -> None:
@@ -63,6 +64,14 @@ def _run_inputs(data: str | Path, boundary: str, config_path: str | Path,
     if seed is not None:
         config = replace(config, master_seed=seed)
     return train, test, config
+
+
+def _writable_dir(path: Path, name: str) -> Path:
+    """Create directory `path` if need be, before any long run; raise naming it `name` unless it is writable."""
+    path.mkdir(parents=True, exist_ok=True)
+    if not os.access(path, os.W_OK):
+        raise PermissionError(f"{name} is not writable: {path}")
+    return path
 
 
 # -- subcommands ----------------------------------------------------------
@@ -109,10 +118,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    if not args.tolerance >= 0:
-        raise ValueError(f"--tolerance must be >= 0, got {args.tolerance}")
-    if args.replications < 1:
-        raise ValueError(f"--replications must be >= 1, got {args.replications}")
+    reducer.check_settings(args.tolerance, args.replications, "--")
     train, test, config = _run_inputs(args.data, args.split, args.config, args.seed)
     params = _load_params(args.params, config)
 
@@ -121,10 +127,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         # Re-anchor the test window to continue from the last training price.
         target = TimeSeries((train.dates[-1],) + test.dates, (train.values[-1],) + test.values)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if not os.access(out_dir, os.W_OK):  # before the search, which can score 65,535 subsets
-        raise PermissionError(f"--out directory is not writable: {out_dir}")
+    out_dir = _writable_dir(Path(args.out), "--out directory")
     _reduce_and_write(config, params, target, args.tolerance, args.replications, args.exhaustive, out_dir)
     print(f"-> {out_dir / 'reduction.json'}, {out_dir / 'reduction.txt'}")
     return 0
@@ -139,42 +142,19 @@ def _reduce_and_write(config: market.MarketConfig, params: ParameterVector, targ
     if exhaustive:
         oracle = reducer.exhaustive_reduce(config, params, target, replications=replications)
         payload["exhaustive"] = oracle.to_dict()
-        table += "\n\n" + _format_exhaustive(oracle, report)
+        table += "\n\n" + oracle.format_table(report)
     write_json(out_dir / "reduction.json", payload)
     write_atomically(out_dir / "reduction.txt", table + "\n")
     print(table)
-
-
-def _format_exhaustive(oracle: reducer.ExhaustiveReport, report: reducer.ReductionReport) -> str:
-    lines = ["exhaustive subsets (oracle)"]
-    width = max(len("{" + ", ".join(ms.member_names) + "}") for ms, _ in oracle.table)
-    for ms, score in oracle.table:
-        label = "{" + ", ".join(ms.member_names) + "}"
-        lines.append(f"{label.ljust(width)}  {score.as_percent()}")
-    size = len(report.reduced_set)
-    best_set, best_score = oracle.best_by_size[size]
-    greedy_score = report.selection_trace[-1][1]
-    lines.append(
-        f"best size-{size} subset: {{{', '.join(best_set.member_names)}}} at {best_score.as_percent()}"
-        f"; greedy chose {{{', '.join(report.reduced_set.member_names)}}} at {greedy_score.as_percent()}"
-    )
-    return "\n".join(lines)
 
 
 def cmd_plotdata(args: argparse.Namespace) -> int:
     actual = load_csv(args.actual)
     predicted = load_csv(args.predicted)
     check_aligned(actual, predicted)
-    _write_plotdata(actual, predicted, Path(args.out))
+    write_dated_csv(args.out, "date,actual,predicted", actual.dates, actual.values, predicted.values)
     print(f"wrote {len(actual)} rows -> {args.out}")
     return 0
-
-
-def _write_plotdata(actual: TimeSeries, predicted: TimeSeries, path: Path) -> None:
-    """`date,actual,predicted` rows; the two series share their dates."""
-    rows = "".join(f"{d.isoformat()},{a!r},{p!r}\n"
-                   for d, a, p in zip(actual.dates, actual.values, predicted.values))
-    write_atomically(path, "date,actual,predicted\n" + rows)
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -182,8 +162,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     spec = read_json(spec_path, "experiment spec")
     if not isinstance(spec, dict) or not isinstance(spec.get("schedule", {}), dict):
         raise ValueError("experiment spec and its schedule must be JSON objects")
-    market._known_keys(spec, ("data", "split", "market_config", "schedule", "tolerance", "replications",
-                              "seed", "exhaustive", "out_dir"), "experiment spec")
+    known_keys(spec, ("data", "split", "market_config", "schedule", "tolerance", "replications",
+                      "seed", "exhaustive", "out_dir"), "experiment spec")
     for key in ("data", "split", "market_config"):
         if key not in spec:
             raise ValueError(f"experiment spec missing {key!r}")
@@ -207,27 +187,18 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     boundary = spec["split"]
     if not isinstance(boundary, str):
         raise ValueError(f"experiment spec split must be an ISO date string, got {boundary!r}")
-    seed = market._integer(spec["seed"], "experiment spec seed") if "seed" in spec else None
+    seed = json_integer(spec["seed"], "experiment spec seed") if "seed" in spec else None
     train, test, config = _run_inputs(data_path, boundary, config_path, seed)
 
     overrides = spec.get("schedule", {})
-    parsers = {f.name: market._integer if isinstance(f.default, int) else market._number
-               for f in fields(AnnealingSchedule)}
-    market._known_keys(overrides, parsers, "experiment spec schedule")
-    schedule = AnnealingSchedule(
-        **{k: parsers[k](v, f"experiment spec schedule.{k}") for k, v in overrides.items()}
-    )
+    known_keys(overrides, (f.name for f in fields(AnnealingSchedule)), "experiment spec schedule")
+    schedule = AnnealingSchedule(**parsed_fields(AnnealingSchedule, overrides, "experiment spec schedule."))
 
-    tolerance = _field("tolerance", market._number, reducer.DEFAULT_TOLERANCE)
-    if not tolerance >= 0:
-        raise ValueError(f"experiment spec tolerance must be >= 0, got {tolerance}")
-    replications = _field("replications", market._integer, reducer.DEFAULT_REPLICATIONS)
-    if replications < 1:
-        raise ValueError(f"experiment spec replications must be >= 1, got {replications}")
-    exhaustive = _field("exhaustive", market._boolean, False)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if not os.access(out_dir, os.W_OK):
-        raise PermissionError(f"out_dir is not writable: {out_dir}")
+    tolerance = _field("tolerance", json_number, reducer.DEFAULT_TOLERANCE)
+    replications = _field("replications", json_integer, reducer.DEFAULT_REPLICATIONS)
+    reducer.check_settings(tolerance, replications, "experiment spec ")
+    exhaustive = _field("exhaustive", json_boolean, False)
+    _writable_dir(out_dir, "out_dir")
 
     # train
     fit = learner.anneal(train, config, schedule, seed=config.master_seed)
@@ -244,7 +215,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     _reduce_and_write(
         config, fit.best_params, test, tolerance, replications, exhaustive or args.exhaustive, out_dir
     )
-    _write_plotdata(test, run.predicted, out_dir / "plotdata.csv")
+    write_dated_csv(out_dir / "plotdata.csv", "date,actual,predicted",
+                    test.dates, test.values, run.predicted.values)
     print(f"artifacts in {out_dir}")
     return 0
 
@@ -259,16 +231,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_workers(p):
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker count, validated but changes no output: simulation runs in "
-                            "one thread (default: AMR_WORKERS env var or 1)")
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--workers", type=int, default=None,
+                         help="worker count, validated but changes no output: simulation runs in "
+                              "one thread (default: AMR_WORKERS env var or 1)")
+    run_inputs = argparse.ArgumentParser(add_help=False)
+    run_inputs.add_argument("--data", required=True, help="target CSV (date,value)")
+    run_inputs.add_argument("--split", required=True, help="last training date (ISO)")
+    run_inputs.add_argument("--config", required=True, help="market config JSON")
+    run_inputs.add_argument("--seed", type=int, default=None, help="seed (default: config master_seed)")
 
-    p = sub.add_parser("train", help="fit market parameters to the training window")
-    p.add_argument("--data", required=True, help="target CSV (date,value)")
-    p.add_argument("--split", required=True, help="last training date (ISO)")
-    p.add_argument("--config", required=True, help="market config JSON")
-    p.add_argument("--seed", type=int, default=None, help="seed (default: config master_seed)")
+    p = sub.add_parser("train", help="fit market parameters to the training window", parents=[run_inputs, workers])
     p.add_argument("--out", required=True, help="output fit JSON")
     p.add_argument("--evaluations", type=int, default=None, help="total energy evaluations")
     p.add_argument("--initial-temp", type=float, default=None)
@@ -277,10 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--train-replications", type=int, default=None,
                    help="simulations averaged per energy")
-    add_workers(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("simulate", help="run a partial-knowledge simulation")
+    p = sub.add_parser("simulate", help="run a partial-knowledge simulation", parents=[workers])
     p.add_argument("--config", required=True)
     p.add_argument("--params", default=None, help="fit JSON to apply (optional)")
     p.add_argument("--p0", type=float, required=True, help="starting price")
@@ -289,15 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dates-from", default=None, help="CSV whose dates define the window")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output prediction CSV")
-    add_workers(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("reduce", help="rank models and greedily reduce on the test window")
-    p.add_argument("--data", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("reduce", help="rank models and greedily reduce on the test window",
+                       parents=[run_inputs, workers])
     p.add_argument("--params", required=True, help="fit JSON from `amr train`")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tolerance", type=float, default=reducer.DEFAULT_TOLERANCE,
                    help="stop when within this MAPE fraction of the benchmark")
     p.add_argument("--replications", type=int, default=reducer.DEFAULT_REPLICATIONS)
@@ -305,21 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed the test simulation from the last training value")
     p.add_argument("--exhaustive", action="store_true", help="also run the brute-force oracle")
     p.add_argument("--out", required=True, help="output directory")
-    add_workers(p)
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("plotdata", help="merge actual and predicted series for plotting")
+    p = sub.add_parser("plotdata", help="merge actual and predicted series for plotting", parents=[workers])
     p.add_argument("--actual", required=True)
     p.add_argument("--predicted", required=True)
     p.add_argument("--out", required=True)
-    add_workers(p)
     p.set_defaults(func=cmd_plotdata)
 
-    p = sub.add_parser("experiment", help="train, simulate, reduce, plotdata from one spec file")
+    p = sub.add_parser("experiment", help="train, simulate, reduce, plotdata from one spec file",
+                       parents=[workers])
     p.add_argument("--spec", required=True, help="experiment spec JSON")
     p.add_argument("--out", default=None, help="output directory (overrides spec out_dir)")
     p.add_argument("--exhaustive", action="store_true")
-    add_workers(p)
     p.set_defaults(func=cmd_experiment)
 
     return parser

@@ -20,7 +20,7 @@ import numpy as np
 from . import market
 from .market import MarketConfig
 from .rng import Stream, fold, substream
-from .timeseries import TimeSeries, mape_rows
+from .timeseries import TimeSeries, json_number, known_keys, mape_rows
 from .timeseries import mape  # noqa: F401  (perfbench/layers.py wraps learner.mape)
 
 _ANNEAL_TAG = 0x414E
@@ -99,8 +99,8 @@ class ParameterVector:
         for key in names:
             if key not in data:
                 raise ValueError(f"parameter file missing {key!r}")
-            vals.append(market._number(data[key], f"parameter file {key!r}"))
-        market._known_keys(data, names, "parameter file params")
+            vals.append(json_number(data[key], f"parameter file {key!r}"))
+        known_keys(data, names, "parameter file params")
         return cls(type_names, np.array(vals))
 
 

@@ -34,10 +34,11 @@ size 1), keeps them across calls, in the (steps, C * K, S) layout.  A key
 (seeds, C, K, horizon - 1) whose table holds at most 2**20 float64 values
 (8 MB) is tabled on first sight: the table is filled block by block,
 marked read-only, and read by later calls with that key.  Any other key
-empties the memo, and a larger one is streamed; a build drops the old
-table before it allocates the new one, so two are never held.  The table
-holds the very values the blocks would produce, so results are
-bit-identical with or without it.
+empties the memo, and a larger one is streamed; a call that takes no
+step (horizon 1) reads no uniform and leaves the memo alone.  A build
+drops the old table before it allocates the new one, so two are never
+held.  The table holds the very values the blocks would produce, so
+results are bit-identical with or without it.
 
 Every simulation, step() included, runs through one time loop, _walk.
 A step whose S * C * K uniforms fit _UNIFORM_BLOCK_ELEMENTS is one
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import date
 from functools import lru_cache, partial
 from pathlib import Path
@@ -70,7 +71,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .rng import TAG_DECISION, TAG_JITTER, fold, fold_array, fold_matrix, u01_array, u01_grid
-from .timeseries import TimeSeries, read_json, write_json
+from .timeseries import TimeSeries, known_keys, parsed_fields, read_json, value_fault, write_json
 
 # trade_fraction and price_impact have tiny floors, not 0: configs below
 # them are rejected, and jitter and proposals clamp to them.
@@ -168,6 +169,15 @@ class MarketConfig:
         return sum(t.total_assets for t in self.types if t.enabled) / self.total_assets
 
 
+def known_type_names(config: MarketConfig, names: Iterable[str]) -> set[str]:
+    """The set of `names`; raise naming every one that is not an investor type of `config`."""
+    wanted = set(names)
+    unknown = wanted - set(config.type_names)
+    if unknown:
+        raise ValueError(f"unknown investor type(s) {sorted(unknown)}; have {list(config.type_names)}")
+    return wanted
+
+
 def set_enabled(config: MarketConfig, type_names: Iterable[str], enabled: bool) -> MarketConfig:
     """Copy of `config` with the named types' enabled flag set.
 
@@ -175,11 +185,7 @@ def set_enabled(config: MarketConfig, type_names: Iterable[str], enabled: bool) 
     disabling a type attenuates demand by that type's asset share
     rather than re-weighting the survivors.
     """
-    wanted = set(type_names)
-    known = set(config.type_names)
-    unknown = wanted - known
-    if unknown:
-        raise ValueError(f"unknown investor type(s) {sorted(unknown)}; have {sorted(known)}")
+    wanted = known_type_names(config, type_names)
     new_types = tuple(
         replace(t, enabled=enabled) if t.name in wanted else t for t in config.types
     )
@@ -198,66 +204,26 @@ def config_to_dict(config: MarketConfig) -> dict:
     return {**asdict(config), "types": [asdict(t) for t in config.types]}
 
 
-def _number(value, field: str) -> float:
-    """A JSON number as a float; null, bools, strings and the rest raise naming `field`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{field} must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, field: str) -> int:
-    """A JSON integer; null, bools, floats, strings and the rest raise naming `field`."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
-def _boolean(value, field: str) -> bool:
-    """A JSON true or false; anything else (the string "false" included) raises naming `field`."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{field} must be true or false, got {value!r}")
-    return value
-
-
-def _known_keys(data: dict, known: Iterable[str], what: str) -> None:
-    """Raise naming every key of `data` not in `known`: a misspelt key would silently take its default."""
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ValueError(f"{what} has unknown key(s) {unknown}")
-
-
-def _parsed_fields(cls, data: dict, parsers: dict, prefix: str) -> dict:
-    """Each field of `cls` in `parsers`, parsed from `data`; one with a default may be absent (KeyError if not)."""
-    return {f.name: parsers[f.name](data[f.name], prefix + f.name) for f in fields(cls)
-            if f.name in parsers and (f.name in data or f.default is MISSING)}
-
-
-_TYPE_PARSERS = {"assets_per_investor": _number, "count": _integer,
-                 **{f: _number for f in BEHAVIOR_FIELDS}, "enabled": _boolean}
-_CONFIG_PARSERS = {"price_impact": _number, "jitter": _number, "master_seed": _integer}
-
-
 def _type_from_dict(t: dict, position: int) -> InvestorType:
     if not isinstance(t, dict):
         raise ValueError(f"market config types[{position}] must be a JSON object, got {t!r}")
     name = t["name"]
     if not isinstance(name, str) or not name:
         raise ValueError(f"market config types[{position}].name must be a non-empty string, got {name!r}")
-    _known_keys(t, (f.name for f in fields(InvestorType)), f"investor type {name!r}")
-    return InvestorType(name=name, **_parsed_fields(InvestorType, t, _TYPE_PARSERS,
-                                                    f"investor type {name!r}: "))
+    known_keys(t, (f.name for f in fields(InvestorType)), f"investor type {name!r}")
+    return InvestorType(name=name, **parsed_fields(InvestorType, t, f"investor type {name!r}: "))
 
 
 def config_from_dict(data: dict) -> MarketConfig:
     if not isinstance(data, dict):
         raise ValueError(f"market config must be a JSON object, got {type(data).__name__}")
-    _known_keys(data, (f.name for f in fields(MarketConfig)), "market config")
+    known_keys(data, (f.name for f in fields(MarketConfig)), "market config")
     if not isinstance(data.get("types", []), list):
         raise ValueError(f"market config types must be a JSON list, got {data['types']!r}")
     try:
         return MarketConfig(
             types=tuple(_type_from_dict(t, i) for i, t in enumerate(data["types"])),
-            **_parsed_fields(MarketConfig, data, _CONFIG_PARSERS, "market config "),
+            **parsed_fields(MarketConfig, data, "market config "),
         )
     except KeyError as missing:
         raise ValueError(f"market config missing field {missing}") from None
@@ -363,7 +329,7 @@ def _next_up(uniforms: np.ndarray) -> np.ndarray:
 
 def _check_normal(price: float, name: str) -> None:
     """Raise unless `price` is normal: a subnormal one keeps too few mantissa bits for a run to scale with it."""
-    if not sys.float_info.min <= price < math.inf:
+    if value_fault(price):
         raise ValueError(f"{name} must be positive, finite and normal (>= {sys.float_info.min!r}), "
                          f"got {price!r}")
 
@@ -574,8 +540,11 @@ def _decision_uniforms(seeds: Sequence[int], n_agents: int, steps: int, rows: in
     _UNIFORM_TABLE_ELEMENTS reads each block as a slice of _uniform_table.
     A larger one empties that memo and hashes each block as the walk asks
     for it, into a buffer of `rows` rows.  The values are the same on
-    either path.
+    either path.  A call with no steps (horizon 1) reads no uniform: it
+    gets None and leaves the memo as it is.
     """
+    if not steps:
+        return None
     size, chunks = _chunking(n_agents)
     if steps * len(seeds) * size * chunks <= _UNIFORM_TABLE_ELEMENTS:
         table = _uniform_table(tuple(seeds), size, chunks, steps).reshape(steps, size, chunks, 1, len(seeds))

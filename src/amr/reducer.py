@@ -33,7 +33,7 @@ from math import sqrt
 from typing import Iterable, Sequence
 
 from .learner import AnnealingSchedule, ParameterVector, anneal, replication_mapes
-from .market import MarketConfig, only_enabled
+from .market import MarketConfig, known_type_names, only_enabled
 from .market import simulate_pk  # noqa: F401  (perfbench/layers.py wraps reducer.simulate_pk)
 from .timeseries import TimeSeries
 from .timeseries import mape  # noqa: F401  (perfbench/layers.py wraps reducer.mape)
@@ -52,14 +52,14 @@ class ModelSet:
 
     @classmethod
     def of(cls, config: MarketConfig, names: Iterable[str]) -> "ModelSet":
-        wanted = set(names)
-        unknown = wanted - set(config.type_names)
-        if unknown:
-            raise ValueError(f"unknown investor type(s) {sorted(unknown)}; have {list(config.type_names)}")
+        wanted = known_type_names(config, names)
         return cls(tuple(n for n in config.type_names if n in wanted))
 
     def __len__(self) -> int:
         return len(self.member_names)
+
+    def __str__(self) -> str:
+        return "{" + ", ".join(self.member_names) + "}"
 
     def __contains__(self, name: str) -> bool:
         return name in self.member_names
@@ -103,8 +103,7 @@ class ReductionReport:
         """Aligned text table: full set, baseline, singletons, reduced set."""
         rows = [("full set", self.benchmark), ("all disabled (constant)", self.baseline)]
         rows += [(f"only {name}", score) for name, score in self.singletons.items()]
-        reduced_label = "reduced {" + ", ".join(self.reduced_set.member_names) + "}"
-        rows.append((reduced_label, self.selection_trace[-1][1]))
+        rows.append((f"reduced {self.reduced_set}", self.selection_trace[-1][1]))
         width = max(len(label) for label, _ in rows)
         lines = [f"{'case'.ljust(width)}  MAPE"]
         lines += [f"{label.ljust(width)}  {score.as_percent()}" for label, score in rows]
@@ -194,6 +193,14 @@ def rank_models(
     return sorted(((n, s.mean) for n, s in zip(names, scores)), key=lambda item: item[1])
 
 
+def check_settings(tolerance: float, replications: int, prefix: str) -> None:
+    """Raise unless tolerance >= 0 and replications >= 1, naming each as `prefix` + its name."""
+    if not tolerance >= 0:
+        raise ValueError(f"{prefix}tolerance must be >= 0, got {tolerance}")
+    if replications < 1:
+        raise ValueError(f"{prefix}replications must be >= 1, got {replications}")
+
+
 def greedy_reduce(
     config: MarketConfig,
     params: ParameterVector,
@@ -217,8 +224,7 @@ def greedy_reduce(
     cumulative subset is re-annealed on the training series before
     scoring, instead of reusing the full-set parameters.
     """
-    if not tolerance >= 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    check_settings(tolerance, replications, "")
     if (retrain_schedule is None) != (retrain_train is None):
         raise ValueError("retraining needs both retrain_schedule and retrain_train")
 
@@ -274,6 +280,17 @@ class ExhaustiveReport:
                 str(k): {"subset": list(ms.member_names), **asdict(s)} for k, (ms, s) in self.best_by_size.items()
             },
         }
+
+    def format_table(self, report: ReductionReport) -> str:
+        """Aligned text table of every subset, then the best subset of greedy's size against greedy's pick."""
+        width = max(len(str(ms)) for ms, _ in self.table)
+        lines = ["exhaustive subsets (oracle)"]
+        lines += [f"{str(ms).ljust(width)}  {score.as_percent()}" for ms, score in self.table]
+        size = len(report.reduced_set)
+        best_set, best_score = self.best_by_size[size]
+        lines.append(f"best size-{size} subset: {best_set} at {best_score.as_percent()}"
+                     f"; greedy chose {report.reduced_set} at {report.selection_trace[-1][1].as_percent()}")
+        return "\n".join(lines)
 
 
 def exhaustive_reduce(

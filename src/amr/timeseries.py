@@ -6,8 +6,9 @@ values.  Both are enforced at construction so MAPE (which divides by the
 target values) is total and finite everywhere else, and any value can
 start a simulation.
 
-The module owns the package's file I/O: series CSVs, JSON files, and
-the atomic write every output goes through (write_atomically).
+The module owns the package's file I/O: dated CSVs, JSON files, the
+readers that check each JSON field, and the atomic write every output
+goes through (write_atomically).
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import date
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
 
-def _value_fault(value: float) -> str | None:
+def value_fault(value: float) -> str | None:
     """Why `value` cannot be a series value, or None: it must be positive, finite and normal.
 
     The reason is a str.format template: the caller fills in {value}, the
@@ -52,7 +54,7 @@ class TimeSeries:
         if len(self.dates) < 1:
             raise ValueError("a time series needs at least one observation")
         for i, v in enumerate(self.values):
-            fault = _value_fault(v)
+            fault = value_fault(v)
             if fault:
                 raise ValueError(fault.format(value=repr(v), where=f" at position {i}"))
         for i in range(1, len(self.dates)):
@@ -114,7 +116,7 @@ def load_csv(path: str | Path) -> TimeSeries:
                 v = float(raw_value)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad value {raw_value!r}") from None
-            fault = _value_fault(v)
+            fault = value_fault(v)
             if fault:
                 raise ValueError(f"{path}:{lineno}: " + fault.format(value=raw_value, where=""))
             rows.append((d, v))
@@ -129,9 +131,14 @@ def load_csv(path: str | Path) -> TimeSeries:
 
 
 def save_csv(ts: TimeSeries, path: str | Path) -> None:
-    """Write a series in the same `date,value` format load_csv reads (see write_atomically)."""
-    rows = "".join(f"{d.isoformat()},{v!r}\n" for d, v in zip(ts.dates, ts.values))
-    write_atomically(Path(path), "date,value\n" + rows)
+    """Write a series in the same `date,value` format load_csv reads."""
+    write_dated_csv(path, "date,value", ts.dates, ts.values)
+
+
+def write_dated_csv(path: str | Path, header: str, dates: Sequence[date], *columns: Sequence[float]) -> None:
+    """Write `header`, then per date its ISO date and each column's value as repr (see write_atomically)."""
+    rows = "".join(",".join([d.isoformat(), *map(repr, values)]) + "\n" for d, *values in zip(dates, *columns))
+    write_atomically(Path(path), header + "\n" + rows)
 
 
 def write_atomically(path: Path, text: str) -> None:
@@ -162,6 +169,44 @@ def read_json(path: str | Path, what: str):
         return json.loads(path.read_text())
     except ValueError as err:  # JSONDecodeError, or bytes that are not text
         raise ValueError(f"{what} {path} is not valid JSON: {err}") from None
+
+
+def json_number(value, field: str) -> float:
+    """A JSON number as a float; null, bools, strings and the rest raise naming `field`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_integer(value, field: str) -> int:
+    """A JSON integer; null, bools, floats, strings and the rest raise naming `field`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def json_boolean(value, field: str) -> bool:
+    """A JSON true or false; anything else (the string "false" included) raises naming `field`."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{field} must be true or false, got {value!r}")
+    return value
+
+
+def known_keys(data: dict, known: Iterable[str], what: str) -> None:
+    """Raise naming every key of `data` not in `known`: a misspelt key would silently take its default."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"{what} has unknown key(s) {unknown}")
+
+
+def parsed_fields(cls, data: dict, prefix: str) -> dict:
+    """Each field of `cls` annotated float, int or bool, read from `data` by that annotation string.
+
+    One with a default may be absent (KeyError if not); errors name it `prefix` + its name.
+    """
+    readers = {"float": json_number, "int": json_integer, "bool": json_boolean}
+    return {f.name: readers[f.type](data[f.name], prefix + f.name) for f in fields(cls)
+            if f.type in readers and (f.name in data or f.default is MISSING)}
 
 
 def write_json(path: str | Path, payload) -> None:

@@ -292,6 +292,20 @@ def test_uniform_table_matches_fresh_generation(monkeypatch):
         assert memo.cache_info().currsize == 0  # over the cap: the memo is emptied, nothing stored
 
 
+def test_horizon_one_leaves_the_uniform_table(monkeypatch):
+    # 250-, 250-, 1- and 250-day calls on the same seeds: the 1-day call takes
+    # no step, so it reads no uniform and the last call reads the first table.
+    step_keys = market_module._step_keys
+    built = []
+    monkeypatch.setattr(market_module, "_step_keys",
+                        lambda seeds, steps: built.append(steps) or step_keys(seeds, steps))
+    for horizon in (250, 250, 1, 250):
+        prices, demands = simulate_batch(BASE, [1, 2, 3], MASKS[:1], 100.0, horizon)
+    assert built == [249]
+    assert prices.shape == (1, 3, 250) and demands.shape == (1, 3, 249)
+    assert simulate_batch(BASE, [1, 2, 3], MASKS[:1], 100.0, 1)[0].tolist() == [[[100.0]] * 3]
+
+
 def test_table_cap_holds_a_390_day_energy():
     # 3 seeds x 500 agents x 389 steps = 583,500 uniforms fit the table; 10 seeds do not.
     simulate_batch(BASE, SEEDS, MASKS[:1], 100.0, 390)

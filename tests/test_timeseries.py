@@ -5,18 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amr.presets import weekdays
 from amr.timeseries import (SplitSpec, TimeSeries, load_csv, mape, mape_rows, save_csv, split,
                             write_atomically)
 
 
 def series(values, start=date(2008, 1, 3)):
-    dates = []
-    d = start
-    while len(dates) < len(values):
-        if d.weekday() < 5:
-            dates.append(d)
-        d += timedelta(days=1)
-    return TimeSeries(tuple(dates), tuple(float(v) for v in values))
+    return TimeSeries(weekdays(start, len(values)), tuple(float(v) for v in values))
 
 
 positive_values = st.lists(
@@ -96,12 +91,9 @@ class TestLoadCsv:
     def test_header_plus_252_rows(self, tmp_path):
         # Row count must equal an independent count of data lines written.
         p = tmp_path / "t.csv"
-        d = date(2008, 1, 2)
         lines = ["date,close"]
-        while len(lines) - 1 < 252:
-            if d.weekday() < 5:
-                lines.append(f"{d.isoformat()},{100 + (len(lines) % 7)}")
-            d += timedelta(days=1)
+        for d in weekdays(date(2008, 1, 2), 252):
+            lines.append(f"{d.isoformat()},{100 + (len(lines) % 7)}")
         p.write_text("\n".join(lines) + "\n")
         assert len(lines) - 1 == 252
         assert len(load_csv(p)) == 252
