@@ -26,6 +26,13 @@ step() places its one agent row the same way.  Jitter, drawn once per
 call, depends only on (seed, agent) and the decision uniforms only on
 (seed, step, agent), so every mask shares them.
 
+The set-up writes the three placed arrays (optimism, reactivity, vote
+weight) once each, in place: the jitter uniforms are hashed slab by slab
+with the position ids as parts, so they land in the placed layout.  A
+call holds those three arrays, the position ids and one slab's or
+block's buffers (plus the uniform table when tabled): about 5 state
+arrays of 8 * C * K * M * S bytes at 200k agents, one seed and one mask.
+
 The decision uniforms are a pure function of (seed, step, agent), so
 calls with the same seeds, agent count and horizon read the same values
 (common random numbers: every annealing energy replays the same
@@ -70,7 +77,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import TAG_DECISION, TAG_JITTER, fold, fold_array, fold_matrix, u01_array, u01_grid
+from .rng import TAG_DECISION, TAG_JITTER, fold, fold_array, u01_grid
+from .rng import fold_matrix, u01_array  # noqa: F401  (perfbench/layers.py wraps both here)
 from .timeseries import TimeSeries, known_keys, parsed_fields, read_json, value_fault, write_json
 
 # trade_fraction and price_impact have tiny floors, not 0: configs below
@@ -95,9 +103,10 @@ _SIGN_BIT = np.uint64(1 << 63)
 # one call; narrower sums accumulate (see _row_sums).
 _REDUCE_WIDTH = 8
 
-# Upper bound on the decision uniforms hashed at once and, when a step's
-# uniforms exceed it, on the votes of one row block of the walk (elements;
-# 512 KB, so a block and its scratch stay in L2).
+# Upper bound on the decision uniforms hashed at once, on the jitter
+# uniforms of one set-up slab and, when a step's uniforms exceed it, on the
+# votes of one row block of the walk (elements; 512 KB, so a block and its
+# scratch stay in L2).
 _UNIFORM_BLOCK_ELEMENTS = 1 << 16
 # Largest decision-uniform table kept across calls (elements; 8 MB).
 _UNIFORM_TABLE_ELEMENTS = 1 << 20
@@ -261,26 +270,59 @@ class AgentPopulation:
         return len(self.type_index)
 
 
-def _jittered(config: MarketConfig, seeds: Sequence[int]) -> np.ndarray:
-    """The BEHAVIOR_FIELDS of every agent under each seed, shaped (S, 3, n).
+def _slab_rows(positions: int, per_position: int) -> int:
+    """Positions of one set-up slab: as many of the `positions` as fit _UNIFORM_BLOCK_ELEMENTS values."""
+    return min(positions, max(1, _UNIFORM_BLOCK_ELEMENTS // per_position))
 
-    Noise for agent a's field d under seed s is uniform in
-    +/- config.jitter, drawn from the counter stream keyed by (s, jitter
-    tag, d, a) and clamped to the parameter's bounds.  Enabled flags play
-    no part, so one seed's values serve every mask.
+
+def _agent_types(config: MarketConfig, ids: np.ndarray) -> np.ndarray:
+    """Type index of each agent id in `ids`; padding ids (>= n_agents) get len(config.types)."""
+    ends = np.cumsum([t.count for t in config.types], dtype=np.uint64)
+    return np.searchsorted(ends, ids, side="right")
+
+
+def _jittered(config: MarketConfig, seeds: Sequence[int], ids: np.ndarray, out: Sequence[np.ndarray]) -> None:
+    """Write field d of BEHAVIOR_FIELDS of the agents at positions `ids` into out[d], each (P, M, S).
+
+    Agent a's field d under seed s is its type's value plus noise
+    uniform in +/- config.jitter, keyed by (s, jitter tag, d, a), clamped
+    to the field's bounds; every mask gets the same value, and padding
+    ids (>= n_agents) get 0.  The uniforms are hashed in place
+    (rng.u01_grid) one slab at a time into one buffer; each is a pure
+    function of its key, so the slab size changes no bit.
     """
-    counts = [t.count for t in config.types]
-    base = np.repeat([[getattr(t, f) for f in BEHAVIOR_FIELDS] for t in config.types], counts, axis=0).T
-    lo, hi = np.array(BEHAVIOR_BOUNDS).T[:, :, None]
-    keys = [fold(seed, TAG_JITTER, d) for seed in seeds for d in range(len(BEHAVIOR_FIELDS))]
-    bits = fold_matrix(keys, np.arange(base.shape[1], dtype=np.uint64))
-    noise = (2.0 * u01_array(bits) - 1.0) * config.jitter
-    return np.clip(base + noise.reshape(len(seeds), *base.shape), lo, hi)
+    n_types, n_seeds = len(config.types), len(seeds)
+    keys = np.array([[fold(seed, TAG_JITTER, d) for seed in seeds] for d in range(len(BEHAVIOR_FIELDS))],
+                    dtype=np.uint64)
+    base = np.array([[getattr(t, f) for t in config.types] + [0.0] for f in BEHAVIOR_FIELDS])
+    lo, hi = np.array(BEHAVIOR_BOUNDS).T[:, :, None, None]  # (3, 1, 1) each
+    rows = _slab_rows(len(ids), keys.size)
+    buffer = np.empty(keys.size * rows)
+    scratch = np.empty(buffer.size, dtype=np.uint64)
+    for p0 in range(0, len(ids), rows):
+        p1 = min(p0 + rows, len(ids))
+        types = _agent_types(config, ids[p0:p1])
+        slab = buffer[: keys.size * (p1 - p0)].reshape(len(keys), p1 - p0, n_seeds)
+        u01_grid(keys, ids[p0:p1], slab, scratch[: slab.size])
+        slab *= 2.0
+        slab -= 1.0
+        slab *= config.jitter
+        slab += base[:, types, None]
+        np.clip(slab, lo, hi, out=slab)
+        slab[:, types == n_types] = 0.0
+        for field, values in zip(out, slab):
+            field[p0:p1] = values[:, None]
 
 
 def _demand_weight(trade_fraction, assets, enabled, total_assets: float) -> np.ndarray:
-    """Each agent's vote weight, trade_fraction * assets / total_assets; 0 where disabled."""
-    return np.where(enabled, trade_fraction * assets / total_assets, 0.0)
+    """Each agent's vote weight, trade_fraction * assets / total_assets; 0 where not enabled.
+
+    Computed in place in trade_fraction, which is returned.
+    """
+    trade_fraction *= assets
+    trade_fraction /= total_assets
+    np.copyto(trade_fraction, 0.0, where=np.logical_not(enabled))
+    return trade_fraction
 
 
 def init_population(config: MarketConfig) -> AgentPopulation:
@@ -289,7 +331,10 @@ def init_population(config: MarketConfig) -> AgentPopulation:
     Disabled types' agents are created too; they simply emit no demand.
     """
     counts = np.array([t.count for t in config.types], dtype=np.int64)
-    optimism, reactivity, trade_fraction = _jittered(config, [config.master_seed])[0]
+    n_agents = int(counts.sum())
+    fields = np.empty((len(BEHAVIOR_FIELDS), n_agents, 1, 1))
+    _jittered(config, [config.master_seed], np.arange(n_agents, dtype=np.uint64), fields)
+    optimism, reactivity, trade_fraction = fields.reshape(len(BEHAVIOR_FIELDS), n_agents)
     return AgentPopulation(
         type_index=np.repeat(np.arange(len(config.types), dtype=np.int64), counts),
         optimism=optimism,
@@ -310,15 +355,21 @@ def _chunking(n_agents: int) -> tuple[int, int]:
 
 def _position_ids(size: int, chunks: int) -> np.ndarray:
     """Agent id at every position c * K + k: agent k * C + c (ids >= n_agents are padding)."""
-    return np.arange(size * chunks, dtype=np.uint64).reshape(chunks, size).T.ravel()
+    grid = np.arange(size, dtype=np.uint64)[:, None] + np.arange(chunks, dtype=np.uint64) * np.uint64(size)
+    return grid.ravel()
 
 
 def _place(values: np.ndarray, size: int, chunks: int) -> np.ndarray:
-    """Agent-major copy (C, K, ...) of `values` (..., n_agents); padding positions hold 0."""
+    """Agent-major copy (C, K, ...) of `values` (..., n_agents); padding positions hold 0.
+
+    Each chunk goes straight into its column k: no padded or transposed copy.
+    """
     lead = values.shape[:-1]
-    padded = np.zeros(lead + (size * chunks,))
-    padded[..., : values.shape[-1]] = values
-    return np.ascontiguousarray(np.moveaxis(padded.reshape(lead + (chunks, size)), (-1, -2), (0, 1)))
+    placed = np.zeros((size, chunks) + lead)
+    for k, a0 in enumerate(range(0, values.shape[-1], size)):
+        chunk = values[..., a0 : a0 + size]
+        placed[: chunk.shape[-1], k] = np.moveaxis(chunk, -1, 0)
+    return placed
 
 
 def _next_up(uniforms: np.ndarray) -> np.ndarray:
@@ -353,8 +404,8 @@ def step(
     _check_normal(price, "price")
     size, chunks = _chunking(len(population))
     step_keys = np.array([[fold(master_seed, TAG_DECISION, step_index)]], dtype=np.uint64)
-    weight = _demand_weight(population.trade_fraction, population.assets, population.enabled,
-                            population.normalization_assets)
+    weight = _demand_weight(np.array(population.trade_fraction, dtype=float), population.assets,
+                            population.enabled, population.normalization_assets)
     optimism, reactivity, weight = (
         _place(a[None, None], size, chunks) for a in (population.optimism, population.reactivity, weight)
     )
@@ -553,6 +604,32 @@ def _decision_uniforms(seeds: Sequence[int], n_agents: int, steps: int, rows: in
     return _streamed_uniforms(_step_keys(seeds, steps), size, chunks, rows)
 
 
+def _placed_state(config: MarketConfig, seeds: Sequence[int], masks: np.ndarray, size: int,
+                  chunks: int) -> list[np.ndarray]:
+    """Optimism, reactivity and vote weight, each (C, K, M, S) and written once, in place.
+
+    The jitter is hashed with the position ids as parts (see _jittered),
+    then the weights are formed from the jittered trade fractions slab
+    by slab; padding holds 0.  Optimism and reactivity are copied for
+    every mask: broadcasting them over masks would cut every step's
+    elementwise loops to S lanes.  The ids and slab buffers are freed on
+    return, before the walk.
+    """
+    shape = (size * chunks, len(masks), len(seeds))
+    ids = _position_ids(size, chunks)
+    state = [np.empty(shape) for _ in BEHAVIOR_FIELDS]
+    _jittered(config, seeds, ids, state)
+    weight = state[BEHAVIOR_FIELDS.index("trade_fraction")]
+    assets = np.array([t.assets_per_investor for t in config.types] + [0.0])
+    enabled = np.vstack([masks.T, np.zeros(len(masks), dtype=bool)])[:, :, None]  # (type, mask, 1)
+    rows = _slab_rows(shape[0], shape[1] * shape[2])
+    for p0 in range(0, shape[0], rows):
+        p1 = min(p0 + rows, shape[0])
+        types = _agent_types(config, ids[p0:p1])
+        _demand_weight(weight[p0:p1], assets[types, None, None], enabled[types], config.total_assets)
+    return [a.reshape(size, chunks, *shape[1:]) for a in state]
+
+
 def simulate_batch(
     config: MarketConfig,
     seeds: Sequence[int],
@@ -578,20 +655,9 @@ def simulate_batch(
     if not len(enabled) or masks.shape != (len(enabled), len(config.types)):
         raise ValueError(f"simulate_batch needs at least one enabled mask of {len(config.types)} flags")
 
-    counts = [t.count for t in config.types]
-    optimism, reactivity, trade_fraction = _jittered(config, seeds).transpose(1, 0, 2)
-    assets = np.repeat([t.assets_per_investor for t in config.types], counts)
-    agent_masks = np.repeat(masks, counts, axis=1)[:, None]
-    weight = _demand_weight(trade_fraction, assets, agent_masks, config.total_assets)
-
-    n_masks, n_seeds, n_agents = weight.shape
-    size, chunks = _chunking(n_agents)
-    # Optimism and reactivity are copied for every mask too: broadcasting
-    # them over masks inside each position would cut every step's
-    # elementwise loops to S lanes.
-    optimism, reactivity, weight = (
-        _place(np.broadcast_to(a, weight.shape), size, chunks) for a in (optimism, reactivity, weight)
-    )
+    n_masks, n_seeds = len(masks), len(seeds)
+    n_agents = sum(t.count for t in config.types)
+    optimism, reactivity, weight = _placed_state(config, seeds, masks, *_chunking(n_agents))
     prices = np.empty((horizon, n_masks * n_seeds))
     prices[0] = p0
     demands = np.empty((horizon - 1, n_masks * n_seeds))

@@ -13,10 +13,21 @@ import pytest
 import amr.market as market_module
 import amr.reducer as reducer_module
 from amr.learner import AnnealingSchedule, ParameterVector, anneal, replication_mapes
-from amr.market import init_population, only_enabled, set_enabled, simulate_batch, simulate_pk, step
+from amr.market import (
+    BEHAVIOR_BOUNDS,
+    BEHAVIOR_FIELDS,
+    InvestorType,
+    MarketConfig,
+    init_population,
+    only_enabled,
+    set_enabled,
+    simulate_batch,
+    simulate_pk,
+    step,
+)
 from amr.presets import balanced_config, bank_dominated_config, synthetic_target, weekdays
 from amr.reducer import evaluate_subset, exhaustive_reduce, greedy_reduce
-from amr.rng import TAG_DECISION, fold, substream, u01
+from amr.rng import TAG_DECISION, TAG_JITTER, fold, substream, u01
 from amr.timeseries import TimeSeries, mape
 
 HORIZON = 90
@@ -221,6 +232,91 @@ def test_walk_allocates_no_step_sized_block(monkeypatch):
     assert walk_peaks[0] < state_bytes
     # The whole call, jitter and placement included, stays under 8 state arrays.
     assert peak < 8 * state_bytes
+
+
+# Four types whose values and jitter push every field past both of its bounds.
+CLIPPED = MarketConfig(
+    types=(
+        InvestorType("Low", 1.0, 30, optimism=0.05, reactivity=-0.9, trade_fraction=0.1),
+        InvestorType("High", 20.0, 20, optimism=0.95, reactivity=0.9, trade_fraction=0.95),
+        InvestorType("Mid", 300.0, 45, optimism=0.5, reactivity=0.0, trade_fraction=0.5),
+        InvestorType("Edge", 4000.0, 5, optimism=1.0, reactivity=-1.0, trade_fraction=1e-6),
+    ),
+    price_impact=0.01,
+    jitter=0.2,
+)
+
+
+def _type_of(config, agent):
+    return config.types[int(np.searchsorted(np.cumsum([t.count for t in config.types]), agent, "right"))]
+
+
+def _reference_field(config, seed, field, agent):
+    """One agent's jittered field by scalar arithmetic: u, then (2u - 1) * jitter + base, then clip."""
+    u = u01(fold(fold(seed, TAG_JITTER, field), agent))
+    value = (2.0 * u - 1.0) * config.jitter + getattr(_type_of(config, agent), BEHAVIOR_FIELDS[field])
+    lo, hi = BEHAVIOR_BOUNDS[field]
+    return min(max(value, lo), hi)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("jitter", [0.2, 0.0])
+def test_placed_jitter_equals_scalar_reference(monkeypatch, jitter):
+    # 100 agents in chunks of 64 (28 padding positions), slabs of 7 positions
+    # (3 fields x 2 seeds each), so every field spans 19 slabs.
+    monkeypatch.setattr(market_module, "CHUNK_SIZE", 64)
+    monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 7 * 3 * 2)
+    config = replace(CLIPPED, jitter=jitter)
+    seeds, masks = [4, -9], np.array([[True, True, True, True], [False, True, False, True]])
+    size, chunks = market_module._chunking(100)
+    assert market_module._slab_rows(size * chunks, 3 * len(seeds)) == 7
+    optimism, reactivity, weight = market_module._placed_state(config, seeds, masks, size, chunks)
+    assert optimism.shape == reactivity.shape == weight.shape == (size, chunks, 2, 2)
+    seen = set()
+    for c in range(size):
+        for k in range(chunks):
+            agent = k * size + c
+            for s, seed in enumerate(seeds):
+                placed = (optimism[c, k, :, s], reactivity[c, k, :, s], weight[c, k, :, s])
+                if agent >= 100:  # padding reads +0.0 in every field and mask
+                    assert all(a.tobytes() == bytes(16) for a in placed)
+                    continue
+                expected = [_reference_field(config, seed, d, agent) for d in range(3)]
+                t = _type_of(config, agent)
+                if not jitter:  # the noise is +0.0 or -0.0, so every value is the type's own
+                    assert _bits(expected) == _bits([getattr(t, f) for f in BEHAVIOR_FIELDS])
+                seen.update((d, v) for d, v in enumerate(expected))
+                for m, mask in enumerate(masks):
+                    on = mask[config.type_names.index(t.name)]
+                    vote = expected[2] * t.assets_per_investor / config.total_assets if on else 0.0
+                    assert _bits([a[m] for a in placed]) == _bits([*expected[:2], vote])
+    if jitter:  # every field was clipped at both of its bounds
+        assert all((d, bound) in seen for d, bounds in enumerate(BEHAVIOR_BOUNDS) for bound in bounds)
+    population = init_population(replace(config, master_seed=seeds[1]))
+    for d, field in enumerate(BEHAVIOR_FIELDS):
+        expected = [_reference_field(config, seeds[1], d, a) for a in range(100)]
+        assert _bits(getattr(population, field)) == _bits(expected)
+
+
+def test_large_batch_peaks_under_seven_state_arrays():
+    # 200k agents (49 chunks of 4096) under 1 seed and 1 mask, 11 steps: the
+    # uniforms are streamed.  The call holds three placed arrays, the
+    # position ids and one slab's or block's buffers at a time.
+    config = replace(BASE, types=tuple(replace(t, count=t.count * 400) for t in BASE.types))
+    mask = [t.enabled for t in config.types]
+    size, chunks = market_module._chunking(200_000)
+    assert 11 * size * chunks > market_module._UNIFORM_TABLE_ELEMENTS
+    state_bytes = 8 * size * chunks
+    tracemalloc.start()
+    try:
+        simulate_batch(config, [1], [mask], 100.0, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * state_bytes
 
 
 def test_empty_batch_rejected():
