@@ -49,8 +49,9 @@ class ParameterVector:
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != lo.shape:
             raise ValueError(f"expected {lo.shape[0]} coordinates, got {v.shape}")
-        if np.any(v < lo) or np.any(v > hi):
-            bad = int(np.argmax((v < lo) | (v > hi)))
+        inside = (v >= lo) & (v <= hi)  # False for NaN
+        if not inside.all():
+            bad = int(np.argmin(inside))
             raise ValueError(f"coordinate {self.coordinate_names()[bad]} = {v[bad]} out of bounds")
         object.__setattr__(self, "values", v)
 

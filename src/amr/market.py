@@ -21,17 +21,20 @@ chunks of C positions (C = CHUNK_SIZE when there is more than one chunk,
 else C = n_agents), position (c, k) holds agent k * C + c, and padding
 agents at the end of the last chunk have weight 0.  Each of the
 K * M * S chunk sums then runs down the leading axis with its lane
-contiguous, so NumPy adds every lane in strict agent order at once;
-step() places its one agent row the same way.  Jitter, drawn once per
-call, depends only on (seed, agent) and the decision uniforms only on
-(seed, step, agent), so every mask shares them.
+contiguous, so NumPy adds every lane in strict agent order at once.
+Jitter, drawn once per call, depends only on (seed, agent) and the
+decision uniforms only on (seed, step, agent), so every mask shares them.
+step() is the one-day case: one seed (the config's own) and one mask
+(its enabled flags), set up and walked the same way.
 
-The set-up writes the three placed arrays (optimism, reactivity, vote
-weight) once each, in place: the jitter uniforms are hashed slab by slab
-with the position ids as parts, so they land in the placed layout.  A
-call holds those three arrays, the position ids and one slab's or
-block's buffers (plus the uniform table when tabled): about 5 state
-arrays of 8 * C * K * M * S bytes at 200k agents, one seed and one mask.
+One set-up, _placed_state, serves every call.  It writes the three
+placed arrays (optimism, reactivity, and the bits of |vote weight| that
+the walk reads) once each, in place: the jitter uniforms are hashed slab
+by slab with the position ids as parts, so they land in the placed
+layout.  A call holds those three arrays, the position ids and one
+slab's or block's buffers (plus the uniform table when tabled): about 5
+state arrays of 8 * C * K * M * S bytes at 200k agents, one seed and
+one mask.
 
 The decision uniforms are a pure function of (seed, step, agent), so
 calls with the same seeds, agent count and horizon read the same values
@@ -104,9 +107,9 @@ _SIGN_BIT = np.uint64(1 << 63)
 _REDUCE_WIDTH = 8
 
 # Upper bound on the decision uniforms hashed at once, on the jitter
-# uniforms of one set-up slab and, when a step's uniforms exceed it, on the
-# votes of one row block of the walk (elements; 512 KB, so a block and its
-# scratch stay in L2).
+# uniforms or vote weights of one set-up slab and, when a step's uniforms
+# exceed it, on the votes of one row block of the walk (elements; 512 KB,
+# so a block and its scratch stay in L2).
 _UNIFORM_BLOCK_ELEMENTS = 1 << 16
 # Largest decision-uniform table kept across calls (elements; 8 MB).
 _UNIFORM_TABLE_ELEMENTS = 1 << 20
@@ -270,11 +273,6 @@ class AgentPopulation:
         return len(self.type_index)
 
 
-def _slab_rows(positions: int, per_position: int) -> int:
-    """Positions of one set-up slab: as many of the `positions` as fit _UNIFORM_BLOCK_ELEMENTS values."""
-    return min(positions, max(1, _UNIFORM_BLOCK_ELEMENTS // per_position))
-
-
 def _agent_types(config: MarketConfig, ids: np.ndarray) -> np.ndarray:
     """Type index of each agent id in `ids`; padding ids (>= n_agents) get len(config.types)."""
     ends = np.cumsum([t.count for t in config.types], dtype=np.uint64)
@@ -288,19 +286,18 @@ def _jittered(config: MarketConfig, seeds: Sequence[int], ids: np.ndarray, out: 
     uniform in +/- config.jitter, keyed by (s, jitter tag, d, a), clamped
     to the field's bounds; every mask gets the same value, and padding
     ids (>= n_agents) get 0.  The uniforms are hashed in place
-    (rng.u01_grid) one slab at a time into one buffer; each is a pure
-    function of its key, so the slab size changes no bit.
+    (rng.u01_grid) one slab of _row_blocks at a time into one buffer;
+    each is a pure function of its key, so the slab size changes no bit.
     """
     n_types, n_seeds = len(config.types), len(seeds)
     keys = np.array([[fold(seed, TAG_JITTER, d) for seed in seeds] for d in range(len(BEHAVIOR_FIELDS))],
                     dtype=np.uint64)
     base = np.array([[getattr(t, f) for t in config.types] + [0.0] for f in BEHAVIOR_FIELDS])
     lo, hi = np.array(BEHAVIOR_BOUNDS).T[:, :, None, None]  # (3, 1, 1) each
-    rows = _slab_rows(len(ids), keys.size)
-    buffer = np.empty(keys.size * rows)
+    bounds = _row_blocks(len(ids), keys.size)
+    buffer = np.empty(keys.size * bounds[0][1])  # the first slab is the longest
     scratch = np.empty(buffer.size, dtype=np.uint64)
-    for p0 in range(0, len(ids), rows):
-        p1 = min(p0 + rows, len(ids))
+    for p0, p1 in bounds:
         types = _agent_types(config, ids[p0:p1])
         slab = buffer[: keys.size * (p1 - p0)].reshape(len(keys), p1 - p0, n_seeds)
         u01_grid(keys, ids[p0:p1], slab, scratch[: slab.size])
@@ -312,17 +309,6 @@ def _jittered(config: MarketConfig, seeds: Sequence[int], ids: np.ndarray, out: 
         slab[:, types == n_types] = 0.0
         for field, values in zip(out, slab):
             field[p0:p1] = values[:, None]
-
-
-def _demand_weight(trade_fraction, assets, enabled, total_assets: float) -> np.ndarray:
-    """Each agent's vote weight, trade_fraction * assets / total_assets; 0 where not enabled.
-
-    Computed in place in trade_fraction, which is returned.
-    """
-    trade_fraction *= assets
-    trade_fraction /= total_assets
-    np.copyto(trade_fraction, 0.0, where=np.logical_not(enabled))
-    return trade_fraction
 
 
 def init_population(config: MarketConfig) -> AgentPopulation:
@@ -359,19 +345,6 @@ def _position_ids(size: int, chunks: int) -> np.ndarray:
     return grid.ravel()
 
 
-def _place(values: np.ndarray, size: int, chunks: int) -> np.ndarray:
-    """Agent-major copy (C, K, ...) of `values` (..., n_agents); padding positions hold 0.
-
-    Each chunk goes straight into its column k: no padded or transposed copy.
-    """
-    lead = values.shape[:-1]
-    placed = np.zeros((size, chunks) + lead)
-    for k, a0 in enumerate(range(0, values.shape[-1], size)):
-        chunk = values[..., a0 : a0 + size]
-        placed[: chunk.shape[-1], k] = np.moveaxis(chunk, -1, 0)
-    return placed
-
-
 def _next_up(uniforms: np.ndarray) -> np.ndarray:
     """nextafter(u, +inf) of every uniform, in place: each u is finite and >= 0, so its bits + 1."""
     uniforms.view(np.int64)[...] += 1
@@ -383,37 +356,6 @@ def _check_normal(price: float, name: str) -> None:
     if value_fault(price):
         raise ValueError(f"{name} must be positive, finite and normal (>= {sys.float_info.min!r}), "
                          f"got {price!r}")
-
-
-def step(
-    price: float,
-    last_return: float,
-    population: AgentPopulation,
-    step_index: int,
-    master_seed: int,
-) -> tuple[float, float]:
-    """Advance the price one trading day.
-
-    Enabled agent i buys with probability clamp(optimism_i +
-    reactivity_i * last_return, 0, 1) against a counter-based uniform
-    keyed by (master_seed, decision tag, step_index, i); its vote is
-    weighted by trade_fraction_i * assets_i / normalization_assets.
-    The draw exists for every agent, enabled or not, so toggling types
-    never shifts anyone else's stream.
-    """
-    _check_normal(price, "price")
-    size, chunks = _chunking(len(population))
-    step_keys = np.array([[fold(master_seed, TAG_DECISION, step_index)]], dtype=np.uint64)
-    weight = _demand_weight(np.array(population.trade_fraction, dtype=float), population.assets,
-                            population.enabled, population.normalization_assets)
-    optimism, reactivity, weight = (
-        _place(a[None, None], size, chunks) for a in (population.optimism, population.reactivity, weight)
-    )
-    prices, demands = np.array([[price], [0.0]]), np.empty((1, 1))
-    _walk(prices, demands, np.array([last_return]), optimism, reactivity,
-          np.abs(weight, out=weight).view(np.uint64), population.price_impact,
-          partial(_streamed_uniforms, step_keys, size, chunks))
-    return float(prices[1, 0]), float(demands[0, 0])
 
 
 def _row_blocks(size: int, per_row: int) -> list[tuple[int, int]]:
@@ -606,28 +548,31 @@ def _decision_uniforms(seeds: Sequence[int], n_agents: int, steps: int, rows: in
 
 def _placed_state(config: MarketConfig, seeds: Sequence[int], masks: np.ndarray, size: int,
                   chunks: int) -> list[np.ndarray]:
-    """Optimism, reactivity and vote weight, each (C, K, M, S) and written once, in place.
+    """Optimism, reactivity and |vote weight| as uint64 bits, each (C, K, M, S) and written once, in place.
 
-    The jitter is hashed with the position ids as parts (see _jittered),
-    then the weights are formed from the jittered trade fractions slab
-    by slab; padding holds 0.  Optimism and reactivity are copied for
-    every mask: broadcasting them over masks would cut every step's
-    elementwise loops to S lanes.  The ids and slab buffers are freed on
-    return, before the walk.
+    The jitter is hashed with the position ids as parts (see _jittered).
+    Then, slab by slab of _row_blocks, each agent's vote weight under
+    mask m, trade_fraction * assets / config.total_assets (0 where m
+    disables its type), overwrites its trade fraction and is made
+    |weight|, whose bits are the walk's abs_weight_bits; padding holds
+    0.  Optimism and reactivity are copied for every mask: broadcasting
+    them over masks would cut every step's elementwise loops to S lanes.
+    The ids and slab buffers are freed on return, before the walk.
     """
     shape = (size * chunks, len(masks), len(seeds))
     ids = _position_ids(size, chunks)
     state = [np.empty(shape) for _ in BEHAVIOR_FIELDS]
     _jittered(config, seeds, ids, state)
-    weight = state[BEHAVIOR_FIELDS.index("trade_fraction")]
-    assets = np.array([t.assets_per_investor for t in config.types] + [0.0])
-    enabled = np.vstack([masks.T, np.zeros(len(masks), dtype=bool)])[:, :, None]  # (type, mask, 1)
-    rows = _slab_rows(shape[0], shape[1] * shape[2])
-    for p0 in range(0, shape[0], rows):
-        p1 = min(p0 + rows, shape[0])
-        types = _agent_types(config, ids[p0:p1])
-        _demand_weight(weight[p0:p1], assets[types, None, None], enabled[types], config.total_assets)
-    return [a.reshape(size, chunks, *shape[1:]) for a in state]
+    optimism, reactivity, weight = state  # BEHAVIOR_FIELDS order
+    # (type, mask, 1): each type's assets under each mask, 0 where it is off, and 0 for padding.
+    assets = np.vstack([np.where(masks, [t.assets_per_investor for t in config.types], 0.0).T,
+                        np.zeros(len(masks))])[:, :, None]
+    for p0, p1 in _row_blocks(shape[0], shape[1] * shape[2]):
+        slab = weight[p0:p1]
+        slab *= assets[_agent_types(config, ids[p0:p1])]
+        slab /= config.total_assets
+        np.abs(slab, out=slab)
+    return [a.reshape(size, chunks, *shape[1:]) for a in (optimism, reactivity, weight.view(np.uint64))]
 
 
 def simulate_batch(
@@ -657,18 +602,40 @@ def simulate_batch(
 
     n_masks, n_seeds = len(masks), len(seeds)
     n_agents = sum(t.count for t in config.types)
-    optimism, reactivity, weight = _placed_state(config, seeds, masks, *_chunking(n_agents))
     prices = np.empty((horizon, n_masks * n_seeds))
     prices[0] = p0
     demands = np.empty((horizon - 1, n_masks * n_seeds))
-    _walk(prices, demands, np.zeros(n_masks * n_seeds), optimism, reactivity,
-          np.abs(weight, out=weight).view(np.uint64), config.price_impact,
+    _walk(prices, demands, np.zeros(n_masks * n_seeds),
+          *_placed_state(config, seeds, masks, *_chunking(n_agents)), config.price_impact,
           partial(_decision_uniforms, seeds, n_agents, horizon - 1))
     # Contiguous copies: a strided view would make mape_rows' mean over
     # days sum in another order than NumPy's pairwise sum of a
     # contiguous axis.
     return (np.ascontiguousarray(prices.T).reshape(n_masks, n_seeds, horizon),
             np.ascontiguousarray(demands.T).reshape(n_masks, n_seeds, horizon - 1))
+
+
+def step(config: MarketConfig, price: float, last_return: float, step_index: int) -> tuple[float, float]:
+    """Advance `config`'s market one trading day from `price`: (next price, net demand).
+
+    The agents are the config's own, under config.master_seed, with its
+    types' enabled flags: day t of simulate_pk is step(config, its price,
+    its last return, t).  Enabled agent i buys with probability
+    clamp(optimism_i + reactivity_i * last_return, 0, 1) against a
+    counter-based uniform keyed by (master_seed, decision tag,
+    step_index, i); its vote is weighted by trade_fraction_i * assets_i /
+    config.total_assets.  The draw exists for every agent, enabled or
+    not, so toggling types never shifts anyone else's stream.
+    """
+    _check_normal(price, "price")
+    size, chunks = _chunking(sum(t.count for t in config.types))
+    own_mask = np.array([[t.enabled for t in config.types]])
+    step_keys = np.array([[fold(config.master_seed, TAG_DECISION, step_index)]], dtype=np.uint64)
+    prices, demands = np.array([[price], [0.0]]), np.empty((1, 1))
+    _walk(prices, demands, np.array([last_return]),
+          *_placed_state(config, [config.master_seed], own_mask, size, chunks), config.price_impact,
+          partial(_streamed_uniforms, step_keys, size, chunks))
+    return float(prices[1, 0]), float(demands[0, 0])
 
 
 @dataclass(frozen=True)
@@ -689,12 +656,13 @@ def simulate_pk(
 ) -> SimulationRun:
     """Simulate `horizon` days seeded only by the starting price p0.
 
-    predicted[0] = p0; each later value comes from step()'s update fed
-    with the return of the simulation's own previous move (0 for the
-    first step, which has no history).  The run is a pure function of
-    (config, p0, horizon); `workers` is accepted for compatibility and
-    changes nothing.  A price that is not a normal float (inf, or below
-    sys.float_info.min) raises ValueError naming p0, it and, last, its date.
+    predicted[0] = p0; day t moves it as step(config, predicted[t],
+    last return, t) does, fed with the return of the simulation's own
+    previous move (0 for the first step, which has no history).  The run
+    is a pure function of (config, p0, horizon); `workers` is accepted
+    for compatibility and changes nothing.  A price that is not a normal
+    float (inf, or below sys.float_info.min) raises ValueError naming p0,
+    it and, last, its date.
     """
     if len(dates) != horizon:
         raise ValueError(f"got {len(dates)} dates for horizon {horizon}")

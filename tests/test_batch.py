@@ -130,7 +130,6 @@ def test_slabbed_steps_equal_unpatched_runs(monkeypatch, block_elements):
     # patched batch reads no table.
     monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", 0)
     config = bank_dominated_config(master_seed=5)
-    population = init_population(config)
     batch = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON)
     with monkeypatch.context() as m:
         m.setattr(market_module, "CHUNK_SIZE", 64)
@@ -143,7 +142,7 @@ def test_slabbed_steps_equal_unpatched_runs(monkeypatch, block_elements):
     prices = [100.0]
     for t in range(HORIZON - 1):
         last_return = (prices[t] - prices[t - 1]) / prices[t - 1] if t else 0.0
-        prices.append(step(prices[t], last_return, population, t, config.master_seed)[0])
+        prices.append(step(config, prices[t], last_return, t)[0])
     assert np.array(prices).tobytes() == np.array(run.predicted.values).tobytes()
 
 
@@ -160,31 +159,60 @@ def test_walked_blocks_equal_one_block_steps(monkeypatch, table_cap, chunk_width
     prices, demands = simulate_batch(BASE, seeds, masks, 100.0, HORIZON)
     size, chunks = market_module._chunking(500)
     lanes = chunks * len(masks) * len(seeds)
-    walked = []
+    walked = {}
     row_blocks = market_module._row_blocks
     monkeypatch.setattr(market_module, "_row_blocks",
-                        lambda *args: walked.append(row_blocks(*args)) or walked[-1])
+                        lambda *args: walked.setdefault(args, row_blocks(*args)))
     # Blocks of at most 5 rows, the shorter last: 13 a step of 64 rows (the
     # last of 4), 26 of 128 (the last two of 4).
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 5 * lanes)
     walked_prices, walked_demands = simulate_batch(BASE, seeds, masks, 100.0, HORIZON)
-    lengths = [c1 - c0 for c0, c1 in walked[0]]  # the walk's; a table build would size its own next
+    # The walk's call, by its arguments: the set-up slabs and a table build make their own.
+    lengths = [c1 - c0 for c0, c1 in walked[size, lanes]]
     assert len(lengths) == -(-size // 5) and lengths == sorted(lengths, reverse=True)
     assert lengths[0] == 5 and lengths[-1] == 4
     assert walked_prices.tobytes() == prices.tobytes()
     assert walked_demands.tobytes() == demands.tobytes()
 
 
+STEP_CALLS = [(100.0, 0.0, 0), (101.5, 0.015, 7), (99.0, -0.03, 88)]  # (price, last return, step index)
+# (next price, demand) of each of STEP_CALLS under each preset's own seed,
+# recorded from step(init_population(config), ..., config.master_seed), the
+# form step() took before it took the config itself.
+PINNED_STEPS = {
+    (4096, "bank_dominated"): [("0x1.9068fa9222b3fp+6", "0x1.a3ea488acfd3fp-4"),
+                               ("0x1.96332a02d63a8p+6", "0x1.93438e298608cp-5"),
+                               ("0x1.8c701abad7e47p+6", "0x1.c4f276cd24083p-4")],
+    (4096, "balanced"): [("0x1.904b53b556dfep+6", "0x1.2d4ed55b7fb7ep-4"),
+                         ("0x1.965682e8e6057p+6", "0x1.54ee764cb1c08p-4"),
+                         ("0x1.8c2a4fd2182e6p+6", "0x1.55e9dd352ea71p-5")],
+    (64, "bank_dominated"): [("0x1.9068fa9222b3fp+6", "0x1.a3ea488acfd40p-4"),
+                             ("0x1.96332a02d63a8p+6", "0x1.93438e2986087p-5"),
+                             ("0x1.8c701abad7e47p+6", "0x1.c4f276cd2407fp-4")],
+    (64, "balanced"): [("0x1.904b53b556dfep+6", "0x1.2d4ed55b7fb7dp-4"),
+                       ("0x1.965682e8e6057p+6", "0x1.54ee764cb1c05p-4"),
+                       ("0x1.8c2a4fd2182e6p+6", "0x1.55e9dd352ea71p-5")],
+}
+
+
+@pytest.mark.parametrize("chunk_width", [market_module.CHUNK_SIZE, 64])
+@pytest.mark.parametrize("name, preset", [("bank_dominated", bank_dominated_config),
+                                          ("balanced", balanced_config)])
+def test_step_keeps_its_pinned_values(monkeypatch, chunk_width, name, preset):
+    monkeypatch.setattr(market_module, "CHUNK_SIZE", chunk_width)
+    config = preset()
+    stepped = [step(config, price, last_return, t) for price, last_return, t in STEP_CALLS]
+    assert [(p.hex(), d.hex()) for p, d in stepped] == PINNED_STEPS[chunk_width, name]
+
+
 @pytest.mark.parametrize("chunk_width", [64, 4096])
 def test_step_walks_blocks_like_one_block(monkeypatch, chunk_width):
     monkeypatch.setattr(market_module, "CHUNK_SIZE", chunk_width)
-    population = init_population(BASE)
-    size, chunks = market_module._chunking(len(population))
-    calls = [(100.0, 0.0, 0), (101.5, 0.015, 7), (99.0, -0.03, 88)]
-    one_block = [step(price, last_return, population, t, 11) for price, last_return, t in calls]
+    size, chunks = market_module._chunking(500)
+    one_block = [step(BASE, price, last_return, t) for price, last_return, t in STEP_CALLS]
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 7 * chunks)  # blocks of 7 rows
     assert len(market_module._row_blocks(size, chunks)) == -(-size // 7) > 1
-    walked = [step(price, last_return, population, t, 11) for price, last_return, t in calls]
+    walked = [step(BASE, price, last_return, t) for price, last_return, t in STEP_CALLS]
     assert [(p.hex(), d.hex()) for p, d in walked] == [(p.hex(), d.hex()) for p, d in one_block]
 
 
@@ -265,15 +293,16 @@ def _bits(values):
 
 @pytest.mark.parametrize("jitter", [0.2, 0.0])
 def test_placed_jitter_equals_scalar_reference(monkeypatch, jitter):
-    # 100 agents in chunks of 64 (28 padding positions), slabs of 7 positions
-    # (3 fields x 2 seeds each), so every field spans 19 slabs.
+    # 100 agents in chunks of 64 (28 padding positions), jitter slabs of 7
+    # positions (3 fields x 2 seeds each), so every field spans 19 slabs.
     monkeypatch.setattr(market_module, "CHUNK_SIZE", 64)
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 7 * 3 * 2)
     config = replace(CLIPPED, jitter=jitter)
     seeds, masks = [4, -9], np.array([[True, True, True, True], [False, True, False, True]])
     size, chunks = market_module._chunking(100)
-    assert market_module._slab_rows(size * chunks, 3 * len(seeds)) == 7
-    optimism, reactivity, weight = market_module._placed_state(config, seeds, masks, size, chunks)
+    assert len(market_module._row_blocks(size * chunks, 3 * len(seeds))) == 19
+    optimism, reactivity, weight_bits = market_module._placed_state(config, seeds, masks, size, chunks)
+    weight = weight_bits.view(np.float64)
     assert optimism.shape == reactivity.shape == weight.shape == (size, chunks, 2, 2)
     seen = set()
     for c in range(size):
@@ -441,12 +470,11 @@ def test_replication_mapes_equal_per_run_mape(n_days):
 ], ids=["bank_dominated", "balanced", "banks_disabled"])
 def test_chained_steps_equal_simulate_pk(monkeypatch, config, chunk_width):
     monkeypatch.setattr(market_module, "CHUNK_SIZE", chunk_width)
-    population = init_population(config)
     run = simulate_pk(config, 100.0, HORIZON, DATES)
     prices, demands = [100.0], []
     for t in range(HORIZON - 1):
         last_return = (prices[t] - prices[t - 1]) / prices[t - 1] if t else 0.0
-        price, demand = step(prices[t], last_return, population, t, config.master_seed)
+        price, demand = step(config, prices[t], last_return, t)
         prices.append(price)
         demands.append(demand)
     assert np.array(prices).tobytes() == np.array(run.predicted.values).tobytes()
@@ -476,9 +504,15 @@ def _walked_row_sums(values):
     reactivity 0, make each vote copysign(|v|, x - above) = v itself,
     whatever the uniform; padding votes are -0.0, as in every batch.
     """
-    rows = len(values)
-    size, chunks = market_module._chunking(values.shape[1])
-    optimism, reactivity, weight = (market_module._place(a[None], size, chunks) for a in (
+    rows, n_agents = values.shape
+    size, chunks = market_module._chunking(n_agents)
+
+    def placed(a):  # agent k * C + c of row r at position (c, k, 0, r); padding holds 0
+        padded = np.zeros((rows, chunks * size))
+        padded[:, :n_agents] = a
+        return np.ascontiguousarray(padded.reshape(rows, chunks, size).transpose(2, 1, 0)[:, :, None])
+
+    optimism, reactivity, weight = (placed(a) for a in (
         np.where(np.signbit(values), -2.0, 2.0), np.zeros_like(values), np.abs(values)))
     step_keys = np.arange(rows, dtype=np.uint64)[None]
     demands = np.empty((1, rows))
@@ -518,7 +552,7 @@ def test_copysign_vote_equals_less_vote():
     ordered = probes + list(u) + list(above) + list(np.nextafter(u, -np.inf))
     x = np.array(ordered + [np.nan, -np.nan])  # NaN differences, either sign bit
     weight = np.array([0.0, 1e-300, 0.125, 3.0])
-    odd_weight = [-0.0, -0.125, -3.0, np.nan, -np.nan]  # only a hand-built population has these
+    odd_weight = [-0.0, -0.125, -3.0, np.nan, -np.nan]  # no config's agents have these
     xs, us, ws = np.meshgrid(x, u, np.concatenate([weight, odd_weight]), indexing="ij")
     _, aboves, _ = np.meshgrid(x, above, ws[0, 0], indexing="ij")
     copysign = np.copysign(ws, xs - aboves)
@@ -538,27 +572,6 @@ def test_copysign_vote_equals_less_vote():
     old = (2.0 * np.less(us[less_grid], xs[less_grid]) - 1.0) * ws[less_grid]
     assert copysign[less_grid].tobytes() == old.tobytes()
     assert votes[less_grid].tobytes() == old.tobytes()
-
-    # step() on a hand-built population, some of whose weights are negative.
-    population = market_module.AgentPopulation(
-        type_index=np.zeros(6, dtype=np.int64),
-        optimism=np.array([0.1, 0.9, 0.5, 0.3, 0.7, 0.5]),
-        reactivity=np.array([0.5, -0.5, 1.0, -1.0, 0.25, 0.0]),
-        trade_fraction=np.array([-0.5, 0.25, -1.0, 0.75, -0.125, 1.0]),
-        assets=np.array([2.0, 3.0, 1.0, 5.0, 7.0, 11.0]),
-        enabled=np.ones(6, dtype=bool),
-        normalization_assets=29.0,
-        price_impact=0.01,
-    )
-    price, last_return, step_index, seed = 100.0, 0.02, 7, 5
-    x = population.reactivity * last_return + population.optimism
-    uniforms = np.array([_expected_above(seed, step_index, agent) for agent in range(6)])
-    weight = population.trade_fraction * population.assets / population.normalization_assets
-    demand = _loop_row_sum(np.copysign(weight, x - uniforms).tolist(), 6)
-    assert demand != _loop_row_sum(weight.tolist(), 6)  # the votes do not all agree with the weights
-    next_price, stepped_demand = step(price, last_return, population, step_index, seed)
-    assert stepped_demand.hex() == demand.hex()
-    assert next_price.hex() == ((demand * population.price_impact + 1.0) * price).hex()
 
 
 def test_greedy_fills_the_baseline_instead_of_simulating_it(monkeypatch, cfg_a, params_a, target_a):

@@ -54,6 +54,14 @@ class TestParameterVector:
         with pytest.raises(ValueError, match="price_impact"):
             ParameterVector(vec.type_names, bad)
 
+    def test_nan_coordinate_rejected_by_name(self, small_cfg):
+        vec = ParameterVector.from_config(small_cfg)
+        bad = vec.values.copy()
+        bad[4] = np.nan  # the second type's reactivity; NaN compares false both ways
+        name = vec.coordinate_names()[4]
+        with pytest.raises(ValueError, match=rf"^coordinate {name} = nan out of bounds$"):
+            ParameterVector(vec.type_names, bad)
+
     def test_type_name_mismatch_rejected(self, small_cfg):
         vec = ParameterVector.from_config(small_cfg)
         other = replace(small_cfg, types=tuple(replace(t, name=t.name + "X") for t in small_cfg.types))

@@ -164,15 +164,13 @@ class TestInitPopulation:
 class TestStep:
     def test_all_disabled_is_identity(self, cfg_a):
         cfg = set_enabled(cfg_a, cfg_a.type_names, False)
-        pop = init_population(cfg)
-        next_price, demand = step(1000.0, 0.05, pop, 0, cfg.master_seed)
+        next_price, demand = step(cfg, 1000.0, 0.05, 0)
         assert demand == 0.0
         assert next_price == 1000.0
 
     def test_forced_buy_full_weight(self):
         cfg = sole_type_config()  # optimism 1, reactivity 0, fraction 1, all assets
-        pop = init_population(cfg)
-        next_price, demand = step(100.0, 0.0, pop, 0, cfg.master_seed)
+        next_price, demand = step(cfg, 100.0, 0.0, 0)
         assert demand == 1.0
         assert next_price == 100.0 * (1.0 + 0.01 * 1.0)
 
@@ -184,17 +182,15 @@ class TestStep:
         assert max(abs(d) for d in run.demands) <= bound + 1e-12
 
     def test_rejects_non_positive_price(self, cfg_a):
-        pop = init_population(cfg_a)
         with pytest.raises(ValueError):
-            step(0.0, 0.0, pop, 0, cfg_a.master_seed)
+            step(cfg_a, 0.0, 0.0, 0)
 
     def test_rejects_subnormal_price_as_simulate_pk_rejects_p0(self, cfg_a):
-        pop = init_population(cfg_a)
         with pytest.raises(ValueError, match="price must be positive, finite and normal"):
-            step(1e-310, 0.0, pop, 0, cfg_a.master_seed)
+            step(cfg_a, 1e-310, 0.0, 0)
         with pytest.raises(ValueError, match="p0 must be positive, finite and normal"):
             simulate_pk(cfg_a, 1e-310, 2, weekdays(date(2009, 1, 2), 2))
-        assert step(sys.float_info.min, 0.0, pop, 0, cfg_a.master_seed)[0] > 0
+        assert step(cfg_a, sys.float_info.min, 0.0, 0)[0] > 0
 
 
 class TestSimulatePK:

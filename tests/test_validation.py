@@ -94,6 +94,16 @@ def test_cli_nan_tolerance_exits_2(reduce_args, capsys):
     assert "--tolerance" in capsys.readouterr().err
 
 
+def test_cli_nan_fit_coordinate_exits_2_before_out(reduce_args, tmp_path, capsys):
+    # Python's json reads NaN, so a fit file can hold one.
+    fit = json.loads((tmp_path / "fit.json").read_text())
+    fit["params"]["Individual.optimism"] = math.nan
+    (tmp_path / "fit.json").write_text(json.dumps(fit))
+    assert main(reduce_args + ["--replications", "1"]) == 2
+    assert "coordinate Individual.optimism = nan out of bounds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field,value", [("enabled", "false"), ("count", 1.5)])
 def test_cli_loose_config_field_exits_2(reduce_args, tmp_path, capsys, field, value):
     (tmp_path / "config.json").write_text(json.dumps(_type_dict(**{field: value})))
