@@ -14,14 +14,13 @@ import argparse
 import os
 import sys
 from dataclasses import fields, replace
-from datetime import date
 from pathlib import Path
 
 from . import learner, market, reducer
 from .learner import AnnealingSchedule, ParameterVector
 from .presets import weekdays
 from .timeseries import (SplitSpec, TimeSeries, check_aligned, json_boolean, json_integer, json_number, known_keys,
-                         load_csv, mape, parsed_fields, read_json, save_csv, split, write_atomically,
+                         load_csv, mape, parse_date, parsed_fields, read_json, save_csv, split, write_atomically,
                          write_dated_csv, write_json)
 
 
@@ -38,13 +37,6 @@ def _check_workers(args: argparse.Namespace) -> None:
         raise ValueError(f"worker count must be >= 1, got {n}")
 
 
-def _parse_date(text: str) -> date:
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise ValueError(f"bad date {text!r} (want ISO-8601, e.g. 2008-12-31)") from None
-
-
 def _schedule_from_args(args: argparse.Namespace) -> AnnealingSchedule:
     flags = {"initial_temperature": args.initial_temp, "cooling_factor": args.cooling,
              "proposals_per_epoch": args.per_epoch, "total_evaluations": args.evaluations,
@@ -53,13 +45,18 @@ def _schedule_from_args(args: argparse.Namespace) -> AnnealingSchedule:
 
 
 def _load_params(path: str | Path, config: market.MarketConfig) -> ParameterVector:
-    return learner.params_from_fit_dict(read_json(path, "parameter file"), config.type_names)
+    """The fit file's parameter vector for `config`; every error names `path`, as read_json's do."""
+    data = read_json(path, "parameter file")
+    try:
+        return learner.params_from_fit_dict(data, config.type_names)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _run_inputs(data: str | Path, boundary: str, config_path: str | Path,
                 seed: int | None) -> tuple[TimeSeries, TimeSeries, market.MarketConfig]:
     """(train, test, config): the series split after `boundary`, the config under `seed` (None keeps its own)."""
-    train, test = split(load_csv(data), SplitSpec(_parse_date(boundary)))
+    train, test = split(load_csv(data), SplitSpec(parse_date(boundary)))
     config = market.load_config(config_path)
     if seed is not None:
         config = replace(config, master_seed=seed)
@@ -106,7 +103,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         if args.horizon is None:
             raise ValueError("need --horizon N (with optional --start-date) or --dates-from CSV")
-        dates = weekdays(_parse_date(args.start_date), args.horizon)
+        dates = weekdays(parse_date(args.start_date), args.horizon)
 
     run = market.simulate_pk(config, args.p0, len(dates), dates)
     save_csv(run.predicted, args.out)

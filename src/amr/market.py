@@ -99,11 +99,11 @@ MAX_TYPES = 16
 # sum, so changing it changes outputs; _chunking reads it at call time.
 CHUNK_SIZE = 4096
 
-# The sign bit of a float64, as the uint64 mask that _advance keeps of each difference.
+# The sign bit of a float64, as the uint64 mask that _walk keeps of each difference.
 _SIGN_BIT = np.uint64(1 << 63)
 
 # Lanes (chunks x rows) from which a demand sum reduces the agent axis in
-# one call; narrower sums accumulate (see _row_sums).
+# one call; narrower sums accumulate (see _walk).
 _REDUCE_WIDTH = 8
 
 # Upper bound on the decision uniforms hashed at once, on the jitter

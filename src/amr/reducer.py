@@ -32,8 +32,8 @@ from itertools import combinations
 from math import sqrt
 from typing import Iterable, Sequence
 
-from .learner import AnnealingSchedule, ParameterVector, anneal, replication_mapes
-from .market import MarketConfig, known_type_names, only_enabled
+from .learner import ParameterVector, replication_mapes
+from .market import MarketConfig, known_type_names
 from .market import simulate_pk  # noqa: F401  (perfbench/layers.py wraps reducer.simulate_pk)
 from .timeseries import TimeSeries
 from .timeseries import mape  # noqa: F401  (perfbench/layers.py wraps reducer.mape)
@@ -65,9 +65,6 @@ class ModelSet:
 
     def __str__(self) -> str:
         return "{" + ", ".join(self.member_names) + "}"
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.member_names
 
 
 @dataclass(frozen=True)
@@ -152,8 +149,8 @@ def _subset_scores(
     key are simulated, in as few calls as MAX_BATCH_ELEMENTS allows.
     """
     cfg = params.apply(config)
-    member_sets = [ModelSet.of(cfg, members) for members in subsets]
-    masks = [tuple(n in members for n in cfg.type_names) for members in member_sets]
+    wanted = [known_type_names(cfg, members) for members in subsets]
+    masks = [tuple(n in names for n in cfg.type_names) for names in wanted]
     known = _known_scores(cfg, target, replications)
     todo = [mask for mask in dict.fromkeys(masks) if mask not in known]
     # At least one mask per call; replication_mapes rejects replications < 1.
@@ -213,48 +210,30 @@ def greedy_reduce(
     tolerance: float = DEFAULT_TOLERANCE,
     replications: int = DEFAULT_REPLICATIONS,
     workers: int = 1,
-    retrain_schedule: AnnealingSchedule | None = None,
-    retrain_train: TimeSeries | None = None,
-    retrain_seed: int = 0,
 ) -> ReductionReport:
     """Grow a subset by singleton rank until it matches the benchmark.
 
     The singleton ranking is computed once up front; each addition
-    re-evaluates the cumulative subset.  Selection stops as soon as the
-    subset's mean MAPE is within `tolerance` of the full set's, and at
-    the latest when the subset equals the full set (whose evaluation
-    reproduces the benchmark exactly).
-
-    With `retrain_schedule` and `retrain_train` given, every evaluated
-    cumulative subset is re-annealed on the training series before
-    scoring, instead of reusing the full-set parameters.
+    re-evaluates the cumulative subset.  Every subset is scored at the
+    full-set parameters.  Selection stops as soon as the subset's mean
+    MAPE is within `tolerance` of the full set's, and at the latest when
+    the subset equals the full set (whose evaluation reproduces the
+    benchmark exactly).
     """
     check_settings(tolerance, replications, "")
-    if (retrain_schedule is None) != (retrain_train is None):
-        raise ValueError("retraining needs both retrain_schedule and retrain_train")
-
-    def cumulative_score(members: tuple[str, ...]) -> Score:
-        p = params
-        if retrain_schedule is not None:
-            subset_cfg = only_enabled(config, members)
-            p = anneal(retrain_train, subset_cfg, retrain_schedule, retrain_seed).best_params
-        return evaluate_subset(members, p, config, target, replications)
-
-    # Full set, baseline and singletons run as one batch.  The ranking reads
-    # the memo before any retraining changes its key; without retraining, so
-    # do the cumulative scores of the full set and the first pick.
+    # Full set, baseline and singletons run as one batch; the ranking, and
+    # a prefix that is one type or the full set, read them from the memo.
     names = config.type_names
     subsets = [names, (), *((n,) for n in names)]
-    _, baseline, *singles = _subset_scores(subsets, params, config, target, replications)
+    benchmark, baseline, *singles = _subset_scores(subsets, params, config, target, replications)
     singletons = dict(zip(names, singles))
     ranking = tuple(n for n, _ in rank_models(config, params, target, replications))
-    benchmark = cumulative_score(names)
 
     chosen: list[str] = []
     trace: list[tuple[str, Score]] = []
     for name in ranking:
         chosen.append(name)
-        score = cumulative_score(tuple(chosen))
+        score = evaluate_subset(chosen, params, config, target, replications)
         trace.append((name, score))
         if score.mean <= benchmark.mean + tolerance:
             break

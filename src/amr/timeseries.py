@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import MISSING, dataclass, fields
 from datetime import date
@@ -79,6 +80,21 @@ class TimeSeries:
         return np.asarray(self.values, dtype=np.float64)
 
 
+def parse_date(text: str) -> date:
+    """The date written as exactly `YYYY-MM-DD` in ASCII digits.
+
+    date.fromisoformat alone also takes `20090102` and `2009-W01-5` from
+    Python 3.11 on, so the same file would load on one Python and not on
+    another.
+    """
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        raise ValueError(f"bad date {text!r} (want YYYY-MM-DD, e.g. 2008-12-31)")
+    try:
+        return date.fromisoformat(text)
+    except ValueError as err:  # e.g. 2009-02-30
+        raise ValueError(f"bad date {text!r} ({err})") from None
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Boundary for a train/test split: last day included in training."""
@@ -87,7 +103,7 @@ class SplitSpec:
 
 
 def load_csv(path: str | Path) -> TimeSeries:
-    """Read `date,value` rows (ISO dates; line 1 is a header when its first field is not one).
+    """Read `date,value` rows (YYYY-MM-DD dates; line 1 is a header when neither of its fields parses).
 
     Rows may arrive unsorted; the result is sorted ascending by date.
     Raises FileNotFoundError for a missing file and ValueError (with the
@@ -107,15 +123,17 @@ def load_csv(path: str | Path) -> TimeSeries:
                 raise ValueError(f"{path}:{lineno}: expected 'date,value', got {len(record)} fields")
             raw_date, raw_value = record[0].strip(), record[1].strip()
             try:
-                d = date.fromisoformat(raw_date)
-            except ValueError:
-                if lineno == 1:
-                    continue  # header line, e.g. "date,close"
-                raise ValueError(f"{path}:{lineno}: bad date {raw_date!r} (want ISO-8601)") from None
-            try:
                 v = float(raw_value)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad value {raw_value!r}") from None
+                v = None
+            try:
+                d = parse_date(raw_date)
+            except ValueError as err:
+                if lineno == 1 and v is None:
+                    continue  # header line, e.g. "date,close"
+                raise ValueError(f"{path}:{lineno}: {err}") from None
+            if v is None:
+                raise ValueError(f"{path}:{lineno}: bad value {raw_value!r}")
             fault = value_fault(v)
             if fault:
                 raise ValueError(f"{path}:{lineno}: " + fault.format(value=raw_value, where=""))

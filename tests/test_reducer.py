@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from amr import reducer
-from amr.learner import AnnealingSchedule, ParameterVector
+from amr.learner import ParameterVector
 from amr.market import InvestorType, MarketConfig
 from amr.presets import synthetic_target
 from amr.reducer import (
@@ -148,24 +148,6 @@ class TestGreedyReduce:
         assert "full set" in table and "all disabled (constant)" in table
         assert table.count("only ") == len(cfg_a.types)
 
-    def test_retrain_option_runs(self, cfg_a, short_a):
-        train = synthetic_target(cfg_a, seed=55, n_days=50)
-        schedule = AnnealingSchedule(total_evaluations=3, replications=1)
-        report = greedy_reduce(
-            cfg_a,
-            ParameterVector.from_config(cfg_a),
-            short_a,
-            tolerance=float("inf"),
-            replications=2,
-            retrain_schedule=schedule,
-            retrain_train=train,
-        )
-        assert len(report.reduced_set) == 1
-
-    def test_retrain_needs_both_arguments(self, cfg_a, params_a, short_a):
-        with pytest.raises(ValueError, match="retrain"):
-            greedy_reduce(cfg_a, params_a, short_a, retrain_schedule=AnnealingSchedule())
-
 
 class TestExhaustive:
     def test_subset_count_for_four_types(self, cfg_a, params_a, short_a):
@@ -225,13 +207,17 @@ class TestScoreSlot:
             reducer._known_scores.cache_clear()
             assert evaluate_subset(model_set, params, cfg, target, replications=REPS) == score
 
-    def test_oracle_after_greedy_simulates_only_new_masks(self, cfg_a, params_a, target_a, simulated_masks):
-        greedy = greedy_reduce(cfg_a, params_a, target_a)
-        assert greedy.reduced_set.member_names == ("Banks",)
-        assert len(simulated_masks) == 6  # full set, baseline, four singletons
-        exhaustive_reduce(cfg_a, params_a, target_a)
-        assert len(simulated_masks) == 6 + 10
-        assert len(set(simulated_masks)) == 16  # no mask simulated twice
+    def test_oracle_after_greedy_simulates_only_new_masks(self, request, simulated_masks):
+        # Full set, baseline and four singletons, plus one mask per pick after the first.
+        for preset, picks, greedy_masks in [("a", ["Banks"], 6), ("b", ["Govt", "Banks"], 7)]:
+            cfg, params, target = (request.getfixturevalue(f"{n}_{preset}") for n in ("cfg", "params", "target"))
+            simulated_masks.clear()
+            greedy = greedy_reduce(cfg, params, target)
+            assert [name for name, _ in greedy.selection_trace] == picks, preset
+            assert len(simulated_masks) == greedy_masks, preset
+            exhaustive_reduce(cfg, params, target)
+            assert len(simulated_masks) == 16, preset
+            assert len(set(simulated_masks)) == 16, preset  # no mask simulated twice
 
     def test_any_other_key_recomputes(self, cfg_a, params_a, short_a, simulated_masks):
         subsets = [("Banks",), ("Banks", "Govt"), cfg_a.type_names]

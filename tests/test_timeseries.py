@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amr.presets import weekdays
-from amr.timeseries import (SplitSpec, TimeSeries, load_csv, mape, mape_rows, save_csv, split,
+from amr.timeseries import (SplitSpec, TimeSeries, load_csv, mape, mape_rows, parse_date, save_csv, split,
                             write_atomically)
 
 
@@ -116,10 +116,22 @@ class TestLoadCsv:
             load_csv(p)
 
     def test_bad_first_row_is_not_a_header(self, tmp_path):
-        # Line 1 is a header only when its first field is not an ISO date.
+        # Line 1 is a header only when neither its date nor its value parses.
         p = tmp_path / "t.csv"
         p.write_text("2008-01-02,1O0.5\n2008-01-03,101\n2008-01-04,102\n")
         with pytest.raises(ValueError, match=r":1: bad value '1O0.5'"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("text", ["20090102", "2009-W01-5", "2009-1-2"])
+    def test_only_yyyy_mm_dd_dates_load(self, tmp_path, text):
+        # Python 3.11's date.fromisoformat takes the first two; 3.10's does not.
+        p = tmp_path / "t.csv"
+        p.write_text(f"date,value\n2009-01-01,100\n{text},101\n")
+        with pytest.raises(ValueError, match=rf":3: bad date '{text}'"):
+            load_csv(p)
+        # On line 1 a numeric value makes it a row, not a header to skip.
+        p.write_text(f"{text},100\n2009-01-05,101\n")
+        with pytest.raises(ValueError, match=rf":1: bad date '{text}'"):
             load_csv(p)
 
     def test_wrong_field_count(self, tmp_path):
@@ -152,6 +164,13 @@ class TestLoadCsv:
             write_atomically(path, "new\n\udc80")  # a lone surrogate fails to encode mid-write
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@pytest.mark.parametrize("text", ["2009-01-02 ", " 2009-01-02", "\uff12009-01-02", "2009-02-30", "+2009-01-2"])
+def test_parse_date_takes_only_ten_ascii_characters_of_a_real_day(text):
+    assert parse_date("2009-01-02") == date(2009, 1, 2)
+    with pytest.raises(ValueError, match="bad date"):
+        parse_date(text)
 
 
 class TestSplit:

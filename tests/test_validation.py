@@ -104,6 +104,34 @@ def test_cli_nan_fit_coordinate_exits_2_before_out(reduce_args, tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda params: params.update({"Individual.optimism": math.nan}),
+     "coordinate Individual.optimism = nan out of bounds"),
+    (lambda params: params.pop("price_impact"), "parameter file missing 'price_impact'"),
+    (lambda params: params.update({"Banks.reactivity": "0.5"}), "parameter file 'Banks.reactivity' must be a number"),
+    (lambda params: params.update({"Banks.optimsm": 0.5}), "parameter file params has unknown key(s)"),
+], ids=["nan", "missing", "string", "unknown"])
+def test_cli_fit_file_errors_name_the_file(reduce_args, tmp_path, capsys, edit, message):
+    fit_path = tmp_path / "fit.json"
+    fit = json.loads(fit_path.read_text())
+    edit(fit["params"])
+    fit_path.write_text(json.dumps(fit))
+    assert main(reduce_args + ["--replications", "1"]) == 2
+    assert f"error: {fit_path}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["20090102", "2009-W01-5", "2009-1-2"])
+def test_cli_dates_other_than_yyyy_mm_dd_exit_2(reduce_args, tmp_path, capsys, text):
+    # Python 3.11's date.fromisoformat takes the first two; 3.10's does not.
+    assert main([*reduce_args[:4], text, *reduce_args[5:]]) == 2  # --split
+    assert f"bad date {text!r}" in capsys.readouterr().err
+    simulate = ["simulate", "--config", reduce_args[6], "--p0", "100.0", "--horizon", "5",
+                "--start-date", text, "--out", str(tmp_path / "prediction.csv")]
+    assert main(simulate) == 2
+    assert f"bad date {text!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "prediction.csv").exists()
+
+
 @pytest.mark.parametrize("field,value", [("enabled", "false"), ("count", 1.5)])
 def test_cli_loose_config_field_exits_2(reduce_args, tmp_path, capsys, field, value):
     (tmp_path / "config.json").write_text(json.dumps(_type_dict(**{field: value})))
