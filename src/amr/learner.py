@@ -4,9 +4,10 @@ The learnable degrees of freedom are the market.BEHAVIOR_FIELDS of every
 investor type plus the global price impact: 3 * n_types + 1
 box-bounded coordinates.  The objective ("energy") is
 the replication-averaged MAPE of a partial-knowledge simulation against
-the training series, taken by replication_mapes (which also scores
-amr.reducer's subsets) under fixed sub-seeds, so the energy of a given
-vector is deterministic and the whole chain is reproducible.
+the training series under fixed sub-seeds, so the energy of a given
+vector is deterministic and the whole chain is reproducible.  Energies
+and amr.reducer's subset scores reach the kernel only through
+replication_mapes, and replication_mean averages each row of runs.
 """
 
 from __future__ import annotations
@@ -134,47 +135,54 @@ class FitResult:
     evaluations: int
 
 
+# Masks x seeds x agents per simulate_batch call; amr.market's docstring
+# says what a call holds (three placed float64 arrays of this many values).
+MAX_BATCH_ELEMENTS = 1 << 17
+
+
 def replication_mapes(config: MarketConfig, masks: Sequence[Sequence[bool]], target: TimeSeries,
                       replications: int) -> np.ndarray:
     """MAPE against `target` of every (mask, replication) run, shaped (M, R).
 
     Run [m, r] simulates `config` with the types of masks[m] and master seed
     substream(config.master_seed, r) from the target's first value over its
-    length; the runs of every mask that enables a type share one
-    simulate_batch call.  A mask that enables none is not simulated: its
-    agents all weigh 0, so each step's price is (+-0 * impact + 1) * price
-    = price, and its runs are filled with the target's first value, the
-    very prices the kernel would return.
+    length.  Masks that enable a type run in order, in simulate_batch calls
+    of at most MAX_BATCH_ELEMENTS masks x seeds x agents (one mask at least).
+    A mask that enables none is not simulated: its agents all weigh 0, so
+    each step's price is (+-0 * impact + 1) * price = price, and its runs
+    score the constant series at the target's first value.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     seeds = [substream(config.master_seed, r) for r in range(replications)]
-    prices = np.full((len(masks), replications, len(target)), target.values[0])
+    p0, horizon = target.values[0], len(target)
+    mapes = np.full((len(masks), replications), mape_rows(target, np.full(horizon, p0)))
     live = [m for m, mask in enumerate(masks) if any(mask)]
-    if live:
-        prices[live], _ = market.simulate_batch(config, seeds, [masks[m] for m in live],
-                                                target.values[0], len(target))
-    return mape_rows(target, prices)
+    per_call = max(1, MAX_BATCH_ELEMENTS // (replications * sum(t.count for t in config.types)))
+    for lo in range(0, len(live), per_call):
+        batch = live[lo : lo + per_call]
+        prices, _ = market.simulate_batch(config, seeds, [masks[m] for m in batch], p0, horizon)
+        mapes[batch] = mape_rows(target, prices)
+    return mapes
 
 
-def energy(
-    params: ParameterVector,
-    train: TimeSeries,
-    config: MarketConfig,
-    replications: int = 3,
-) -> float:
-    """Replication-averaged training MAPE of `params`.
+def replication_mean(row: Sequence[float]) -> float:
+    """Mean of one row of replication MAPEs: the common value when all are
+    equal, else their sum, left to right, divided by their count."""
+    if all(x == row[0] for x in row):
+        return row[0]
+    total = 0.0
+    for x in row:
+        total += x
+    return total / len(row)
 
-    The replication_mapes runs of the config's own enabled types are
-    summed left to right and divided by their count, so the value is
-    deterministic.
-    """
+
+def energy(params: ParameterVector, train: TimeSeries, config: MarketConfig, replications: int = 3) -> float:
+    """Replication-averaged training MAPE of `params`: the replication_mean of
+    the replication_mapes row of the config's own enabled types."""
     cfg = params.apply(config)
     mask = [t.enabled for t in cfg.types]
-    total = 0.0
-    for m in replication_mapes(cfg, [mask], train, replications)[0].tolist():
-        total += m
-    return total / replications
+    return replication_mean(replication_mapes(cfg, [mask], train, replications)[0].tolist())
 
 
 def propose(params: ParameterVector, sigma: float, stream: Stream) -> ParameterVector:

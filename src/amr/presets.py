@@ -52,13 +52,16 @@ def balanced_config(master_seed: int = 2009) -> MarketConfig:
 
 
 def weekdays(start: date, n: int) -> tuple[date, ...]:
-    """n consecutive Mon-Fri calendar days beginning at or after `start`."""
+    """n consecutive Mon-Fri calendar days beginning at or after `start`; ValueError past date.max."""
     out: list[date] = []
     d = start
     while len(out) < n:
         if d.weekday() < 5:
             out.append(d)
-        d += timedelta(days=1)
+        if len(out) < n:  # step only while another day is needed
+            if d == date.max:
+                raise ValueError(f"{n} weekdays from {start} run past {date.max}")
+            d += timedelta(days=1)
     return tuple(out)
 
 

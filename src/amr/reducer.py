@@ -11,8 +11,9 @@ subset and serves as the validation oracle.
 Subsets are evaluated by toggling enabled flags only: parameters stay as
 trained on the full set, and learner.replication_mapes runs every subset
 under the same sub-seeds, so their scores differ only by which types act.
-The empty subset, greedy's constant baseline, is not simulated:
-replication_mapes fills its runs with the target's first value, the
+A score's mean is learner.replication_mean of its row, as an energy's
+is.  The empty subset, greedy's constant baseline, is not simulated:
+replication_mapes scores it as the target's first value held, the
 prices the kernel would return, so its score is the same bit for bit.
 
 Each subset is simulated once per (config, parameters, target,
@@ -32,7 +33,7 @@ from itertools import combinations
 from math import sqrt
 from typing import Iterable, Sequence
 
-from .learner import ParameterVector, replication_mapes
+from .learner import ParameterVector, replication_mapes, replication_mean
 from .market import MarketConfig, known_type_names
 from .market import simulate_pk  # noqa: F401  (perfbench/layers.py wraps reducer.simulate_pk)
 from .timeseries import TimeSeries
@@ -40,13 +41,6 @@ from .timeseries import mape  # noqa: F401  (perfbench/layers.py wraps reducer.m
 
 DEFAULT_TOLERANCE = 0.005  # MAPE fraction, i.e. half a percentage point
 DEFAULT_REPLICATIONS = 10
-# Masks x seeds x agents per simulate_batch call.  A call holds three
-# placed float64 arrays of that many values (3 MB at 2**17), the position
-# ids (8 bytes an agent), one slab's or row block's buffers (about 1.5 MB)
-# and its prices and demands, so a 16-type oracle's 65535 masks run in
-# calls of a few MB each (6.1 MB traced for 26 masks x 10 seeds x 500
-# agents over 250 days).
-MAX_BATCH_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -113,16 +107,12 @@ class ReductionReport:
 
 
 def _score(samples: Sequence[float]) -> Score:
-    n = len(samples)
-    if all(x == samples[0] for x in samples):
-        # Identical replications (e.g. the constant baseline) score an
-        # exact mean and an exact zero spread, no summation residue.
-        return Score(samples[0], 0.0)
-    mean = 0.0
-    for x in samples:  # fixed order, deterministic float result
-        mean += x
-    mean /= n
-    var = sum((x - mean) ** 2 for x in samples) / (n - 1)
+    mean = replication_mean(samples)
+    if all(x == mean for x in samples):
+        # Identical replications (e.g. the constant baseline, or just one)
+        # have an exact zero spread.
+        return Score(mean, 0.0)
+    var = sum((x - mean) ** 2 for x in samples) / (len(samples) - 1)
     return Score(mean, sqrt(var))
 
 
@@ -145,20 +135,15 @@ def _subset_scores(
 ) -> list[Score]:
     """Score of each subset, in order, from its replication_mapes row.
 
-    Only the distinct subsets that _known_scores does not hold under this
-    key are simulated, in as few calls as MAX_BATCH_ELEMENTS allows.
+    The distinct subsets that _known_scores does not hold under this key
+    go to one replication_mapes call, which splits them into kernel calls.
     """
     cfg = params.apply(config)
     wanted = [known_type_names(cfg, members) for members in subsets]
     masks = [tuple(n in names for n in cfg.type_names) for names in wanted]
     known = _known_scores(cfg, target, replications)
     todo = [mask for mask in dict.fromkeys(masks) if mask not in known]
-    # At least one mask per call; replication_mapes rejects replications < 1.
-    per_call = max(1, MAX_BATCH_ELEMENTS // (max(replications, 1) * sum(t.count for t in cfg.types)))
-    for lo in range(0, len(todo), per_call):
-        batch = todo[lo : lo + per_call]
-        mapes = replication_mapes(cfg, batch, target, replications)
-        known.update(zip(batch, map(_score, mapes.tolist())))
+    known.update(zip(todo, map(_score, replication_mapes(cfg, todo, target, replications).tolist())))
     return [known[mask] for mask in masks]
 
 
@@ -172,8 +157,8 @@ def evaluate_subset(
     """MAPE of the market restricted to `subset`, over the target window.
 
     Enables exactly the subset's types and scores its replication_mapes
-    runs; the empty subset is the constant baseline, whose runs are filled
-    with the target's first value rather than simulated.  Every subset
+    runs; the empty subset is the constant baseline, whose runs are scored
+    as the target's first value held, rather than simulated.  Every subset
     uses the same sub-seeds, making subset scores directly comparable.
     """
     members = subset.member_names if isinstance(subset, ModelSet) else tuple(subset)

@@ -10,9 +10,10 @@ from functools import partial
 import numpy as np
 import pytest
 
+import amr.learner as learner_module
 import amr.market as market_module
 import amr.reducer as reducer_module
-from amr.learner import AnnealingSchedule, ParameterVector, anneal, replication_mapes
+from amr.learner import AnnealingSchedule, ParameterVector, anneal, energy, replication_mapes
 from amr.market import (
     BEHAVIOR_BOUNDS,
     BEHAVIOR_FIELDS,
@@ -372,13 +373,36 @@ def test_exhaustive_over_several_kernel_calls_equals_single_subsets(monkeypatch)
         return original(config, seeds, enabled, *args, **kwargs)
 
     monkeypatch.setattr(market_module, "simulate_batch", counting)
-    monkeypatch.setattr(reducer_module, "MAX_BATCH_ELEMENTS", 7 * 500)
+    # 7 x 500 elements hold 2 masks of 3 seeds x 500 agents a call.
+    monkeypatch.setattr(learner_module, "MAX_BATCH_ELEMENTS", 7 * 500)
     oracle = exhaustive_reduce(config, params, target, replications=3)
     assert len(calls) >= 2 and max(calls) == 6 and sum(calls) == 15 * 3
+
+    # Greedy's first batch on a fresh memo (full set, baseline, 4 singletons):
+    # the 5 live masks arrive in calls of at most 2, and the baseline never
+    # reaches the kernel.
+    reducer_module._known_scores.cache_clear()
+    calls.clear()
+    greedy = greedy_reduce(config, params, target, replications=3)
+    assert calls[:3] == [6, 6, 3]
 
     monkeypatch.undo()
     for model_set, score in oracle.table:
         assert score == evaluate_subset(model_set, params, config, target, replications=3)
+    assert greedy.baseline == evaluate_subset((), params, config, target, replications=3)
+    assert greedy.singletons == {n: evaluate_subset((n,), params, config, target, replications=3)
+                                 for n in config.type_names}
+
+
+def test_energy_is_the_mean_of_the_subset_score():
+    # Three equal all-off runs: the energy is their common value, as the
+    # reducer's baseline is, not a sum divided by 3 one ulp away.
+    target = synthetic_target(bank_dominated_config(), seed=20, n_days=120)
+    config = only_enabled(bank_dominated_config(), ())
+    params = ParameterVector.from_config(config)
+    value = energy(params, target, config, replications=3)
+    assert value.hex() == evaluate_subset((), params, config, target, replications=3).mean.hex()
+    assert value.hex() == replication_mapes(config, [[False] * 4], target, 3)[0, 0].hex()
 
 
 def test_uniform_table_matches_fresh_generation(monkeypatch):

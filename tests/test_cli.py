@@ -201,6 +201,30 @@ class TestSimulate:
         assert code == 2
         assert "horizon" in capsys.readouterr().err
 
+    def test_window_ending_on_the_last_date_runs(self, workspace, capsys):
+        # 9999-12-30 and 9999-12-31 are a Thursday and a Friday.
+        out = workspace["dir"] / "edge.csv"
+        code = main(["simulate", "--config", str(workspace["dir"] / "config.json"), "--p0", "100",
+                     "--start-date", "9999-12-30", "--horizon", "2", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert load_csv(out).dates == (date(9999, 12, 30), date(9999, 12, 31))
+
+    def test_window_past_the_last_date_exits_2(self, workspace, capsys):
+        out = workspace["dir"] / "past.csv"
+        code = main(["simulate", "--config", str(workspace["dir"] / "config.json"), "--p0", "100",
+                     "--start-date", "9999-12-30", "--horizon", "3", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "9999-12-30" in err and "3 weekdays" in err
+        assert not out.exists()
+
+
+def test_weekdays_ends_on_the_last_date():
+    assert weekdays(date(9999, 12, 31), 1) == (date(9999, 12, 31),)
+    assert weekdays(date(9999, 12, 30), 2) == (date(9999, 12, 30), date(9999, 12, 31))
+    with pytest.raises(ValueError, match="2 weekdays from 9999-12-31"):
+        weekdays(date(9999, 12, 31), 2)
+
 
 class TestReduce:
     def test_report_structure(self, workspace, capsys):
