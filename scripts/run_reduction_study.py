@@ -33,11 +33,11 @@ def study(name, config, seed, days, replications, train_evals):
     else:
         params = ParameterVector.from_config(config)
 
+    # The oracle scores every subset in one batch; greedy reads them from the memo.
+    oracle = exhaustive_reduce(config, params, target, replications=replications)
     report = greedy_reduce(config, params, target, replications=replications)
     print(report.format_table())
     print(f"singleton ranking: {' > '.join(report.ranking)}")
-
-    oracle = exhaustive_reduce(config, params, target, replications=replications)
     print(oracle.format_table(report) + "\n")
 
 

@@ -133,11 +133,12 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def _reduce_and_write(config: market.MarketConfig, params: ParameterVector, target: TimeSeries,
                       tolerance: float, replications: int, exhaustive: bool, out_dir: Path) -> None:
     """Greedy reduction, plus the oracle if asked, to reduction.json and reduction.txt."""
+    # The oracle scores every subset in one batch; greedy then reads its scores from the memo.
+    oracle = reducer.exhaustive_reduce(config, params, target, replications=replications) if exhaustive else None
     report = reducer.greedy_reduce(config, params, target, tolerance=tolerance, replications=replications)
     payload = report.to_dict()
     table = report.format_table()
-    if exhaustive:
-        oracle = reducer.exhaustive_reduce(config, params, target, replications=replications)
+    if oracle is not None:
         payload["exhaustive"] = oracle.to_dict()
         table += "\n\n" + oracle.format_table(report)
     write_json(out_dir / "reduction.json", payload)

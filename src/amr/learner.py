@@ -217,16 +217,18 @@ def anneal(
     """Metropolis search with geometric cooling over the parameter box.
 
     Starts from a uniformly random in-bounds vector, takes exactly
-    schedule.total_evaluations energies (the start included; a proposal
-    clamped back onto the current vector reuses its energy), and cools
+    schedule.total_evaluations energies (the start included), and cools
     T <- cooling_factor * T every proposals_per_epoch proposals, but never
     below ulp(0.0), where every uphill move is rejected (the T -> 0 limit).
-    Fully deterministic given (train, config, schedule, seed); `workers`
-    is accepted for compatibility and changes nothing.
+    A proposal that moves no live coordinate (an enabled type's
+    BEHAVIOR_FIELDS, or the price impact; a disabled type's agents weigh
+    0) reuses the current energy.  Fully deterministic given (train,
+    config, schedule, seed); `workers` is accepted and changes nothing.
     """
     if len(train) < 2:
         raise ValueError("training series needs at least 2 observations")
     stream = Stream(fold(seed, _ANNEAL_TAG))
+    live = np.array([t.enabled for t in config.types for _ in market.BEHAVIOR_FIELDS] + [True])
 
     current = ParameterVector.random(config, stream)
     current_energy = energy(current, train, config, schedule.replications)
@@ -237,8 +239,8 @@ def anneal(
     proposals = 0
     while len(trace) < schedule.total_evaluations:
         candidate = propose(current, schedule.proposal_sigma, stream)
-        if candidate.values.tobytes() == current.values.tobytes():
-            # Clamped at a bound: the energy is a pure function of the vector.
+        if candidate.values[live].tobytes() == current.values[live].tobytes():
+            # The energy is a pure function of the live coordinates, compared bit for bit.
             candidate_energy = current_energy
         else:
             candidate_energy = energy(candidate, train, config, schedule.replications)

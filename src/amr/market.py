@@ -45,10 +45,11 @@ size 1), keeps them across calls, in the (steps, C * K, S) layout.  A key
 (8 MB) is tabled on first sight: the table is filled block by block,
 marked read-only, and read by later calls with that key.  Any other key
 empties the memo, and a larger one is streamed; a call that takes no
-step (horizon 1) reads no uniform and leaves the memo alone.  A build
-drops the old table before it allocates the new one, so two are never
-held.  The table holds the very values the blocks would produce, so
-results are bit-identical with or without it.
+step (horizon 1) returns after validation: it builds no agent, reads no
+uniform and leaves the memo alone.  A build drops the old table before
+it allocates the new one, so two are never held.  The table holds the
+very values the blocks would produce, so results are bit-identical with
+or without it.
 
 Every simulation, step() included, runs through one time loop, _walk.
 A step whose S * C * K uniforms fit _UNIFORM_BLOCK_ELEMENTS is one
@@ -74,7 +75,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import date
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -371,28 +372,33 @@ def _row_blocks(size: int, per_row: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _streamed_uniforms(step_keys: np.ndarray, size: int, chunks: int, rows: int):
+def _streamed_uniforms(step_keys: np.ndarray, size: int, chunks: int):
     """above(t, c0, c1): nextafter(u, +inf) of the decision uniforms of rows [c0, c1) of step t.
 
     Row c of the (c1 - c0, K, 1, S) result holds positions c * K + k of
     seed s, the uniform of agent k * C + c under the step key
     step_keys[t, s] = fold(seed, decision tag, step).  Blocks are hashed
-    into one buffer of `rows` rows, reused for the whole walk, and moved
-    up one float while they are still in cache.  When a whole step fits
-    _UNIFORM_BLOCK_ELEMENTS, steps are asked for whole and in order, and
-    as many as fit are hashed at once; a larger step is hashed one row
-    block at a time, as it is asked for.  Every block is a read-only view
-    into the buffer, valid only until the next block is asked for.
+    into one buffer, reused for the whole walk, and moved up one float
+    while they are still in cache.  The buffer is made at the first ask,
+    as long as that block: _uniform_table and _walk each ask for their
+    longest block first.  When a whole step fits _UNIFORM_BLOCK_ELEMENTS,
+    steps are asked for whole and in order, and as many as fit are hashed
+    at once; a larger step is hashed one row block at a time, as it is
+    asked for.  Every block is a read-only view into the buffer, valid
+    only until the next block is asked for.
     """
     steps, seeds = step_keys.shape
     ids = _position_ids(size, chunks)
     group = max(1, _UNIFORM_BLOCK_ELEMENTS // (size * chunks * seeds))
-    block = np.empty((min(group, steps), rows, chunks, 1, seeds))
-    scratch = np.empty(block.size, dtype=np.uint64)
-    read_only = block.view()
-    read_only.setflags(write=False)
+    block = scratch = read_only = None
 
     def above(t: int, c0: int, c1: int) -> np.ndarray:
+        nonlocal block, scratch, read_only
+        if block is None:
+            block = np.empty((min(group, steps), c1 - c0, chunks, 1, seeds))
+            scratch = np.empty(block.size, dtype=np.uint64)
+            read_only = block.view()
+            read_only.setflags(write=False)
         g = t % group
         if not g:
             n = min(group, steps - t)
@@ -411,15 +417,15 @@ def _walk(
     reactivity: np.ndarray,
     abs_weight_bits: np.ndarray,
     price_impact: float,
-    uniforms,
+    above,
 ) -> None:
     """Every day of R = M * S runs: fills demands (T, R) and prices[1:] from prices[0] (T + 1, R).
 
     optimism and reactivity are (C, K, M, S) and abs_weight_bits the
     uint64 bits of |weight| in that layout; returns (R,) holds the first
-    day's last return and then each day's.  uniforms(rows) gives the
-    walk's above(t, c0, c1) (see _streamed_uniforms) for blocks of at
-    most `rows` rows.
+    day's last return and then each day's.  above(t, c0, c1) reads the
+    decision uniforms of rows [c0, c1) of step t, moved up one float (see
+    _streamed_uniforms).
 
     A step whose S * C * K uniforms fit _UNIFORM_BLOCK_ELEMENTS is one
     block.  A larger one is a walk over row blocks [c0, c1) of at most
@@ -438,7 +444,6 @@ def _walk(
     else:
         bounds = _row_blocks(size, chunks * lanes)
     rows = bounds[0][1]  # the first block is the longest
-    above = uniforms(rows)
     votes = np.empty((rows + 1, chunks, n_masks, n_seeds))
     vote_bits = votes.view(np.uint64)
     sums = votes.reshape(rows + 1, chunks, lanes)
@@ -515,35 +520,14 @@ def _uniform_table(seeds: tuple[int, ...], size: int, chunks: int, steps: int) -
     held at once.
     """
     _uniform_table.cache_clear()
-    bounds = _row_blocks(size, chunks * len(seeds))
-    above = _streamed_uniforms(_step_keys(seeds, steps), size, chunks, bounds[0][1])
+    above = _streamed_uniforms(_step_keys(seeds, steps), size, chunks)
+    bounds = _row_blocks(size, chunks * len(seeds))  # the reader's blocks
     table = np.empty((steps, size, chunks, 1, len(seeds)))
     for t in range(steps):
         for c0, c1 in bounds:
             table[t, c0:c1] = above(t, c0, c1)
     table.setflags(write=False)
     return table.reshape(steps, size * chunks, len(seeds))
-
-
-def _decision_uniforms(seeds: Sequence[int], n_agents: int, steps: int, rows: int):
-    """The walk's above(t, c0, c1) for steps 0..steps-1 of every seed (see _streamed_uniforms).
-
-    Positions are agent-major, as _position_ids lays them out for chunks
-    of C = _chunking(n_agents)[0].  A call whose uniforms fit
-    _UNIFORM_TABLE_ELEMENTS reads each block as a slice of _uniform_table.
-    A larger one empties that memo and hashes each block as the walk asks
-    for it, into a buffer of `rows` rows.  The values are the same on
-    either path.  A call with no steps (horizon 1) reads no uniform: it
-    gets None and leaves the memo as it is.
-    """
-    if not steps:
-        return None
-    size, chunks = _chunking(n_agents)
-    if steps * len(seeds) * size * chunks <= _UNIFORM_TABLE_ELEMENTS:
-        table = _uniform_table(tuple(seeds), size, chunks, steps).reshape(steps, size, chunks, 1, len(seeds))
-        return lambda t, c0, c1: table[t, c0:c1]
-    _uniform_table.cache_clear()  # any other key empties the memo
-    return _streamed_uniforms(_step_keys(seeds, steps), size, chunks, rows)
 
 
 def _placed_state(config: MarketConfig, seeds: Sequence[int], masks: np.ndarray, size: int,
@@ -589,7 +573,8 @@ def simulate_batch(
     [m, s] is bit for bit what simulate_pk produces for `config` with
     master seed seeds[s] and exactly the types flagged in enabled[m].
     A run whose price overflows to inf stays at inf.  p0 must be a
-    normal float: positive, finite and at least sys.float_info.min.
+    normal float: positive, finite and at least sys.float_info.min.  A
+    one-day call takes no step: it builds no agent and keeps the memo.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -600,14 +585,21 @@ def simulate_batch(
     if not len(enabled) or masks.shape != (len(enabled), len(config.types)):
         raise ValueError(f"simulate_batch needs at least one enabled mask of {len(config.types)} flags")
 
-    n_masks, n_seeds = len(masks), len(seeds)
-    n_agents = sum(t.count for t in config.types)
+    n_masks, n_seeds, steps = len(masks), len(seeds), horizon - 1
+    if not steps:
+        return np.full((n_masks, n_seeds, 1), p0, dtype=np.float64), np.empty((n_masks, n_seeds, 0))
+    size, chunks = _chunking(sum(t.count for t in config.types))
+    state = _placed_state(config, seeds, masks, size, chunks)
+    if steps * n_seeds * size * chunks <= _UNIFORM_TABLE_ELEMENTS:
+        table = _uniform_table(tuple(seeds), size, chunks, steps).reshape(steps, size, chunks, 1, n_seeds)
+        above = lambda t, c0, c1: table[t, c0:c1]
+    else:
+        _uniform_table.cache_clear()  # any other key empties the memo
+        above = _streamed_uniforms(_step_keys(seeds, steps), size, chunks)
     prices = np.empty((horizon, n_masks * n_seeds))
     prices[0] = p0
-    demands = np.empty((horizon - 1, n_masks * n_seeds))
-    _walk(prices, demands, np.zeros(n_masks * n_seeds),
-          *_placed_state(config, seeds, masks, *_chunking(n_agents)), config.price_impact,
-          partial(_decision_uniforms, seeds, n_agents, horizon - 1))
+    demands = np.empty((steps, n_masks * n_seeds))
+    _walk(prices, demands, np.zeros(n_masks * n_seeds), *state, config.price_impact, above)
     # Contiguous copies: a strided view would make mape_rows' mean over
     # days sum in another order than NumPy's pairwise sum of a
     # contiguous axis.
@@ -634,7 +626,7 @@ def step(config: MarketConfig, price: float, last_return: float, step_index: int
     prices, demands = np.array([[price], [0.0]]), np.empty((1, 1))
     _walk(prices, demands, np.array([last_return]),
           *_placed_state(config, [config.master_seed], own_mask, size, chunks), config.price_impact,
-          partial(_streamed_uniforms, step_keys, size, chunks))
+          _streamed_uniforms(step_keys, size, chunks))
     return float(prices[1, 0]), float(demands[0, 0])
 
 

@@ -5,7 +5,6 @@ import math
 import tracemalloc
 from dataclasses import replace
 from datetime import date
-from functools import partial
 
 import numpy as np
 import pytest
@@ -96,7 +95,7 @@ def test_slab_ends_match_scalar_fold(monkeypatch, block_elements, seeds, n_agent
     assert [c0 for c0, _ in bounds[1:]] == [c1 for _, c1 in bounds[:-1]] and bounds[-1][1] == size
     lengths = [c1 - c0 for c0, c1 in bounds]
     assert max(lengths) <= max(1, block_elements // len(seeds)) and max(lengths) - min(lengths) <= 1
-    above = market_module._streamed_uniforms(step_keys, size, chunks, lengths[0])
+    above = market_module._streamed_uniforms(step_keys, size, chunks)
     for t in range(steps):
         for c0, c1 in bounds:
             block = above(t, c0, c1)
@@ -107,10 +106,9 @@ def test_slab_ends_match_scalar_fold(monkeypatch, block_elements, seeds, n_agent
 
 
 def test_yielded_steps_are_read_only_views_of_one_buffer(monkeypatch):
-    monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", 0)  # stream, do not table
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 1000)
     bounds = market_module._row_blocks(500, len(SEEDS))  # two blocks of 250 rows a step
-    above = market_module._decision_uniforms(SEEDS, 500, 6, bounds[0][1])
+    above = market_module._streamed_uniforms(market_module._step_keys(SEEDS, 6), 500, 1)
     blocks = [above(t, c0, c1) for t in range(6) for c0, c1 in bounds]
     assert len(blocks) == 12
     for block in blocks:
@@ -239,15 +237,21 @@ def test_walk_allocates_no_step_sized_block(monkeypatch):
     # and 11 steps exceed the table, so every block is hashed as it is walked.
     config = replace(BASE, types=tuple(replace(t, count=t.count * 60) for t in BASE.types))
     state_bytes = 8 * 4096 * 8 * len(SEEDS) * 2  # one float64 per position and run
-    walk = market_module._walk
+    # The traced window opens when the reader is built, just before the walk,
+    # and closes when the walk returns.
+    stream, walk = market_module._streamed_uniforms, market_module._walk
     walk_peaks = []
 
-    def traced_walk(*args):
+    def traced_stream(*args):
         tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        walk(*args)
-        walk_peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        walk_peaks.append(tracemalloc.get_traced_memory()[0])
+        return stream(*args)
 
+    def traced_walk(*args):
+        walk(*args)
+        walk_peaks.append(tracemalloc.get_traced_memory()[1] - walk_peaks.pop())
+
+    monkeypatch.setattr(market_module, "_streamed_uniforms", traced_stream)
     monkeypatch.setattr(market_module, "_walk", traced_walk)
     tracemalloc.start()
     try:
@@ -258,7 +262,7 @@ def test_walk_allocates_no_step_sized_block(monkeypatch):
     # The walk's buffers (one block's votes, uniforms and hash scratch, and the
     # position ids) come to 3/4 of a state array; a full-size vote scratch
     # would add one more, and a step-sized uniform block half of one.
-    assert walk_peaks[0] < state_bytes
+    assert len(walk_peaks) == 1 and walk_peaks[0] < state_bytes
     # The whole call, jitter and placement included, stays under 8 state arrays.
     assert peak < 8 * state_bytes
 
@@ -455,6 +459,16 @@ def test_horizon_one_leaves_the_uniform_table(monkeypatch):
     assert simulate_batch(BASE, [1, 2, 3], MASKS[:1], 100.0, 1)[0].tolist() == [[[100.0]] * 3]
 
 
+def test_horizon_one_builds_no_agent(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a one-day call built its agents")
+
+    monkeypatch.setattr(market_module, "_placed_state", refuse)
+    prices, demands = simulate_batch(BASE, SEEDS, MASKS, 100.0, 1)
+    assert prices.tobytes() == np.full((len(MASKS), len(SEEDS), 1), 100.0).tobytes()
+    assert demands.shape == (len(MASKS), len(SEEDS), 0)
+
+
 def test_table_cap_holds_a_390_day_energy():
     # 3 seeds x 500 agents x 389 steps = 583,500 uniforms fit the table; 10 seeds do not.
     simulate_batch(BASE, SEEDS, MASKS[:1], 100.0, 390)
@@ -541,8 +555,7 @@ def _walked_row_sums(values):
     step_keys = np.arange(rows, dtype=np.uint64)[None]
     demands = np.empty((1, rows))
     market_module._walk(np.ones((2, rows)), demands, np.zeros(rows), optimism, reactivity,
-                        weight.view(np.uint64), 0.01,
-                        partial(market_module._streamed_uniforms, step_keys, size, chunks))
+                        weight.view(np.uint64), 0.01, market_module._streamed_uniforms(step_keys, size, chunks))
     return demands[0]
 
 
@@ -588,7 +601,7 @@ def test_copysign_vote_equals_less_vote():
     demands = np.empty((1, xs.size))
     market_module._walk(np.ones((2, xs.size)), demands, np.zeros(xs.size), xs.reshape(lanes), np.zeros(lanes),
                         np.abs(ws).reshape(lanes).view(np.uint64), 0.01,
-                        lambda rows: lambda t, c0, c1: aboves.reshape(lanes))
+                        lambda t, c0, c1: aboves.reshape(lanes))
     votes = demands.reshape(xs.shape)
     assert votes.tobytes() == copysign.tobytes()
 

@@ -7,6 +7,7 @@ from datetime import date
 
 import pytest
 
+from amr import market
 from amr.cli import main
 from amr.market import save_config, set_enabled
 from amr.presets import bank_dominated_config, synthetic_target, weekdays
@@ -268,6 +269,26 @@ class TestReduce:
         assert len(payload["exhaustive"]["table"]) == 15
         assert "exhaustive subsets (oracle)" in (out_dir / "reduction.txt").read_text()
 
+    def test_exhaustive_reduce_makes_one_kernel_call(self, workspace, monkeypatch):
+        # The oracle scores all 15 subsets in one batch, then greedy reads the memo.
+        run_train(workspace)
+        batches = []
+        real_batch = market.simulate_batch
+        monkeypatch.setattr(market, "simulate_batch",
+                            lambda config, seeds, masks, *args: batches.append(len(masks))
+                            or real_batch(config, seeds, masks, *args))
+        code = main(
+            ["reduce",
+             "--data", str(workspace["dir"] / "target.csv"),
+             "--split", workspace["split"],
+             "--config", str(workspace["dir"] / "config.json"),
+             "--params", str(workspace["dir"] / "fit.json"),
+             "--replications", "2", "--exhaustive",
+             "--out", str(workspace["dir"] / "redx")]
+        )
+        assert code == 0
+        assert batches == [15]
+
     def test_missing_params_file_exits_2(self, workspace, capsys):
         code = main(
             ["reduce",
@@ -287,6 +308,7 @@ class TestReduce:
 
         run_train(workspace)
         monkeypatch.setattr("amr.reducer.greedy_reduce", no_reduce)
+        monkeypatch.setattr("amr.reducer.exhaustive_reduce", no_reduce)
         monkeypatch.setattr("amr.cli.os.access", lambda path, mode: False)
         out_dir = workspace["dir"] / "red"
         code = main(

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from dataclasses import replace
 from math import exp, sqrt, ulp
 
@@ -18,6 +20,10 @@ from amr.learner import (
 from amr.presets import bank_dominated_config, synthetic_target
 from amr.rng import Stream, substream
 from amr.timeseries import TimeSeries
+
+
+# sha256 of the sorted-key JSON fit_to_dict of a 300-evaluation anneal with only Banks enabled.
+REDUCED_CONFIG_FIT = "3e11af540582d3d5f7aaeac839b82ee69e25a983427ac57e974602055b1197db"
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +238,20 @@ class TestAnneal:
         assert proposals == 59 and unchanged > 0
         assert sum(kind == "energy" for kind, _ in events) == 60 - unchanged
         assert fit.evaluations == len(fit.energy_trace) == 60
+
+    def test_disabled_type_moves_are_not_rescored(self, monkeypatch):
+        # Only Banks is enabled, so 9 of the 13 coordinates move no price and
+        # most proposals reuse the current energy (105 energies; 296 when
+        # only a proposal clamped onto the current vector did).
+        config = market.only_enabled(bank_dominated_config(7), ["Banks"])
+        target = synthetic_target(bank_dominated_config(7), seed=11, n_days=120)
+        real_energy, energies = learner.energy, []
+        monkeypatch.setattr(learner, "energy", lambda *args: energies.append(args) or real_energy(*args))
+        fit = anneal(target, config, AnnealingSchedule(total_evaluations=300), seed=3)
+        assert len(energies) < fit.evaluations // 2 and fit.evaluations == 300
+        # Pinned while every moved coordinate was scored.
+        digest = hashlib.sha256(json.dumps(fit_to_dict(fit), sort_keys=True).encode()).hexdigest()
+        assert digest == REDUCED_CONFIG_FIT
 
     def test_temperature_underflow_rejects_uphill_moves(self, small_cfg, small_target, monkeypatch):
         # Halving T after every proposal takes 0.05 below the smallest
