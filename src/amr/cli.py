@@ -23,6 +23,9 @@ from .timeseries import (SplitSpec, TimeSeries, check_aligned, json_boolean, jso
                          load_csv, mape, parse_date, parsed_fields, read_json, save_csv, split, write_atomically,
                          write_dated_csv, write_json)
 
+# simulate's first date when --horizon is given without --start-date.
+DEFAULT_START_DATE = "2000-01-03"
+
 
 def _check_workers(args: argparse.Namespace) -> None:
     if args.workers is not None:
@@ -91,7 +94,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _window_flags(args: argparse.Namespace) -> None:
+    """Raise, naming the flags, unless simulate's window is --dates-from alone or --horizon N >= 1."""
+    if args.dates_from:
+        for flag, value in (("--horizon", args.horizon), ("--start-date", args.start_date)):
+            if value is not None:
+                raise ValueError(f"{flag} {value} conflicts with --dates-from: the CSV's dates set the window")
+    elif args.horizon is None:
+        raise ValueError("need --horizon N (with optional --start-date) or --dates-from CSV")
+    elif args.horizon < 1:
+        raise ValueError(f"--horizon must be >= 1, got {args.horizon}")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _window_flags(args)
     config = market.load_config(args.config)
     if args.params:
         config = _load_params(args.params, config).apply(config)
@@ -101,9 +117,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.dates_from:
         dates = load_csv(args.dates_from).dates
     else:
-        if args.horizon is None:
-            raise ValueError("need --horizon N (with optional --start-date) or --dates-from CSV")
-        dates = weekdays(parse_date(args.start_date), args.horizon)
+        start = DEFAULT_START_DATE if args.start_date is None else args.start_date
+        dates = weekdays(parse_date(start), args.horizon)
 
     run = market.simulate_pk(config, args.p0, len(dates), dates)
     save_csv(run.predicted, args.out)
@@ -255,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None, help="fit JSON to apply (optional)")
     p.add_argument("--p0", type=float, required=True, help="starting price")
     p.add_argument("--horizon", type=int, default=None, help="number of days to simulate")
-    p.add_argument("--start-date", default="2000-01-03", help="first date when using --horizon")
+    p.add_argument("--start-date", default=None,
+                   help=f"first date when using --horizon (default: {DEFAULT_START_DATE})")
     p.add_argument("--dates-from", default=None, help="CSV whose dates define the window")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output prediction CSV")

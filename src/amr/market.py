@@ -67,6 +67,15 @@ are written into the buffer row just before the block's rows and the sum
 starts from that row, so every lane is still added in strict agent
 order.  Every uniform is a pure function of its key, so neither the
 block size nor the block order changes a bit.
+
+Jitter and decision uniforms alike are hashed by rng.u01_grid, which
+takes its keys and parts with splitmix64's first xorshift already
+applied (see amr.rng): each call folds its small (steps, S) or
+(fields, S) key array once, with rng.grid_keys, and uses the position
+ids as parts.  Every id is below C * K, and ids below 2**30
+(rng.SHIFT_FREE_PARTS) are their own grid parts, so no call shifts them
+unless it holds more than 2**30 positions.  Hashing a value thus takes
+two passes fewer than fold does, and every uniform keeps its bits.
 """
 
 from __future__ import annotations
@@ -81,7 +90,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import TAG_DECISION, TAG_JITTER, fold, fold_array, u01_grid
+from .rng import SHIFT_FREE_PARTS, TAG_DECISION, TAG_JITTER, fold, fold_array, grid_keys, grid_parts, u01_grid
 from .rng import fold_matrix, u01_array  # noqa: F401  (perfbench/layers.py wraps both here)
 from .timeseries import TimeSeries, known_keys, parsed_fields, read_json, value_fault, write_json
 
@@ -289,10 +298,15 @@ def _jittered(config: MarketConfig, seeds: Sequence[int], ids: np.ndarray, out: 
     ids (>= n_agents) get 0.  The uniforms are hashed in place
     (rng.u01_grid) one slab of _row_blocks at a time into one buffer;
     each is a pure function of its key, so the slab size changes no bit.
+    `ids` holds each of 0 .. len(ids) - 1 once (agents or positions), so
+    up to SHIFT_FREE_PARTS of them are their own grid parts; past that,
+    each slab's ids are shifted into a copy, as the type lookup needs
+    them as they are.
     """
     n_types, n_seeds = len(config.types), len(seeds)
-    keys = np.array([[fold(seed, TAG_JITTER, d) for seed in seeds] for d in range(len(BEHAVIOR_FIELDS))],
-                    dtype=np.uint64)
+    keys = grid_keys(np.array([[fold(seed, TAG_JITTER, d) for seed in seeds]
+                               for d in range(len(BEHAVIOR_FIELDS))], dtype=np.uint64))
+    shift = len(ids) > SHIFT_FREE_PARTS
     base = np.array([[getattr(t, f) for t in config.types] + [0.0] for f in BEHAVIOR_FIELDS])
     lo, hi = np.array(BEHAVIOR_BOUNDS).T[:, :, None, None]  # (3, 1, 1) each
     bounds = _row_blocks(len(ids), keys.size)
@@ -300,8 +314,9 @@ def _jittered(config: MarketConfig, seeds: Sequence[int], ids: np.ndarray, out: 
     scratch = np.empty(buffer.size, dtype=np.uint64)
     for p0, p1 in bounds:
         types = _agent_types(config, ids[p0:p1])
+        parts = grid_parts(ids[p0:p1].copy()) if shift else ids[p0:p1]
         slab = buffer[: keys.size * (p1 - p0)].reshape(len(keys), p1 - p0, n_seeds)
-        u01_grid(keys, ids[p0:p1], slab, scratch[: slab.size])
+        u01_grid(keys, parts, slab, scratch[: slab.size])
         slab *= 2.0
         slab -= 1.0
         slab *= config.jitter
@@ -377,18 +392,23 @@ def _streamed_uniforms(step_keys: np.ndarray, size: int, chunks: int):
 
     Row c of the (c1 - c0, K, 1, S) result holds positions c * K + k of
     seed s, the uniform of agent k * C + c under the step key
-    step_keys[t, s] = fold(seed, decision tag, step).  Blocks are hashed
-    into one buffer, reused for the whole walk, and moved up one float
-    while they are still in cache.  The buffer is made at the first ask,
-    as long as that block: _uniform_table and _walk each ask for their
-    longest block first.  When a whole step fits _UNIFORM_BLOCK_ELEMENTS,
+    step_keys[t, s] = fold(seed, decision tag, step).  The keys are
+    folded for rng.u01_grid once, and the position ids are shifted once,
+    in place, only when there are more than SHIFT_FREE_PARTS of them.
+    Blocks are hashed into one buffer, reused for the whole walk, and
+    moved up one float while they are still in cache.  The buffer is
+    made at the first ask, as long as that block: _uniform_table and
+    _walk each ask for their longest block first.  When a whole step fits _UNIFORM_BLOCK_ELEMENTS,
     steps are asked for whole and in order, and as many as fit are hashed
     at once; a larger step is hashed one row block at a time, as it is
     asked for.  Every block is a read-only view into the buffer, valid
     only until the next block is asked for.
     """
     steps, seeds = step_keys.shape
+    keys = grid_keys(step_keys)
     ids = _position_ids(size, chunks)
+    if size * chunks > SHIFT_FREE_PARTS:
+        grid_parts(ids)
     group = max(1, _UNIFORM_BLOCK_ELEMENTS // (size * chunks * seeds))
     block = scratch = read_only = None
 
@@ -403,7 +423,7 @@ def _streamed_uniforms(step_keys: np.ndarray, size: int, chunks: int):
         if not g:
             n = min(group, steps - t)
             out = block[:n, : c1 - c0].reshape(n, (c1 - c0) * chunks, seeds)
-            _next_up(u01_grid(step_keys[t : t + n], ids[c0 * chunks : c1 * chunks], out, scratch[: out.size]))
+            _next_up(u01_grid(keys[t : t + n], ids[c0 * chunks : c1 * chunks], out, scratch[: out.size]))
         return read_only[g, : c1 - c0]
 
     return above

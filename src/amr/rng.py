@@ -14,6 +14,16 @@ mixer serves every vectorized twin.  The grid twin, u01_grid, hashes a
 caller-owned scratch, so a caller that walks a large grid in slabs small
 enough for the L2 cache allocates nothing per slab; every value depends
 only on its key, so slabs may be hashed in any order.
+
+u01_grid takes its keys and parts with the mixer's first round already
+applied.  fold(key, p) mixes z = (key + GAMMA) ^ p, and the mixer opens
+with z ^= z >> 30.  A logical shift distributes over xor, so that round
+gives k' ^ p' with k' = (key + GAMMA) ^ ((key + GAMMA) >> 30) and
+p' = p ^ (p >> 30).  The caller makes k' once per (steps, keys) array
+(grid_keys) and p' once per parts array (grid_parts), and every grid
+value then takes one xor and the mixer's six remaining passes.  A part
+below 2**30 (SHIFT_FREE_PARTS) is its own p', so parts known to lie
+below it need no shift at all.
 """
 
 from __future__ import annotations
@@ -69,6 +79,10 @@ _NP_MIX2 = np.uint64(_MIX2)
 _NP_GAMMA = np.uint64(_GAMMA)
 
 
+# Parts below this have no bit that the mixer's first xorshift moves: p >> 30 == 0.
+SHIFT_FREE_PARTS = 1 << 30
+
+
 def _mix64_inplace(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """mix64 applied to a uint64 array the caller owns, overwriting it.
 
@@ -77,6 +91,11 @@ def _mix64_inplace(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarr
     """
     t = np.right_shift(x, np.uint64(30), out=scratch)
     x ^= t
+    return _mix64_after_first_round(x, t)
+
+
+def _mix64_after_first_round(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """mix64's passes after its first xorshift, on x in place; t is a uint64 scratch of x's shape."""
     x *= _NP_MIX1
     np.right_shift(x, np.uint64(27), out=t)
     x ^= t
@@ -104,21 +123,37 @@ def u01_array(bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def u01_grid(keys: np.ndarray, parts: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """u01(fold(keys[t, s], parts[p])) into out[t, p, s], in place; returns out.
+def grid_keys(keys: np.ndarray) -> np.ndarray:
+    """The u01_grid keys of a uint64 array of fold keys: (key + GAMMA) ^ ((key + GAMMA) >> 30), as a new array."""
+    folded = keys + _NP_GAMMA
+    folded ^= folded >> np.uint64(30)
+    return folded
 
-    keys is a (T, S) and parts a (P,) uint64 array; out is a C-contiguous
-    float64 (T, P, S) array whose memory holds the hash words until they
-    become floats, and scratch a uint64 array of out.size elements.  The
-    word's top 53 bits, bits >> 11 < 2**53, convert to float64 exactly
-    through an int64 view of the same memory.
+
+def grid_parts(parts: np.ndarray) -> np.ndarray:
+    """The u01_grid parts of a uint64 array of fold parts, p ^ (p >> 30), written over it; returns parts."""
+    parts ^= parts >> np.uint64(30)
+    return parts
+
+
+def u01_grid(keys: np.ndarray, parts: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """u01(fold(k, q)) into out[t, p, s], in place, for keys[t, s] = grid_keys(k) and parts[p] = grid_parts(q).
+
+    keys is a (T, S) and parts a (P,) uint64 array; a part q below
+    SHIFT_FREE_PARTS is its own grid part.  Their xor is the mixer's
+    input after its first round (see the module docstring).  out is a
+    C-contiguous float64 (T, P, S) array whose memory holds the hash
+    words until they become floats, and scratch a uint64 array of
+    out.size elements.  The word's top 53 bits, bits >> 11 < 2**53,
+    convert to float64 exactly through an int64 view of the same memory.
+    Returns out.
     """
     if not out.flags.c_contiguous:
         raise ValueError("u01_grid needs a C-contiguous out")
     floats = out.reshape(-1)
     words = floats.view(np.uint64)
-    np.bitwise_xor((keys + _NP_GAMMA)[:, None, :], parts[None, :, None], out=out.view(np.uint64))
-    _mix64_inplace(words, scratch)
+    np.bitwise_xor(keys[:, None, :], parts[None, :, None], out=out.view(np.uint64))
+    _mix64_after_first_round(words, scratch)
     words >>= np.uint64(11)
     np.copyto(floats, words.view(np.int64))
     floats *= 2.0**-53

@@ -202,6 +202,32 @@ class TestSimulate:
         assert code == 2
         assert "horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_horizon_below_one_exits_2_naming_the_flag(self, workspace, capsys, horizon):
+        out = workspace["dir"] / "none.csv"
+        code = main(["simulate", "--config", str(workspace["dir"] / "config.json"), "--p0", "100",
+                     "--horizon", horizon, "--out", str(out)])
+        assert code == 2
+        assert f"--horizon must be >= 1, got {horizon}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--horizon", "5"), ("--start-date", "2009-01-02")])
+    def test_window_flag_with_dates_from_exits_2_naming_both(self, workspace, capsys, flag, value):
+        # The CSV's dates set the window, so a horizon or start date would be ignored.
+        out = workspace["dir"] / "both.csv"
+        code = main(["simulate", "--config", str(workspace["dir"] / "config.json"), "--p0", "100",
+                     "--dates-from", str(workspace["dir"] / "target.csv"), flag, value, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{flag} {value} conflicts with --dates-from" in err
+        assert not out.exists()
+
+    def test_default_start_date(self, workspace):
+        out = workspace["dir"] / "default.csv"
+        assert main(["simulate", "--config", str(workspace["dir"] / "config.json"), "--p0", "100",
+                     "--horizon", "3", "--out", str(out)]) == 0
+        assert load_csv(out).dates == weekdays(date(2000, 1, 3), 3)
+
     def test_window_ending_on_the_last_date_runs(self, workspace, capsys):
         # 9999-12-30 and 9999-12-31 are a Thursday and a Friday.
         out = workspace["dir"] / "edge.csv"

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from amr.rng import (
     MASK64,
+    SHIFT_FREE_PARTS,
     Stream,
     _mix64_inplace,
     fold,
     fold_array,
     fold_matrix,
+    grid_keys,
+    grid_parts,
     mix64,
     substream,
     u01,
@@ -18,6 +21,8 @@ from amr.rng import (
 )
 
 GAMMA = 0x9E3779B97F4A7C15
+# Parts on both sides of the first xorshift's reach (2**30), with high bits set.
+EDGE_PARTS = [2**30 - 1, 2**30, 2**31 + 5, 2**63, MASK64]
 
 
 def _unmix64(y: int) -> int:
@@ -145,12 +150,46 @@ def test_u01_grid_matches_scalar_fold_and_u01():
     out = np.empty((3, 5, 3))
     scratch = np.empty(out.size, dtype=np.uint64)
     keys_before = keys.copy()
-    assert u01_grid(keys, parts, out, scratch) is out
+    assert u01_grid(grid_keys(keys), grid_parts(parts.copy()), out, scratch) is out
     for t in range(3):
         for p in range(5):
             for s in range(3):
                 assert out[t, p, s] == u01(fold(int(keys[t, s]), int(parts[p])))
     assert np.array_equal(keys, keys_before)
+
+
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(lambda n_keys: st.lists(
+        st.lists(st.integers(min_value=0, max_value=MASK64), min_size=n_keys, max_size=n_keys),
+        min_size=1, max_size=3)),
+    st.lists(st.integers(min_value=0, max_value=MASK64), min_size=1, max_size=20),
+)
+@example([[0, MASK64], [2**63, GAMMA]], EDGE_PARTS)
+def test_u01_grid_of_folded_keys_and_parts_equals_fold(keys, parts):
+    # Every (T, S) key and every part over the full uint64 range: one xor of
+    # grid_keys and grid_parts and the mixer's last six passes give fold's bits.
+    key_array, part_array = np.array(keys, dtype=np.uint64), np.array(parts, dtype=np.uint64)
+    out = np.empty((len(keys), len(parts), len(keys[0])))
+    u01_grid(grid_keys(key_array), grid_parts(part_array.copy()), out, np.empty(out.size, dtype=np.uint64))
+    for t, row in enumerate(keys):
+        for p, part in enumerate(parts):
+            for s, key in enumerate(row):
+                assert out[t, p, s].hex() == u01(fold(key, part)).hex()
+
+
+def test_grid_keys_and_parts_apply_the_first_xorshift():
+    keys = np.array([0, 1, MASK64 - GAMMA, MASK64, 2**63], dtype=np.uint64)
+    before = keys.copy()
+    for key, folded in zip(keys.tolist(), grid_keys(keys).tolist()):
+        z = (key + GAMMA) & MASK64
+        assert folded == z ^ (z >> 30)
+    assert np.array_equal(keys, before)  # a new array
+    parts = np.array(EDGE_PARTS, dtype=np.uint64)
+    assert grid_parts(parts) is parts  # written over
+    assert parts.tolist() == [p ^ (p >> 30) for p in EDGE_PARTS]
+    # Below SHIFT_FREE_PARTS a part is its own grid part; from it on, none is.
+    assert SHIFT_FREE_PARTS == 2**30
+    assert [p ^ (p >> 30) == p for p in EDGE_PARTS] == [True, False, False, False, False]
 
 
 @pytest.mark.parametrize("word", [
@@ -163,8 +202,8 @@ def test_u01_grid_converts_words_exactly(word):
     part = _unmix64(word) ^ GAMMA
     assert fold(0, part) == word
     out = np.empty((1, 1, 1))
-    u01_grid(np.zeros((1, 1), dtype=np.uint64), np.array([part], dtype=np.uint64), out,
-             np.empty(1, dtype=np.uint64))
+    u01_grid(grid_keys(np.zeros((1, 1), dtype=np.uint64)), grid_parts(np.array([part], dtype=np.uint64)),
+             out, np.empty(1, dtype=np.uint64))
     assert out[0, 0, 0] == u01(word) == (word >> 11) * 2.0**-53
 
 
