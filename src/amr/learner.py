@@ -158,7 +158,7 @@ def replication_mapes(config: MarketConfig, masks: Sequence[Sequence[bool]], tar
     p0, horizon = target.values[0], len(target)
     mapes = np.full((len(masks), replications), mape_rows(target, np.full(horizon, p0)))
     live = [m for m, mask in enumerate(masks) if any(mask)]
-    per_call = max(1, MAX_BATCH_ELEMENTS // (replications * sum(t.count for t in config.types)))
+    per_call = max(1, MAX_BATCH_ELEMENTS // (replications * config.n_agents))
     for lo in range(0, len(live), per_call):
         batch = live[lo : lo + per_call]
         prices, _ = market.simulate_batch(config, seeds, [masks[m] for m in batch], p0, horizon)

@@ -72,10 +72,10 @@ Jitter and decision uniforms alike are hashed by rng.u01_grid, which
 takes its keys and parts with splitmix64's first xorshift already
 applied (see amr.rng): each call folds its small (steps, S) or
 (fields, S) key array once, with rng.grid_keys, and uses the position
-ids as parts.  Every id is below C * K, and ids below 2**30
-(rng.SHIFT_FREE_PARTS) are their own grid parts, so no call shifts them
-unless it holds more than 2**30 positions.  Hashing a value thus takes
-two passes fewer than fold does, and every uniform keeps its bits.
+ids as parts.  A market holds at most MAX_AGENTS = 2**30 agents, a
+multiple of CHUNK_SIZE, so every position id is below 2**30 and is its
+own grid part.  Hashing a value thus takes two passes fewer than fold
+does, and every uniform keeps its bits.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import SHIFT_FREE_PARTS, TAG_DECISION, TAG_JITTER, fold, fold_array, grid_keys, grid_parts, u01_grid
+from .rng import SHIFT_FREE_PARTS, TAG_DECISION, TAG_JITTER, fold, fold_array, grid_keys, u01_grid
 from .rng import fold_matrix, u01_array  # noqa: F401  (perfbench/layers.py wraps both here)
 from .timeseries import TimeSeries, known_keys, parsed_fields, read_json, value_fault, write_json
 
@@ -104,6 +104,8 @@ BEHAVIOR_FIELDS = ("optimism", "reactivity", "trade_fraction")
 BEHAVIOR_BOUNDS = ((0.0, 1.0), (-1.0, 1.0), TRADE_FRACTION_BOUNDS)
 JITTER_MAX = 0.2
 MAX_TYPES = 16
+# Most agents in a market: every position id is then below 2**30, its own rng.u01_grid part.
+MAX_AGENTS = SHIFT_FREE_PARTS
 
 # Agents per demand-summation chunk.  It fixes the order of every demand
 # sum, so changing it changes outputs; _chunking reads it at call time.
@@ -156,7 +158,7 @@ class InvestorType:
 
 @dataclass(frozen=True)
 class MarketConfig:
-    """A full market: investor types plus global simulation knobs."""
+    """A full market: up to MAX_TYPES investor types and MAX_AGENTS agents with finite total assets, plus knobs."""
 
     types: tuple[InvestorType, ...]
     price_impact: float  # in PRICE_IMPACT_BOUNDS; with |demand| <= 1 this keeps prices positive
@@ -176,10 +178,23 @@ class MarketConfig:
             raise ValueError(f"jitter {self.jitter} outside [0, {JITTER_MAX}]")
         if not isinstance(self.master_seed, int):
             raise ValueError("master_seed must be an integer")
+        if self.n_agents > MAX_AGENTS:
+            counts = ", ".join(f"{t.name} {t.count}" for t in self.types)
+            raise ValueError(f"a market holds at most {MAX_AGENTS} (2**30) agents, got {self.n_agents} "
+                             f"from the type counts ({counts})")
+        if not self.total_assets < math.inf:
+            products = ", ".join(f"{t.name} {t.assets_per_investor!r} * {t.count}" for t in self.types)
+            raise ValueError(f"total assets overflow: assets_per_investor * count summed over the types "
+                             f"({products}) is not finite")
 
     @property
     def type_names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.types)
+
+    @property
+    def n_agents(self) -> int:
+        """Agents of the full configuration, disabled types included."""
+        return sum(t.count for t in self.types)
 
     @property
     def total_assets(self) -> float:
@@ -222,10 +237,6 @@ def only_enabled(config: MarketConfig, type_names: Iterable[str]) -> MarketConfi
 # -- JSON wire format ---------------------------------------------------
 
 
-def config_to_dict(config: MarketConfig) -> dict:
-    return {**asdict(config), "types": [asdict(t) for t in config.types]}
-
-
 def _type_from_dict(t: dict, position: int) -> InvestorType:
     if not isinstance(t, dict):
         raise ValueError(f"market config types[{position}] must be a JSON object, got {t!r}")
@@ -256,7 +267,7 @@ def load_config(path: str | Path) -> MarketConfig:
 
 
 def save_config(config: MarketConfig, path: str | Path) -> None:
-    write_json(path, config_to_dict(config))
+    write_json(path, asdict(config))
 
 
 # -- population ---------------------------------------------------------
@@ -298,15 +309,11 @@ def _jittered(config: MarketConfig, seeds: Sequence[int], ids: np.ndarray, out: 
     ids (>= n_agents) get 0.  The uniforms are hashed in place
     (rng.u01_grid) one slab of _row_blocks at a time into one buffer;
     each is a pure function of its key, so the slab size changes no bit.
-    `ids` holds each of 0 .. len(ids) - 1 once (agents or positions), so
-    up to SHIFT_FREE_PARTS of them are their own grid parts; past that,
-    each slab's ids are shifted into a copy, as the type lookup needs
-    them as they are.
+    Every id is below MAX_AGENTS, so it is its own grid part.
     """
     n_types, n_seeds = len(config.types), len(seeds)
     keys = grid_keys(np.array([[fold(seed, TAG_JITTER, d) for seed in seeds]
                                for d in range(len(BEHAVIOR_FIELDS))], dtype=np.uint64))
-    shift = len(ids) > SHIFT_FREE_PARTS
     base = np.array([[getattr(t, f) for t in config.types] + [0.0] for f in BEHAVIOR_FIELDS])
     lo, hi = np.array(BEHAVIOR_BOUNDS).T[:, :, None, None]  # (3, 1, 1) each
     bounds = _row_blocks(len(ids), keys.size)
@@ -314,9 +321,8 @@ def _jittered(config: MarketConfig, seeds: Sequence[int], ids: np.ndarray, out: 
     scratch = np.empty(buffer.size, dtype=np.uint64)
     for p0, p1 in bounds:
         types = _agent_types(config, ids[p0:p1])
-        parts = grid_parts(ids[p0:p1].copy()) if shift else ids[p0:p1]
         slab = buffer[: keys.size * (p1 - p0)].reshape(len(keys), p1 - p0, n_seeds)
-        u01_grid(keys, parts, slab, scratch[: slab.size])
+        u01_grid(keys, ids[p0:p1], slab, scratch[: slab.size])
         slab *= 2.0
         slab -= 1.0
         slab *= config.jitter
@@ -333,10 +339,9 @@ def init_population(config: MarketConfig) -> AgentPopulation:
     Disabled types' agents are created too; they simply emit no demand.
     """
     counts = np.array([t.count for t in config.types], dtype=np.int64)
-    n_agents = int(counts.sum())
-    fields = np.empty((len(BEHAVIOR_FIELDS), n_agents, 1, 1))
-    _jittered(config, [config.master_seed], np.arange(n_agents, dtype=np.uint64), fields)
-    optimism, reactivity, trade_fraction = fields.reshape(len(BEHAVIOR_FIELDS), n_agents)
+    fields = np.empty((len(BEHAVIOR_FIELDS), config.n_agents, 1, 1))
+    _jittered(config, [config.master_seed], np.arange(config.n_agents, dtype=np.uint64), fields)
+    optimism, reactivity, trade_fraction = fields.reshape(len(BEHAVIOR_FIELDS), config.n_agents)
     return AgentPopulation(
         type_index=np.repeat(np.arange(len(config.types), dtype=np.int64), counts),
         optimism=optimism,
@@ -393,9 +398,8 @@ def _streamed_uniforms(step_keys: np.ndarray, size: int, chunks: int):
     Row c of the (c1 - c0, K, 1, S) result holds positions c * K + k of
     seed s, the uniform of agent k * C + c under the step key
     step_keys[t, s] = fold(seed, decision tag, step).  The keys are
-    folded for rng.u01_grid once, and the position ids are shifted once,
-    in place, only when there are more than SHIFT_FREE_PARTS of them.
-    Blocks are hashed into one buffer, reused for the whole walk, and
+    folded for rng.u01_grid once; the position ids are its parts as they
+    are.  Blocks are hashed into one buffer, reused for the whole walk, and
     moved up one float while they are still in cache.  The buffer is
     made at the first ask, as long as that block: _uniform_table and
     _walk each ask for their longest block first.  When a whole step fits _UNIFORM_BLOCK_ELEMENTS,
@@ -407,8 +411,6 @@ def _streamed_uniforms(step_keys: np.ndarray, size: int, chunks: int):
     steps, seeds = step_keys.shape
     keys = grid_keys(step_keys)
     ids = _position_ids(size, chunks)
-    if size * chunks > SHIFT_FREE_PARTS:
-        grid_parts(ids)
     group = max(1, _UNIFORM_BLOCK_ELEMENTS // (size * chunks * seeds))
     block = scratch = read_only = None
 
@@ -608,7 +610,7 @@ def simulate_batch(
     n_masks, n_seeds, steps = len(masks), len(seeds), horizon - 1
     if not steps:
         return np.full((n_masks, n_seeds, 1), p0, dtype=np.float64), np.empty((n_masks, n_seeds, 0))
-    size, chunks = _chunking(sum(t.count for t in config.types))
+    size, chunks = _chunking(config.n_agents)
     state = _placed_state(config, seeds, masks, size, chunks)
     if steps * n_seeds * size * chunks <= _UNIFORM_TABLE_ELEMENTS:
         table = _uniform_table(tuple(seeds), size, chunks, steps).reshape(steps, size, chunks, 1, n_seeds)
@@ -640,7 +642,7 @@ def step(config: MarketConfig, price: float, last_return: float, step_index: int
     not, so toggling types never shifts anyone else's stream.
     """
     _check_normal(price, "price")
-    size, chunks = _chunking(sum(t.count for t in config.types))
+    size, chunks = _chunking(config.n_agents)
     own_mask = np.array([[t.enabled for t in config.types]])
     step_keys = np.array([[fold(config.master_seed, TAG_DECISION, step_index)]], dtype=np.uint64)
     prices, demands = np.array([[price], [0.0]]), np.empty((1, 1))

@@ -20,10 +20,10 @@ applied.  fold(key, p) mixes z = (key + GAMMA) ^ p, and the mixer opens
 with z ^= z >> 30.  A logical shift distributes over xor, so that round
 gives k' ^ p' with k' = (key + GAMMA) ^ ((key + GAMMA) >> 30) and
 p' = p ^ (p >> 30).  The caller makes k' once per (steps, keys) array
-(grid_keys) and p' once per parts array (grid_parts), and every grid
-value then takes one xor and the mixer's six remaining passes.  A part
-below 2**30 (SHIFT_FREE_PARTS) is its own p', so parts known to lie
-below it need no shift at all.
+(grid_keys), and every grid value then takes one xor and the mixer's six
+remaining passes.  The simulator's parts are position ids, all below
+2**30 (SHIFT_FREE_PARTS) because amr.market caps a market's agents
+there, so p >> 30 is 0 and each part is its own p'.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ _NP_MIX2 = np.uint64(_MIX2)
 _NP_GAMMA = np.uint64(_GAMMA)
 
 
-# Parts below this have no bit that the mixer's first xorshift moves: p >> 30 == 0.
+# Parts below this have no bit that the mixer's first xorshift moves, p >> 30 == 0,
+# so u01_grid takes them as they are.
 SHIFT_FREE_PARTS = 1 << 30
 
 
@@ -130,21 +131,15 @@ def grid_keys(keys: np.ndarray) -> np.ndarray:
     return folded
 
 
-def grid_parts(parts: np.ndarray) -> np.ndarray:
-    """The u01_grid parts of a uint64 array of fold parts, p ^ (p >> 30), written over it; returns parts."""
-    parts ^= parts >> np.uint64(30)
-    return parts
-
-
 def u01_grid(keys: np.ndarray, parts: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """u01(fold(k, q)) into out[t, p, s], in place, for keys[t, s] = grid_keys(k) and parts[p] = grid_parts(q).
+    """u01(fold(k, q)) into out[t, p, s], in place, for keys[t, s] = grid_keys(k) and parts[p] = q ^ (q >> 30).
 
-    keys is a (T, S) and parts a (P,) uint64 array; a part q below
-    SHIFT_FREE_PARTS is its own grid part.  Their xor is the mixer's
-    input after its first round (see the module docstring).  out is a
-    C-contiguous float64 (T, P, S) array whose memory holds the hash
-    words until they become floats, and scratch a uint64 array of
-    out.size elements.  The word's top 53 bits, bits >> 11 < 2**53,
+    keys is a (T, S) and parts a (P,) uint64 array; every part the
+    simulator passes, a position id, is below SHIFT_FREE_PARTS, so
+    parts[p] = q.  Their xor is the mixer's input after its first round
+    (see the module docstring).  out is a C-contiguous float64 (T, P, S)
+    array whose memory holds the hash words until they become floats,
+    and scratch a uint64 array of out.size elements.  The word's top 53 bits, bits >> 11 < 2**53,
     convert to float64 exactly through an int64 view of the same memory.
     Returns out.
     """

@@ -27,7 +27,7 @@ from amr.market import (
 )
 from amr.presets import balanced_config, bank_dominated_config, synthetic_target, weekdays
 from amr.reducer import evaluate_subset, exhaustive_reduce, greedy_reduce
-from amr.rng import MASK64, TAG_DECISION, TAG_JITTER, fold, grid_parts, substream, u01
+from amr.rng import TAG_DECISION, TAG_JITTER, fold, substream, u01
 from amr.timeseries import TimeSeries, mape
 
 HORIZON = 90
@@ -103,86 +103,6 @@ def test_slab_ends_match_scalar_fold(monkeypatch, block_elements, seeds, n_agent
             for p, value in ((c0 * chunks, block[0, 0, 0]), (c1 * chunks - 1, block[-1, -1, 0])):
                 for s, seed in enumerate(seeds):
                     assert value[s] == _expected_above(seed, t, int(ids[p]))
-
-
-# Ids on both sides of splitmix64's first xorshift (2**30), with high bits set.
-EDGE_IDS = [0, 2**30 - 1, 2**30, 2**31 + 5, 2**63, MASK64]
-
-
-def _count_id_shifts(monkeypatch):
-    """Patch market's rng.grid_parts to record the size of every array it shifts."""
-    shifts = []
-    monkeypatch.setattr(market_module, "grid_parts", lambda parts: shifts.append(parts.size) or grid_parts(parts))
-    return shifts
-
-
-def test_streamed_ids_past_the_shift_free_count_are_shifted_once(monkeypatch):
-    # Position ids up to 2**64 - 1 and a shift-free count of 0 stand in for a
-    # call of more than 2**30 positions: the reader shifts its ids once.
-    shifts = _count_id_shifts(monkeypatch)
-    monkeypatch.setattr(market_module, "SHIFT_FREE_PARTS", 0)
-    monkeypatch.setattr(market_module, "_position_ids", lambda size, chunks: np.array(EDGE_IDS, dtype=np.uint64))
-    seeds = [5, -3]
-    above = market_module._streamed_uniforms(market_module._step_keys(seeds, 3), len(EDGE_IDS), 1)
-    for t in range(3):
-        block = above(t, 0, len(EDGE_IDS))
-        for c, agent in enumerate(EDGE_IDS):
-            for s, seed in enumerate(seeds):
-                assert block[c, 0, 0, s].hex() == _expected_above(seed, t, agent).hex()
-    assert shifts == [len(EDGE_IDS)]
-
-
-@pytest.mark.parametrize("positions", [2**30, 2**30 + 1])
-def test_streamed_ids_are_shifted_past_2_30_positions(monkeypatch, positions):
-    # A one-chunk call of `positions` positions, whose last id stands in for
-    # them all: 2**30 - 1 is its own grid part, 2**30 is not.
-    shifts = _count_id_shifts(monkeypatch)
-    monkeypatch.setattr(market_module, "_position_ids",
-                        lambda size, chunks: np.array([size * chunks - 1], dtype=np.uint64))
-    above = market_module._streamed_uniforms(market_module._step_keys([9], 1), positions, 1)
-    assert above(0, 0, 1)[0, 0, 0, 0].hex() == _expected_above(9, 0, positions - 1).hex()
-    assert shifts == ([] if positions == 2**30 else [1])
-
-
-def test_jitter_of_ids_past_the_shift_free_count(monkeypatch):
-    # Two types of 2**31 and 2**63 agents, so every id of EDGE_IDS but the
-    # last (padding) is an agent; a shift-free count of 0 stands in for more
-    # than 2**30 ids, and each slab's ids are shifted into a copy.
-    config = MarketConfig(types=(InvestorType("Small", 1.0, 2**31, 0.5, 0.1, 0.01),
-                                 InvestorType("Huge", 2.0, 2**63, 0.4, -0.2, 0.02)),
-                          price_impact=0.01, jitter=0.2)
-    shifts = _count_id_shifts(monkeypatch)
-    monkeypatch.setattr(market_module, "SHIFT_FREE_PARTS", 0)
-    monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 4 * 3 * 2)  # two slabs of 3 ids
-    seeds = [7, -1]
-    ids = np.array(EDGE_IDS, dtype=np.uint64)
-    out = np.empty((len(BEHAVIOR_FIELDS), len(ids), 1, len(seeds)))
-    market_module._jittered(config, seeds, ids, out)
-    assert ids.tolist() == EDGE_IDS  # the caller's ids, as they were
-    assert shifts == [3, 3]
-    for p, agent in enumerate(EDGE_IDS):
-        for s, seed in enumerate(seeds):
-            for d in range(len(BEHAVIOR_FIELDS)):
-                expected = 0.0 if agent == MASK64 else _reference_field(config, seed, d, agent)
-                assert out[d, p, 0, s].hex() == expected.hex()
-
-
-def test_forced_id_shift_changes_no_bit(monkeypatch):
-    # Below 2**30 ids shifting is the identity, so the kernel skips it; forcing
-    # the shift (a shift-free count of 0) gives the same bits.  Every call streams.
-    monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", 0)
-    monkeypatch.setattr(market_module, "CHUNK_SIZE", 64)
-    shifts = _count_id_shifts(monkeypatch)
-    skipped = simulate_batch(BASE, SEEDS, MASKS, 100.0, 20), init_population(BASE)
-    assert shifts == []
-    monkeypatch.setattr(market_module, "SHIFT_FREE_PARTS", 0)
-    shifted = simulate_batch(BASE, SEEDS, MASKS, 100.0, 20), init_population(BASE)
-    assert shifts and sum(shifts) == 2 * 512 + 500  # placed ids, the reader's ids, agent ids
-    (prices, demands), population = skipped
-    (shifted_prices, shifted_demands), shifted_population = shifted
-    assert prices.tobytes() == shifted_prices.tobytes() and demands.tobytes() == shifted_demands.tobytes()
-    for field in BEHAVIOR_FIELDS:
-        assert _bits(getattr(population, field)) == _bits(getattr(shifted_population, field))
 
 
 def test_yielded_steps_are_read_only_views_of_one_buffer(monkeypatch):

@@ -9,9 +9,11 @@ import pytest
 
 from amr import market
 from amr.cli import main
+from amr.learner import params_from_fit_dict
 from amr.market import save_config, set_enabled
 from amr.presets import bank_dominated_config, synthetic_target, weekdays
-from amr.timeseries import TimeSeries, load_csv, save_csv
+from amr.reducer import greedy_reduce
+from amr.timeseries import SplitSpec, TimeSeries, load_csv, parse_date, save_csv, split, write_json
 
 
 @pytest.fixture()
@@ -314,6 +316,32 @@ class TestReduce:
         )
         assert code == 0
         assert batches == [15]
+
+    @pytest.mark.parametrize("p0_from_train", [False, True], ids=["test_window", "p0_from_train"])
+    def test_reduction_scores_the_chosen_target(self, workspace, p0_from_train):
+        # Without the flag the target is the test window; with it, the last
+        # training point followed by the test window.
+        run_train(workspace)
+        out_dir = workspace["dir"] / "red"
+        code = main(
+            ["reduce",
+             "--data", str(workspace["dir"] / "target.csv"),
+             "--split", workspace["split"],
+             "--config", str(workspace["dir"] / "config.json"),
+             "--params", str(workspace["dir"] / "fit.json"),
+             "--replications", "2",
+             *(["--p0-from-train"] if p0_from_train else []),
+             "--out", str(out_dir)]
+        )
+        assert code == 0
+        train, test = split(workspace["target"], SplitSpec(parse_date(workspace["split"])))
+        target = (TimeSeries((train.dates[-1],) + test.dates, (train.values[-1],) + test.values)
+                  if p0_from_train else test)
+        config = workspace["config"]
+        fit = json.loads((workspace["dir"] / "fit.json").read_text())
+        report = greedy_reduce(config, params_from_fit_dict(fit, config.type_names), target, replications=2)
+        write_json(workspace["dir"] / "expected.json", report.to_dict())
+        assert (out_dir / "reduction.json").read_bytes() == (workspace["dir"] / "expected.json").read_bytes()
 
     def test_missing_params_file_exits_2(self, workspace, capsys):
         code = main(

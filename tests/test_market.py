@@ -1,5 +1,6 @@
+import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import date
 
 import numpy as np
@@ -12,7 +13,6 @@ from amr.market import (
     InvestorType,
     MarketConfig,
     config_from_dict,
-    config_to_dict,
     init_population,
     set_enabled,
     simulate_pk,
@@ -72,6 +72,10 @@ class TestInvestorType:
             InvestorType(**kwargs)
 
 
+def _one_type(count, assets=1.0, name="Solo"):
+    return InvestorType(name, assets, count, 0.5, 0.1, 0.01)
+
+
 class TestMarketConfig:
     def test_rejects_empty_and_oversized(self, cfg_a):
         with pytest.raises(ValueError):
@@ -81,6 +85,28 @@ class TestMarketConfig:
         )
         with pytest.raises(ValueError):
             MarketConfig(types=many, price_impact=0.01)
+
+    def test_caps_a_market_at_2_30_agents(self):
+        # Checked when the config is built: nothing is simulated or allocated.
+        assert market.MAX_AGENTS == 2**30
+        full = MarketConfig(types=(_one_type(2**29), _one_type(2**29, name="Other")), price_impact=0.01)
+        assert full.n_agents == market.MAX_AGENTS
+        # The largest market's positions fill C * K = 2**30 exactly, so every position id is below 2**30.
+        size, chunks = market._chunking(full.n_agents)
+        assert size * chunks == market.MAX_AGENTS
+        with pytest.raises(ValueError, match=r"at most 1073741824 .* got 1073741825 from the type counts "
+                                             r"\(Solo 536870913, Other 536870912\)"):
+            MarketConfig(types=(_one_type(2**29 + 1), _one_type(2**29, name="Other")), price_impact=0.01)
+
+    @pytest.mark.parametrize("types", [
+        (_one_type(2, assets=1e308),),  # one type's total overflows
+        (_one_type(1, assets=1e308), _one_type(1, assets=1e308, name="Other")),  # only their sum does
+    ], ids=["type_total", "sum"])
+    def test_rejects_overflowing_total_assets(self, types):
+        with pytest.raises(ValueError, match=r"assets_per_investor \* count .*Solo 1e\+308 \* \d.* not finite"):
+            MarketConfig(types=types, price_impact=0.01)
+        # One such investor alone is a finite market.
+        assert MarketConfig(types=(_one_type(1, assets=1e308),), price_impact=0.01).total_assets == 1e308
 
     def test_rejects_bad_impact_and_jitter(self, cfg_a):
         with pytest.raises(ValueError):
@@ -95,7 +121,7 @@ class TestMarketConfig:
             MarketConfig(types=(cfg_a.types[0], cfg_a.types[0]), price_impact=0.01)
 
     def test_json_round_trip(self, cfg_a):
-        assert config_from_dict(config_to_dict(cfg_a)) == cfg_a
+        assert config_from_dict(json.loads(json.dumps(asdict(cfg_a)))) == cfg_a
 
     def test_missing_field_message(self):
         with pytest.raises(ValueError, match="missing"):

@@ -12,7 +12,6 @@ from amr.rng import (
     fold_array,
     fold_matrix,
     grid_keys,
-    grid_parts,
     mix64,
     substream,
     u01,
@@ -150,7 +149,7 @@ def test_u01_grid_matches_scalar_fold_and_u01():
     out = np.empty((3, 5, 3))
     scratch = np.empty(out.size, dtype=np.uint64)
     keys_before = keys.copy()
-    assert u01_grid(grid_keys(keys), grid_parts(parts.copy()), out, scratch) is out
+    assert u01_grid(grid_keys(keys), parts ^ (parts >> np.uint64(30)), out, scratch) is out
     for t in range(3):
         for p in range(5):
             for s in range(3):
@@ -167,10 +166,11 @@ def test_u01_grid_matches_scalar_fold_and_u01():
 @example([[0, MASK64], [2**63, GAMMA]], EDGE_PARTS)
 def test_u01_grid_of_folded_keys_and_parts_equals_fold(keys, parts):
     # Every (T, S) key and every part over the full uint64 range: one xor of
-    # grid_keys and grid_parts and the mixer's last six passes give fold's bits.
+    # grid_keys, p ^ (p >> 30) and the mixer's last six passes give fold's bits.
     key_array, part_array = np.array(keys, dtype=np.uint64), np.array(parts, dtype=np.uint64)
     out = np.empty((len(keys), len(parts), len(keys[0])))
-    u01_grid(grid_keys(key_array), grid_parts(part_array.copy()), out, np.empty(out.size, dtype=np.uint64))
+    u01_grid(grid_keys(key_array), part_array ^ (part_array >> np.uint64(30)), out,
+             np.empty(out.size, dtype=np.uint64))
     for t, row in enumerate(keys):
         for p, part in enumerate(parts):
             for s, key in enumerate(row):
@@ -184,10 +184,7 @@ def test_grid_keys_and_parts_apply_the_first_xorshift():
         z = (key + GAMMA) & MASK64
         assert folded == z ^ (z >> 30)
     assert np.array_equal(keys, before)  # a new array
-    parts = np.array(EDGE_PARTS, dtype=np.uint64)
-    assert grid_parts(parts) is parts  # written over
-    assert parts.tolist() == [p ^ (p >> 30) for p in EDGE_PARTS]
-    # Below SHIFT_FREE_PARTS a part is its own grid part; from it on, none is.
+    # Below SHIFT_FREE_PARTS a part p is its own grid part p ^ (p >> 30); from it on, none is.
     assert SHIFT_FREE_PARTS == 2**30
     assert [p ^ (p >> 30) == p for p in EDGE_PARTS] == [True, False, False, False, False]
 
@@ -202,7 +199,7 @@ def test_u01_grid_converts_words_exactly(word):
     part = _unmix64(word) ^ GAMMA
     assert fold(0, part) == word
     out = np.empty((1, 1, 1))
-    u01_grid(grid_keys(np.zeros((1, 1), dtype=np.uint64)), grid_parts(np.array([part], dtype=np.uint64)),
+    u01_grid(grid_keys(np.zeros((1, 1), dtype=np.uint64)), np.array([part ^ (part >> 30)], dtype=np.uint64),
              out, np.empty(1, dtype=np.uint64))
     assert out[0, 0, 0] == u01(word) == (word >> 11) * 2.0**-53
 

@@ -2,13 +2,14 @@
 
 import json
 import math
+from dataclasses import asdict
 from datetime import date
 
 import pytest
 
 from amr.cli import main
 from amr.learner import AnnealingSchedule, ParameterVector, energy, params_from_fit_dict
-from amr.market import PRICE_IMPACT_BOUNDS, TRADE_FRACTION_BOUNDS, config_from_dict, config_to_dict, save_config
+from amr.market import PRICE_IMPACT_BOUNDS, TRADE_FRACTION_BOUNDS, config_from_dict, save_config
 from amr.presets import bank_dominated_config, synthetic_target, weekdays
 from amr.reducer import evaluate_subset, exhaustive_reduce, greedy_reduce
 from amr.timeseries import TimeSeries, load_csv, save_csv
@@ -37,8 +38,13 @@ def test_greedy_rejects_nan_tolerance(market):
         greedy_reduce(config, params, target, tolerance=math.nan, replications=1)
 
 
+def _wire(config):
+    """`config` as its saved JSON reads back: asdict with the types tuple a list."""
+    return json.loads(json.dumps(asdict(config)))
+
+
 def _type_dict(**overrides):
-    data = config_to_dict(bank_dominated_config())
+    data = _wire(bank_dominated_config())
     data["types"][2].update(overrides)  # Banks
     return data
 
@@ -60,7 +66,7 @@ def test_config_fields_parse_strictly(field, value):
      ("master_seed", None), ("master_seed", 1.5), ("master_seed", True)],
 )
 def test_config_top_level_numbers_parse_strictly(field, value):
-    data = config_to_dict(bank_dominated_config())
+    data = _wire(bank_dominated_config())
     data[field] = value
     with pytest.raises(ValueError, match=rf"market config {field} must be"):
         config_from_dict(data)
@@ -188,11 +194,13 @@ def simulate_args(tmp_path):
     ('{"types": ["Banks"], "price_impact": 0.01}', "types[0]"),
     (json.dumps(_type_dict(assets_per_investor=math.inf)), "assets_per_investor"),
     (json.dumps(_type_dict(optimism=None)), "optimism"),
-    (json.dumps({**config_to_dict(bank_dominated_config()), "price_impact": None}), "price_impact"),
+    (json.dumps({**_wire(bank_dominated_config()), "price_impact": None}), "price_impact"),
     (json.dumps(_type_dict(name=["a"])), "types[2].name"),
     (json.dumps(_type_dict(name=5)), "types[2].name"),
+    (json.dumps(_type_dict(count=10**15)), "Banks 1000000000000000"),
+    (json.dumps(_type_dict(assets_per_investor=1e308, count=2)), "Banks 1e+308 * 2"),
 ], ids=["list", "string_type", "infinite_assets", "null_optimism", "null_price_impact", "list_name",
-        "number_name"])
+        "number_name", "over_2_30_agents", "overflowing_total_assets"])
 def test_cli_bad_config_exits_2(simulate_args, tmp_path, capsys, config_text, field):
     (tmp_path / "config.json").write_text(config_text)
     assert main(simulate_args + ["--p0", "100.0"]) == 2
@@ -210,7 +218,7 @@ def test_trade_fraction_below_floor_exits_2(simulate_args, tmp_path, capsys):
 
 def test_price_impact_below_floor_exits_2(simulate_args, tmp_path, capsys):
     floor = PRICE_IMPACT_BOUNDS[0]
-    data = {**config_to_dict(bank_dominated_config()), "price_impact": floor / 10}
+    data = {**_wire(bank_dominated_config()), "price_impact": floor / 10}
     (tmp_path / "config.json").write_text(json.dumps(data))
     assert main(simulate_args + ["--p0", "100.0"]) == 2
     assert "price_impact 1e-07 outside" in capsys.readouterr().err
@@ -344,7 +352,7 @@ def test_cli_experiment_spec_paths_must_be_strings(reduce_args, tmp_path, capsys
 
 
 def test_cli_unknown_config_key_exits_2(simulate_args, tmp_path, capsys):
-    data = {**config_to_dict(bank_dominated_config()), "jiter": 0.2}
+    data = {**_wire(bank_dominated_config()), "jiter": 0.2}
     (tmp_path / "config.json").write_text(json.dumps(data))
     assert main(simulate_args + ["--p0", "100.0"]) == 2
     assert "market config has unknown key(s) ['jiter']" in capsys.readouterr().err
