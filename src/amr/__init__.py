@@ -23,7 +23,7 @@ from .reducer import (
     greedy_reduce,
     rank_models,
 )
-from .timeseries import SplitSpec, TimeSeries, load_csv, mape, save_csv, split
+from .timeseries import TimeSeries, load_csv, mape, save_csv, split
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "ReductionReport",
     "Score",
     "SimulationRun",
-    "SplitSpec",
     "TimeSeries",
     "accept",
     "anneal",

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import learner, market, reducer
 from .learner import AnnealingSchedule, ParameterVector
 from .presets import weekdays
-from .timeseries import (SplitSpec, TimeSeries, check_aligned, json_boolean, json_integer, json_number, known_keys,
+from .timeseries import (TimeSeries, check_aligned, json_boolean, json_integer, json_number, known_keys,
                          load_csv, mape, parse_date, parsed_fields, read_json, save_csv, split, write_atomically,
                          write_dated_csv, write_json)
 
@@ -59,7 +59,7 @@ def _load_params(path: str | Path, config: market.MarketConfig) -> ParameterVect
 def _run_inputs(data: str | Path, boundary: str, config_path: str | Path,
                 seed: int | None) -> tuple[TimeSeries, TimeSeries, market.MarketConfig]:
     """(train, test, config): the series split after `boundary`, the config under `seed` (None keeps its own)."""
-    train, test = split(load_csv(data), SplitSpec(parse_date(boundary)))
+    train, test = split(load_csv(data), parse_date(boundary))
     config = market.load_config(config_path)
     if seed is not None:
         config = replace(config, master_seed=seed)
@@ -124,7 +124,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     save_csv(run.predicted, args.out)
     print(
         f"simulated {len(dates)} days from {run.predicted.values[0]} "
-        f"to {run.predicted.values[-1]:.4f} (seed {run.seed_used}) -> {args.out}"
+        f"to {run.predicted.values[-1]:.4f} (seed {config.master_seed}) -> {args.out}"
     )
     return 0
 

@@ -236,7 +236,6 @@ def anneal(
     trace = [best_energy]
 
     temperature = schedule.initial_temperature
-    proposals = 0
     while len(trace) < schedule.total_evaluations:
         candidate = propose(current, schedule.proposal_sigma, stream)
         if candidate.values[live].tobytes() == current.values[live].tobytes():
@@ -249,8 +248,7 @@ def anneal(
         if accept(candidate_energy - current_energy, temperature, stream):
             current, current_energy = candidate, candidate_energy
         trace.append(best_energy)
-        proposals += 1
-        if proposals % schedule.proposals_per_epoch == 0:
+        if (len(trace) - 1) % schedule.proposals_per_epoch == 0:
             temperature = max(temperature * schedule.cooling_factor, ulp(0.0))
 
     return FitResult(

@@ -251,7 +251,7 @@ def config_from_dict(data: dict) -> MarketConfig:
     if not isinstance(data, dict):
         raise ValueError(f"market config must be a JSON object, got {type(data).__name__}")
     known_keys(data, (f.name for f in fields(MarketConfig)), "market config")
-    if not isinstance(data.get("types", []), list):
+    if not isinstance(data.get("types", []), (list, tuple)):
         raise ValueError(f"market config types must be a JSON list, got {data['types']!r}")
     try:
         return MarketConfig(
@@ -658,7 +658,6 @@ class SimulationRun:
 
     predicted: TimeSeries
     demands: tuple[float, ...]  # one per step taken (horizon - 1)
-    seed_used: int
 
 
 def simulate_pk(
@@ -691,5 +690,4 @@ def simulate_pk(
     return SimulationRun(
         predicted=TimeSeries(tuple(dates), tuple(predicted.tolist())),
         demands=tuple(demands[0, 0].tolist()),
-        seed_used=config.master_seed,
     )

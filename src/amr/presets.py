@@ -65,14 +65,12 @@ def weekdays(start: date, n: int) -> tuple[date, ...]:
     return tuple(out)
 
 
-def synthetic_target(
-    config: MarketConfig,
-    seed: int,
-    n_days: int = 390,
-    p0: float = 100.0,
-    start: date = date(2009, 1, 2),
-) -> TimeSeries:
-    """Generate a target series by simulating `config` under `seed`."""
-    dates = weekdays(start, n_days)
-    run = simulate_pk(replace(config, master_seed=seed), p0=p0, horizon=n_days, dates=dates)
+def synthetic_target(config: MarketConfig, seed: int, n_days: int = 390) -> TimeSeries:
+    """Generate a target series by simulating `config` under `seed`.
+
+    The series starts at price 100.0 on 2009-01-02, a Friday, and runs
+    `n_days` weekdays.
+    """
+    dates = weekdays(date(2009, 1, 2), n_days)
+    run = simulate_pk(replace(config, master_seed=seed), p0=100.0, horizon=n_days, dates=dates)
     return run.predicted

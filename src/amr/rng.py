@@ -84,13 +84,9 @@ _NP_GAMMA = np.uint64(_GAMMA)
 SHIFT_FREE_PARTS = 1 << 30
 
 
-def _mix64_inplace(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """mix64 applied to a uint64 array the caller owns, overwriting it.
-
-    `scratch`, a uint64 array of x's shape, holds the shifted words;
-    without it a temporary of that size is allocated.
-    """
-    t = np.right_shift(x, np.uint64(30), out=scratch)
+def _mix64_inplace(x: np.ndarray) -> np.ndarray:
+    """mix64 applied to a uint64 array the caller owns, overwriting it."""
+    t = x >> np.uint64(30)
     x ^= t
     return _mix64_after_first_round(x, t)
 

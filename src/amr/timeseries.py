@@ -95,13 +95,6 @@ def parse_date(text: str) -> date:
         raise ValueError(f"bad date {text!r} ({err})") from None
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Boundary for a train/test split: last day included in training."""
-
-    boundary: date
-
-
 def load_csv(path: str | Path) -> TimeSeries:
     """Read `date,value` rows (YYYY-MM-DD dates; line 1 is a header when neither of its fields parses).
 
@@ -232,17 +225,17 @@ def write_json(path: str | Path, payload) -> None:
     write_atomically(Path(path), json.dumps(payload, indent=2) + "\n")
 
 
-def split(ts: TimeSeries, spec: SplitSpec) -> tuple[TimeSeries, TimeSeries]:
-    """Partition into (train, test): train holds dates <= boundary.
+def split(ts: TimeSeries, boundary: date) -> tuple[TimeSeries, TimeSeries]:
+    """Partition into (train, test): `boundary` is the last training day, so train holds dates <= boundary.
 
     The boundary must lie strictly inside the date range so both parts
     are non-empty; it need not be an observation date itself.
     """
-    if spec.boundary < ts.start:
-        raise ValueError(f"split boundary {spec.boundary} precedes the series (starts {ts.start})")
-    if spec.boundary >= ts.end:
-        raise ValueError(f"split boundary {spec.boundary} leaves the test part empty (ends {ts.end})")
-    k = sum(1 for d in ts.dates if d <= spec.boundary)
+    if boundary < ts.start:
+        raise ValueError(f"split boundary {boundary} precedes the series (starts {ts.start})")
+    if boundary >= ts.end:
+        raise ValueError(f"split boundary {boundary} leaves the test part empty (ends {ts.end})")
+    k = sum(1 for d in ts.dates if d <= boundary)
     train = TimeSeries(ts.dates[:k], ts.values[:k])
     test = TimeSeries(ts.dates[k:], ts.values[k:])
     return train, test

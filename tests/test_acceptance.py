@@ -22,7 +22,7 @@ from amr.market import InvestorType, MarketConfig, save_config, simulate_pk
 from amr.presets import bank_dominated_config, synthetic_target, weekdays
 from amr.reducer import evaluate_subset, exhaustive_reduce, greedy_reduce, rank_models
 from amr.rng import substream
-from amr.timeseries import SplitSpec, TimeSeries, load_csv, mape, save_csv, split
+from amr.timeseries import TimeSeries, load_csv, mape, save_csv, split
 
 TOLERANCE = 0.005  # reduction stopping tolerance, MAPE fraction
 REPLICATIONS = 10
@@ -72,7 +72,7 @@ def test_criterion_2_constant_baseline(cfg_a, params_a, target_a):
     with criterion(2, label):
         if real_csv:
             series = load_csv(real_csv)
-            _train, test = split(series, SplitSpec(date(2008, 12, 31)))
+            _train, test = split(series, date(2008, 12, 31))
             assert test.start >= date(2009, 1, 1)
             score = evaluate_subset((), params_a, cfg_a, test, replications=REPLICATIONS)
             # 13.14% reported for this window; +/- 1.5pp covers vendor

@@ -13,7 +13,7 @@ from amr.learner import params_from_fit_dict
 from amr.market import save_config, set_enabled
 from amr.presets import bank_dominated_config, synthetic_target, weekdays
 from amr.reducer import greedy_reduce
-from amr.timeseries import SplitSpec, TimeSeries, load_csv, parse_date, save_csv, split, write_json
+from amr.timeseries import TimeSeries, load_csv, parse_date, save_csv, split, write_json
 
 
 @pytest.fixture()
@@ -141,6 +141,14 @@ class TestSimulate:
         main([*args, "--out", str(workspace["dir"] / "p1.csv")])
         main([*args, "--out", str(workspace["dir"] / "p2.csv")])
         assert (workspace["dir"] / "p1.csv").read_bytes() == (workspace["dir"] / "p2.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed_flag", [["--seed", "5"], []], ids=["flag", "config"])
+    def test_stdout_names_the_seed_it_ran(self, workspace, capsys, seed_flag):
+        out = workspace["dir"] / "pred.csv"
+        assert main(["simulate", "--config", str(workspace["dir"] / "config.json"),
+                     "--p0", "100.0", "--horizon", "5", "--out", str(out), *seed_flag]) == 0
+        seed = 5 if seed_flag else workspace["config"].master_seed
+        assert f"(seed {seed}) -> {out}\n" in capsys.readouterr().out
 
     def test_dates_from_csv(self, workspace):
         out = workspace["dir"] / "pred.csv"
@@ -334,7 +342,7 @@ class TestReduce:
              "--out", str(out_dir)]
         )
         assert code == 0
-        train, test = split(workspace["target"], SplitSpec(parse_date(workspace["split"])))
+        train, test = split(workspace["target"], parse_date(workspace["split"]))
         target = (TimeSeries((train.dates[-1],) + test.dates, (train.values[-1],) + test.values)
                   if p0_from_train else test)
         config = workspace["config"]

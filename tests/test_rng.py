@@ -209,9 +209,3 @@ def test_u01_grid_rejects_a_strided_out():
     with pytest.raises(ValueError, match="C-contiguous"):
         u01_grid(np.zeros((2, 1), dtype=np.uint64), np.arange(2, dtype=np.uint64), out,
                  np.empty(out.size, dtype=np.uint64))
-
-
-def test_mixer_scratch_gives_the_same_words():
-    x = fold_array(11, np.arange(1000, dtype=np.uint64))
-    scratch = np.empty_like(x)
-    assert np.array_equal(_mix64_inplace(x.copy()), _mix64_inplace(x.copy(), scratch))

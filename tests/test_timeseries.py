@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amr.presets import weekdays
-from amr.timeseries import (SplitSpec, TimeSeries, load_csv, mape, mape_rows, parse_date, save_csv, split,
+from amr.timeseries import (TimeSeries, load_csv, mape, mape_rows, parse_date, save_csv, split,
                             write_atomically)
 
 
@@ -177,34 +177,34 @@ class TestSplit:
     def test_year_end_boundary(self):
         dates = (date(2008, 12, 30), date(2008, 12, 31), date(2009, 1, 2), date(2009, 1, 5))
         ts = TimeSeries(dates, (1.0, 2.0, 3.0, 4.0))
-        train, test = split(ts, SplitSpec(date(2008, 12, 31)))
+        train, test = split(ts, date(2008, 12, 31))
         assert train.end == date(2008, 12, 31)
         assert test.start == date(2009, 1, 2)
 
     def test_two_point_series(self):
         ts = series([1.0, 2.0])
-        train, test = split(ts, SplitSpec(ts.dates[0]))
+        train, test = split(ts, ts.dates[0])
         assert train.values == (1.0,) and test.values == (2.0,)
 
     def test_boundary_between_observations(self):
         # A non-trading boundary date partitions by <= without error.
         ts = TimeSeries((date(2008, 1, 4), date(2008, 1, 7)), (1.0, 2.0))
-        train, test = split(ts, SplitSpec(date(2008, 1, 5)))
+        train, test = split(ts, date(2008, 1, 5))
         assert train.values == (1.0,) and test.values == (2.0,)
 
     def test_boundary_outside_range(self):
         ts = series([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
-            split(ts, SplitSpec(ts.start - timedelta(days=1)))
+            split(ts, ts.start - timedelta(days=1))
         with pytest.raises(ValueError):
-            split(ts, SplitSpec(ts.end))  # would leave test empty
+            split(ts, ts.end)  # would leave test empty
 
     @given(positive_values.filter(lambda v: len(v) >= 2), st.data())
     @settings(max_examples=50)
     def test_split_then_concat_is_identity(self, values, data):
         ts = series(values)
         k = data.draw(st.integers(min_value=0, max_value=len(values) - 2))
-        train, test = split(ts, SplitSpec(ts.dates[k]))
+        train, test = split(ts, ts.dates[k])
         assert train.dates + test.dates == ts.dates
         assert train.values + test.values == ts.values
 

@@ -199,8 +199,10 @@ def simulate_args(tmp_path):
     (json.dumps(_type_dict(name=5)), "types[2].name"),
     (json.dumps(_type_dict(count=10**15)), "Banks 1000000000000000"),
     (json.dumps(_type_dict(assets_per_investor=1e308, count=2)), "Banks 1e+308 * 2"),
+    ('{"types": "Banks", "price_impact": 0.01}', "market config types must be a JSON list, got 'Banks'"),
+    ('{"types": {"name": "Banks"}, "price_impact": 0.01}', "market config types must be a JSON list, got {"),
 ], ids=["list", "string_type", "infinite_assets", "null_optimism", "null_price_impact", "list_name",
-        "number_name", "over_2_30_agents", "overflowing_total_assets"])
+        "number_name", "over_2_30_agents", "overflowing_total_assets", "string_types", "object_types"])
 def test_cli_bad_config_exits_2(simulate_args, tmp_path, capsys, config_text, field):
     (tmp_path / "config.json").write_text(config_text)
     assert main(simulate_args + ["--p0", "100.0"]) == 2
