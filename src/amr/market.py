@@ -68,6 +68,21 @@ starts from that row, so every lane is still added in strict agent
 order.  Every uniform is a pure function of its key, so neither the
 block size nor the block order changes a bit.
 
+One-block steps are walked in C where a C compiler is found: _walk.c,
+built on first use and loaded with ctypes by amr.native, runs a tabled
+call's steps in one call and a streamed call's in one call per hash
+group.  It does the NumPy body's arithmetic in NumPy's order: x =
+reactivity * last return, then x += optimism, then x -= nextafter(u,
++inf); the vote is the sign bit of x or-ed with the bits of |weight|;
+each lane is summed from -0.0 in agent order, the chunk totals as
+(t0 + 0.0) + t1 + ... (a lone chunk's total as is), and the price is
+(demand * price_impact + 1) * price.  It is built with
+-ffp-contract=off, so no multiply and add are fused into one rounding,
+and every price and demand keeps NumPy's bits.  Row-blocked steps (200k
+agents) stay on NumPy, whose hash passes use SIMD.  Without a compiler,
+or when the build or its cache directory fails, _walk runs its NumPy
+body, silently and with the same bits.
+
 Jitter and decision uniforms alike are hashed by rng.u01_grid, which
 takes its keys and parts with splitmix64's first xorshift already
 applied (see amr.rng): each call folds its small (steps, S) or
@@ -90,6 +105,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import native
 from .rng import SHIFT_FREE_PARTS, TAG_DECISION, TAG_JITTER, fold, fold_array, grid_keys, u01_grid
 from .rng import fold_matrix, u01_array  # noqa: F401  (perfbench/layers.py wraps both here)
 from .timeseries import TimeSeries, known_keys, parsed_fields, read_json, value_fault, write_json
@@ -393,29 +409,33 @@ def _row_blocks(size: int, per_row: int) -> list[tuple[int, int]]:
 
 
 def _streamed_uniforms(step_keys: np.ndarray, size: int, chunks: int):
-    """above(t, c0, c1): nextafter(u, +inf) of the decision uniforms of rows [c0, c1) of step t.
+    """above(t, c0, c1): nextafter(u, +inf) of the decision uniforms of rows [c0, c1) of step t
+    and of the steps hashed with it.
 
-    Row c of the (c1 - c0, K, 1, S) result holds positions c * K + k of
-    seed s, the uniform of agent k * C + c under the step key
-    step_keys[t, s] = fold(seed, decision tag, step).  The keys are
-    folded for rng.u01_grid once; the position ids are its parts as they
-    are.  Blocks are hashed into one buffer, reused for the whole walk, and
-    moved up one float while they are still in cache.  The buffer is
-    made at the first ask, as long as that block: _uniform_table and
-    _walk each ask for their longest block first.  When a whole step fits _UNIFORM_BLOCK_ELEMENTS,
-    steps are asked for whole and in order, and as many as fit are hashed
-    at once; a larger step is hashed one row block at a time, as it is
-    asked for.  Every block is a read-only view into the buffer, valid
-    only until the next block is asked for.
+    [i, c] of the (n, c1 - c0, K, 1, S) result, n >= 1, is row c of step
+    t + i: positions c * K + k of seed s, the uniform of agent k * C + c
+    under the step key step_keys[t + i, s] = fold(seed, decision tag,
+    step).  The keys are folded for rng.u01_grid once; the position ids
+    are its parts as they are.  Blocks are hashed into one buffer, reused
+    for the whole walk, and moved up one float while they are still in
+    cache.  The buffer is made at the first ask, as long as that block:
+    _uniform_table and _walk each ask for their longest block first.
+    When a whole step fits _UNIFORM_BLOCK_ELEMENTS, steps are asked for
+    whole and in order, as many as fit are hashed at once, and a step is
+    given with the rest of its group; a larger step is hashed one row
+    block at a time, as it is asked for, and given alone.  Every block is
+    a read-only view into the buffer, valid only until the next block is
+    asked for.
     """
     steps, seeds = step_keys.shape
     keys = grid_keys(step_keys)
     ids = _position_ids(size, chunks)
     group = max(1, _UNIFORM_BLOCK_ELEMENTS // (size * chunks * seeds))
     block = scratch = read_only = None
+    hashed = 0  # steps in the buffer
 
     def above(t: int, c0: int, c1: int) -> np.ndarray:
-        nonlocal block, scratch, read_only
+        nonlocal block, scratch, read_only, hashed
         if block is None:
             block = np.empty((min(group, steps), c1 - c0, chunks, 1, seeds))
             scratch = np.empty(block.size, dtype=np.uint64)
@@ -423,12 +443,20 @@ def _streamed_uniforms(step_keys: np.ndarray, size: int, chunks: int):
             read_only.setflags(write=False)
         g = t % group
         if not g:
-            n = min(group, steps - t)
-            out = block[:n, : c1 - c0].reshape(n, (c1 - c0) * chunks, seeds)
-            _next_up(u01_grid(keys[t : t + n], ids[c0 * chunks : c1 * chunks], out, scratch[: out.size]))
-        return read_only[g, : c1 - c0]
+            hashed = min(group, steps - t)
+            out = block[:hashed, : c1 - c0].reshape(hashed, (c1 - c0) * chunks, seeds)
+            _next_up(u01_grid(keys[t : t + hashed], ids[c0 * chunks : c1 * chunks], out, scratch[: out.size]))
+        return read_only[g:hashed, : c1 - c0]
 
     return above
+
+
+def _address(a: np.ndarray, dtype, shape: tuple[int, ...]) -> int:
+    """The address of `a` for the compiled walk, once its dtype, shape and C-contiguity are checked."""
+    if a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous:
+        raise ValueError(f"the compiled walk needs a C-contiguous {np.dtype(dtype)} array of shape {shape}, "
+                         f"got {a.dtype} {a.shape} (C-contiguous: {a.flags.c_contiguous})")
+    return a.ctypes.data
 
 
 def _walk(
@@ -446,22 +474,47 @@ def _walk(
     optimism and reactivity are (C, K, M, S) and abs_weight_bits the
     uint64 bits of |weight| in that layout; returns (R,) holds the first
     day's last return and then each day's.  above(t, c0, c1) reads the
-    decision uniforms of rows [c0, c1) of step t, moved up one float (see
-    _streamed_uniforms).
+    decision uniforms of rows [c0, c1) of step t and of the steps after it
+    that it has at hand, moved up one float: [i, c] of its result is row
+    c0 + c of step t + i (see _streamed_uniforms).
 
     A step whose S * C * K uniforms fit _UNIFORM_BLOCK_ELEMENTS is one
-    block.  A larger one is a walk over row blocks [c0, c1) of at most
-    _UNIFORM_BLOCK_ELEMENTS votes (see _row_blocks): each block's
-    uniforms are hashed, its votes cast and its chunk sums continued
-    while the block is still in cache.  Rows c0..c1 are contiguous both
-    in the state and in the uniform layout.  The votes go to rows 1.. of
-    one buffer; a block after the first reads its chunks' running totals
-    from row 0, just before its own rows, so every lane is still added
-    in strict agent order and the bits do not depend on the blocks.
+    block.  Such steps go to the compiled walk (native.walk) when it
+    loads, one C call for each run of steps that above gives at once: a
+    tabled call is one C call, a streamed one a call per hash group.  C
+    reads every array through its address, so each must be C-contiguous
+    (_address checks it).  Otherwise the NumPy body below walks them,
+    with the same bits.  A larger step is a walk over row blocks
+    [c0, c1) of at most _UNIFORM_BLOCK_ELEMENTS votes (see _row_blocks):
+    each block's uniforms are hashed, its votes cast and its chunk sums
+    continued while the block is still in cache.  Rows c0..c1 are
+    contiguous both in the state and in the uniform layout.  The votes go
+    to rows 1.. of one buffer; a block after the first reads its chunks'
+    running totals from row 0, just before its own rows, so every lane is
+    still added in strict agent order and the bits do not depend on the
+    blocks.
     """
     size, chunks, n_masks, n_seeds = optimism.shape
     lanes = n_masks * n_seeds
-    if size * chunks * n_seeds <= _UNIFORM_BLOCK_ELEMENTS:
+    one_block = size * chunks * n_seeds <= _UNIFORM_BLOCK_ELEMENTS
+    compiled = native.walk() if one_block else None
+    if compiled is not None:
+        # C reads and writes these arrays through their addresses, so each
+        # stays bound to a name here until the walk returns.
+        totals = np.empty((chunks, lanes))
+        state = [_address(a, dtype, optimism.shape)
+                 for a, dtype in ((optimism, np.float64), (reactivity, np.float64), (abs_weight_bits, np.uint64))]
+        out = [_address(a, np.float64, shape) for a, shape in (
+            (prices, (len(demands) + 1, lanes)), (demands, (len(demands), lanes)), (returns, (lanes,)),
+            (totals, (chunks, lanes)))]
+        t = 0
+        while t < len(demands):
+            run = above(t, 0, size)
+            compiled(t, t + len(run), size, chunks, n_masks, n_seeds, *state,
+                     _address(run, np.float64, (len(run), size, chunks, 1, n_seeds)), price_impact, *out)
+            t += len(run)
+        return
+    if one_block:
         bounds = [(0, size)]
     else:
         bounds = _row_blocks(size, chunks * lanes)
@@ -506,7 +559,7 @@ def _walk(
                 # passes are copysign(weight, x - nextafter(u, +inf)), which
                 # IEEE 754 defines as exactly that, for every input; NumPy runs
                 # them with SIMD and its copysign without.
-                block -= above(t, c0, c1)
+                block -= above(t, c0, c1)[0]
                 bits &= _SIGN_BIT
                 bits |= block_weight_bits
                 if reduce:
@@ -547,7 +600,7 @@ def _uniform_table(seeds: tuple[int, ...], size: int, chunks: int, steps: int) -
     table = np.empty((steps, size, chunks, 1, len(seeds)))
     for t in range(steps):
         for c0, c1 in bounds:
-            table[t, c0:c1] = above(t, c0, c1)
+            table[t, c0:c1] = above(t, c0, c1)[0]
     table.setflags(write=False)
     return table.reshape(steps, size * chunks, len(seeds))
 
@@ -614,7 +667,7 @@ def simulate_batch(
     state = _placed_state(config, seeds, masks, size, chunks)
     if steps * n_seeds * size * chunks <= _UNIFORM_TABLE_ELEMENTS:
         table = _uniform_table(tuple(seeds), size, chunks, steps).reshape(steps, size, chunks, 1, n_seeds)
-        above = lambda t, c0, c1: table[t, c0:c1]
+        above = lambda t, c0, c1: table[t:, c0:c1]
     else:
         _uniform_table.cache_clear()  # any other key empties the memo
         above = _streamed_uniforms(_step_keys(seeds, steps), size, chunks)
@@ -646,7 +699,7 @@ def step(config: MarketConfig, price: float, last_return: float, step_index: int
     own_mask = np.array([[t.enabled for t in config.types]])
     step_keys = np.array([[fold(config.master_seed, TAG_DECISION, step_index)]], dtype=np.uint64)
     prices, demands = np.array([[price], [0.0]]), np.empty((1, 1))
-    _walk(prices, demands, np.array([last_return]),
+    _walk(prices, demands, np.array([last_return], dtype=np.float64),
           *_placed_state(config, [config.master_seed], own_mask, size, chunks), config.price_impact,
           _streamed_uniforms(step_keys, size, chunks))
     return float(prices[1, 0]), float(demands[0, 0])

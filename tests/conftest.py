@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from amr import market, reducer
+from amr import market, native, reducer
 from amr.learner import ParameterVector
 from amr.presets import balanced_config, bank_dominated_config, synthetic_target
 from amr.rng import substream
+from walks import WALKS
 
 
 @pytest.fixture(autouse=True)
@@ -13,6 +14,18 @@ def empty_memos():
     """Each test starts with no subset scores and no uniform table remembered from an earlier one."""
     reducer._known_scores.cache_clear()
     market._uniform_table.cache_clear()
+
+
+@pytest.fixture(params=WALKS)
+def walk(request, monkeypatch):
+    """The walk a test runs on; "numpy" unloads the compiled one, so _walk takes its NumPy body.
+
+    Tests whose ids predate the compiled walk parametrize it indirectly
+    with on_each_walk (tests/walks.py), which keeps their ids for "native".
+    """
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "_loaded", None)
+    return request.param
 
 
 @pytest.fixture(scope="session")

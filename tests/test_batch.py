@@ -29,6 +29,7 @@ from amr.presets import balanced_config, bank_dominated_config, synthetic_target
 from amr.reducer import evaluate_subset, exhaustive_reduce, greedy_reduce
 from amr.rng import TAG_DECISION, TAG_JITTER, fold, substream, u01
 from amr.timeseries import TimeSeries, mape
+from walks import on_each_walk
 
 HORIZON = 90
 DATES = weekdays(date(2009, 1, 2), HORIZON)
@@ -43,14 +44,14 @@ def _single_run(subset, seed):
     return simulate_pk(config, 100.0, HORIZON, DATES)
 
 
-@pytest.mark.parametrize("subsets, seeds, chunk_width", [
+@pytest.mark.parametrize("subsets, seeds, chunk_width, walk", on_each_walk([
     pytest.param(SUBSETS, SEEDS, market_module.CHUNK_SIZE, id="4096"),
     pytest.param(SUBSETS, SEEDS, 64, id="64"),
     # Narrow batches: fewer than _REDUCE_WIDTH lanes, in one chunk and in four.
     pytest.param(SUBSETS[:1], SEEDS, market_module.CHUNK_SIZE, id="1x3"),
     pytest.param(SUBSETS[2:3], SEEDS[:1], 128, id="1x1-128"),
-])
-def test_rows_equal_single_runs(monkeypatch, subsets, seeds, chunk_width):
+]), indirect=["walk"])
+def test_rows_equal_single_runs(monkeypatch, subsets, seeds, chunk_width, walk):
     monkeypatch.setattr(market_module, "CHUNK_SIZE", chunk_width)
     masks = [[n in subset for n in BASE.type_names] for subset in subsets]
     prices, demands = simulate_batch(BASE, seeds, masks, 100.0, HORIZON)
@@ -98,8 +99,13 @@ def test_slab_ends_match_scalar_fold(monkeypatch, block_elements, seeds, n_agent
     above = market_module._streamed_uniforms(step_keys, size, chunks)
     for t in range(steps):
         for c0, c1 in bounds:
-            block = above(t, c0, c1)
+            run = above(t, c0, c1)
+            # One block a step hashes every step at once and gives step t with the steps after it.
+            assert len(run) == (steps - t if len(bounds) == 1 else 1)
+            block = run[0]
             assert block.shape == (c1 - c0, chunks, 1, len(seeds))
+            for s, seed in enumerate(seeds):
+                assert run[-1, -1, -1, 0, s] == _expected_above(seed, t + len(run) - 1, int(ids[c1 * chunks - 1]))
             for p, value in ((c0 * chunks, block[0, 0, 0]), (c1 * chunks - 1, block[-1, -1, 0])):
                 for s, seed in enumerate(seeds):
                     assert value[s] == _expected_above(seed, t, int(ids[p]))
@@ -109,7 +115,7 @@ def test_yielded_steps_are_read_only_views_of_one_buffer(monkeypatch):
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 1000)
     bounds = market_module._row_blocks(500, len(SEEDS))  # two blocks of 250 rows a step
     above = market_module._streamed_uniforms(market_module._step_keys(SEEDS, 6), 500, 1)
-    blocks = [above(t, c0, c1) for t in range(6) for c0, c1 in bounds]
+    blocks = [above(t, c0, c1)[0] for t in range(6) for c0, c1 in bounds]
     assert len(blocks) == 12
     for block in blocks:
         assert not block.flags.writeable
@@ -501,12 +507,13 @@ def test_replication_mapes_equal_per_run_mape(n_days):
             assert float(mapes[m, r]).hex() == mape(target, run.predicted).hex()
 
 
-@pytest.mark.parametrize("chunk_width", [market_module.CHUNK_SIZE, 64])
+@pytest.mark.parametrize("chunk_width, walk", on_each_walk([
+    pytest.param(width, id=str(width)) for width in (market_module.CHUNK_SIZE, 64)]), indirect=["walk"])
 @pytest.mark.parametrize("config", [
     bank_dominated_config(master_seed=5), balanced_config(master_seed=6),
     set_enabled(bank_dominated_config(master_seed=7), ["Banks"], False),
 ], ids=["bank_dominated", "balanced", "banks_disabled"])
-def test_chained_steps_equal_simulate_pk(monkeypatch, config, chunk_width):
+def test_chained_steps_equal_simulate_pk(monkeypatch, config, chunk_width, walk):
     monkeypatch.setattr(market_module, "CHUNK_SIZE", chunk_width)
     run = simulate_pk(config, 100.0, HORIZON, DATES)
     prices, demands = [100.0], []
@@ -559,11 +566,12 @@ def _walked_row_sums(values):
     return demands[0]
 
 
-@pytest.mark.parametrize("n_agents, chunk_width, rows", [
-    (500, 4096, 1), (500, 4096, 3), (500, 128, 1), (37, 8, 1),  # fewer than _REDUCE_WIDTH lanes
-    (500, 4096, 8), (500, 64, 15), (300, 100, 3), (1, 4096, 9),  # reduced lanes
-])
-def test_row_sums_equal_left_to_right_loop(monkeypatch, n_agents, chunk_width, rows):
+@pytest.mark.parametrize("n_agents, chunk_width, rows, walk", on_each_walk([
+    pytest.param(*case, id="-".join(map(str, case))) for case in [
+        (500, 4096, 1), (500, 4096, 3), (500, 128, 1), (37, 8, 1),  # fewer than _REDUCE_WIDTH lanes
+        (500, 4096, 8), (500, 64, 15), (300, 100, 3), (1, 4096, 9),  # reduced lanes
+    ]]), indirect=["walk"])
+def test_row_sums_equal_left_to_right_loop(monkeypatch, n_agents, chunk_width, rows, walk):
     monkeypatch.setattr(market_module, "CHUNK_SIZE", chunk_width)
     rng = np.random.default_rng(n_agents * 31 + chunk_width + rows)
     values = rng.standard_normal((rows, n_agents)) * 10.0 ** rng.integers(-12, 12, (rows, n_agents))
@@ -601,7 +609,7 @@ def test_copysign_vote_equals_less_vote():
     demands = np.empty((1, xs.size))
     market_module._walk(np.ones((2, xs.size)), demands, np.zeros(xs.size), xs.reshape(lanes), np.zeros(lanes),
                         np.abs(ws).reshape(lanes).view(np.uint64), 0.01,
-                        lambda t, c0, c1: aboves.reshape(lanes))
+                        lambda t, c0, c1: aboves.reshape(1, *lanes))
     votes = demands.reshape(xs.shape)
     assert votes.tobytes() == copysign.tobytes()
 

@@ -9,6 +9,9 @@ mask of both presets under three seeds and two chunk widths, the config pins
 cover the bytes `save_config` writes for both presets, and the CLI pins
 cover every file written by `experiment --exhaustive`, `reduce --exhaustive`,
 `simulate` and `plotdata`.
+
+Every digest is checked on both walks, the compiled one and NumPy's
+(the walk fixture): the pinned bits are the contract of each.
 """
 
 import hashlib
@@ -27,6 +30,7 @@ from amr.market import only_enabled, save_config, simulate_pk
 from amr.presets import balanced_config, bank_dominated_config, synthetic_target, weekdays
 from amr.reducer import exhaustive_reduce, greedy_reduce
 from amr.timeseries import save_csv
+from walks import on_each_walk
 
 
 def _scaled(config, factor):
@@ -79,11 +83,11 @@ def _json_digest(payload) -> str:
 TABLE_CAPS = {"table": market_module._UNIFORM_TABLE_ELEMENTS, "stream": 0}
 
 
-@pytest.mark.parametrize("name, table_cap", [
+@pytest.mark.parametrize("name, table_cap, walk", on_each_walk([
     pytest.param(name, cap, id=name if path == "table" else f"{name}-{path}")
     for path, cap in TABLE_CAPS.items() for name in sorted(SIMULATIONS)
-])
-def test_simulation_digest(monkeypatch, name, table_cap):
+]), indirect=["walk"])
+def test_simulation_digest(monkeypatch, name, table_cap, walk):
     make_config, horizon, chunk_width = SIMULATIONS[name]
     monkeypatch.setattr(market_module, "CHUNK_SIZE", chunk_width)
     monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", table_cap)
@@ -115,12 +119,23 @@ def test_exhaustive_reduce_digest(reduction_inputs):
     assert _json_digest(report.to_dict()) == REDUCTION_DIGESTS["exhaustive"]
 
 
+@pytest.mark.parametrize("walk", ["numpy"], indirect=True)
+def test_greedy_reduce_digest_on_numpy_walk(reduction_inputs, walk):
+    test_greedy_reduce_digest(reduction_inputs)
+
+
+@pytest.mark.parametrize("walk", ["numpy"], indirect=True)
+def test_exhaustive_reduce_digest_on_numpy_walk(reduction_inputs, walk):
+    test_exhaustive_reduce_digest(reduction_inputs)
+
+
 # Every preset x chunk width x seed x enabled mask, hashed in that loop order.
 GRID_DIGEST = "5e8d9804bdcd57e47bdfc94d057e06b8df97b80c1956c9690cb9b9ace146202b"
 
 
-@pytest.mark.parametrize("table_cap", list(TABLE_CAPS.values()), ids=list(TABLE_CAPS))
-def test_mask_grid_digest(monkeypatch, table_cap):
+@pytest.mark.parametrize("table_cap, walk", on_each_walk([pytest.param(cap, id=path) for path, cap in TABLE_CAPS.items()]),
+                         indirect=["walk"])
+def test_mask_grid_digest(monkeypatch, table_cap, walk):
     monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", table_cap)
     dates = weekdays(date(2009, 1, 2), 120)
     digest = hashlib.sha256()
@@ -234,3 +249,8 @@ def test_cli_artifact_digests(cli_workspace):
         assert main(args) == 0, name
         got[name] = _file_digests(*(out / name).iterdir())
     assert got == CLI_DIGESTS
+
+
+@pytest.mark.parametrize("walk", ["numpy"], indirect=True)
+def test_cli_artifact_digests_on_numpy_walk(cli_workspace, walk):
+    test_cli_artifact_digests(cli_workspace)

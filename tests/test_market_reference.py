@@ -3,8 +3,11 @@
 The rules are written out per agent in market_reference.  Hypothesis
 draws small markets, masks, seeds and horizons, and patches the chunk
 width and the block and table caps small, so the tabled, streamed and
-row-block paths of the kernel all run.
+row-block paths of the kernel all run.  Each test runs again on the
+NumPy walk, with the compiled one unloaded.
 """
+
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -78,3 +81,27 @@ def test_step_follows_the_reference(config, patch, step_index, price, last_retur
     people = market_reference.agents(config, config.master_seed, [t.enabled for t in config.types])
     net = market_reference.demand(people, config.master_seed, step_index, last_return, patch["CHUNK_SIZE"])
     assert _hex(got) == _hex([(net * config.price_impact + 1.0) * price, net])
+
+
+@pytest.mark.parametrize("walk", ["numpy"], indirect=True)
+def test_every_batch_cell_follows_the_reference_on_numpy_walk(walk):
+    test_every_batch_cell_follows_the_reference()
+
+
+@pytest.mark.parametrize("walk", ["numpy"], indirect=True)
+def test_step_follows_the_reference_on_numpy_walk(walk):
+    test_step_follows_the_reference()
+
+
+def test_an_overflowing_run_follows_the_reference(walk):
+    # Every agent always buys, so each price grows 10% a day from 1e305
+    # until it overflows.  From then on each return is inf or NaN, every
+    # x is NaN (reactivity 0 times inf), and the votes take its sign bit.
+    config = MarketConfig((InvestorType("Buyers", 1.0, 50, 1.0, 0.0, 1.0),), price_impact=0.1, jitter=0.0)
+    seeds, horizon = [1, 2], 120
+    prices, demands = simulate_batch(config, seeds, [[True]], 1e305, horizon)
+    assert math.isinf(prices[0, 0, -1]) and math.isfinite(prices[0, 0, horizon // 2])
+    for s, seed in enumerate(seeds):
+        ref_prices, ref_demands = market_reference.run(config, seed, [True], 1e305, horizon, market_module.CHUNK_SIZE)
+        assert _hex(prices[0, s]) == _hex(ref_prices)
+        assert _hex(demands[0, s]) == _hex(ref_demands)
