@@ -31,10 +31,10 @@ One set-up, _placed_state, serves every call.  It writes the three
 placed arrays (optimism, reactivity, and the bits of |vote weight| that
 the walk reads) once each, in place: the jitter uniforms are hashed slab
 by slab with the position ids as parts, so they land in the placed
-layout.  A call holds those three arrays, the position ids and one
-slab's or block's buffers (plus the uniform table when tabled): about 5
-state arrays of 8 * C * K * M * S bytes at 200k agents, one seed and
-one mask.
+layout.  A call holds those three arrays and, at any one time, either
+the set-up's position ids and slab buffers or the walk's buffers (plus
+the uniform table when tabled): about 5 state arrays of 8 * C * K * M * S
+bytes at 200k agents, one seed and one mask.
 
 The decision uniforms are a pure function of (seed, step, agent), so
 calls with the same seeds, agent count and horizon read the same values
@@ -51,46 +51,49 @@ it allocates the new one, so two are never held.  The table holds the
 very values the blocks would produce, so results are bit-identical with
 or without it.
 
-Every simulation, step() included, runs through one time loop, _walk.
-A step whose S * C * K uniforms fit _UNIFORM_BLOCK_ELEMENTS is one
-block: its uniforms are hashed with those of the next steps that fit,
-and it votes and sums over the whole (C, K, M, S) state.  A larger step
-(200k agents) is walked in row blocks [c0, c1) of the leading position
-axis, each of at most _UNIFORM_BLOCK_ELEMENTS votes and balanced so the
-last is no sliver.  Rows c0..c1 are contiguous both in the state and in
-the uniform layout (positions c * K + k), so a block's uniforms are
-hashed in place (rng.u01_grid) into a small buffer just before it votes,
-and its vote passes and its sum run while it is still in the L2 cache
-rather than streaming every pass over the full state through memory.
-The block's chunk sums continue the previous block's: the running totals
-are written into the buffer row just before the block's rows and the sum
-starts from that row, so every lane is still added in strict agent
-order.  Every uniform is a pure function of its key, so neither the
-block size nor the block order changes a bit.
+Every simulation, step() included, runs through one time loop, _walk,
+which is compiled where a C compiler is found: _walk.c, built on first
+use and loaded with ctypes by amr.native, walks all of a call's steps in
+one C call.  It reads a tabled call's uniforms from the table, and
+hashes a streamed call's itself from the step keys and the position ids,
+_HASH_BATCH_ELEMENTS at a time in whole rows of the state, just before
+those rows vote, so a batch is still in cache when it is read.  It does
+the NumPy body's arithmetic in NumPy's order: x = reactivity * last
+return, then x += optimism, then x -= nextafter(u, +inf); the vote is the
+sign bit of x or-ed with the bits of |weight|; each lane is summed from
+-0.0 in agent order, the chunk totals as (t0 + 0.0) + t1 + ... (a lone
+chunk's total as is), and the price is (demand * price_impact + 1) *
+price.  It is built with -ffp-contract=off, so no multiply and add are
+fused into one rounding, and every price and demand keeps NumPy's bits.
+Without a compiler, or when the build or its cache directory fails,
+_walk runs its NumPy body, silently and with the same bits.
 
-One-block steps are walked in C where a C compiler is found: _walk.c,
-built on first use and loaded with ctypes by amr.native, runs a tabled
-call's steps in one call and a streamed call's in one call per hash
-group.  It does the NumPy body's arithmetic in NumPy's order: x =
-reactivity * last return, then x += optimism, then x -= nextafter(u,
-+inf); the vote is the sign bit of x or-ed with the bits of |weight|;
-each lane is summed from -0.0 in agent order, the chunk totals as
-(t0 + 0.0) + t1 + ... (a lone chunk's total as is), and the price is
-(demand * price_impact + 1) * price.  It is built with
--ffp-contract=off, so no multiply and add are fused into one rounding,
-and every price and demand keeps NumPy's bits.  Row-blocked steps (200k
-agents) stay on NumPy, whose hash passes use SIMD.  Without a compiler,
-or when the build or its cache directory fails, _walk runs its NumPy
-body, silently and with the same bits.
+In the NumPy body, a step whose S * C * K uniforms fit
+_UNIFORM_BLOCK_ELEMENTS is one block: its uniforms are hashed with those
+of the next steps that fit, and it votes and sums over the whole (C, K,
+M, S) state.  A larger step (200k agents) is walked in row blocks
+[c0, c1) of the leading position axis, each of at most
+_UNIFORM_BLOCK_ELEMENTS votes and balanced so the last is no sliver.
+Rows c0..c1 are contiguous both in the state and in the uniform layout
+(positions c * K + k), so a block's uniforms are hashed in place
+(rng.u01_grid) into a small buffer just before it votes, and its vote
+passes and its sum run while it is still in the L2 cache rather than
+streaming every pass over the full state through memory.  The block's
+chunk sums continue the previous block's: the running totals are written
+into the buffer row just before the block's rows and the sum starts from
+that row, so every lane is still added in strict agent order.  Every
+uniform is a pure function of its key, so neither the block size nor the
+block order changes a bit.
 
-Jitter and decision uniforms alike are hashed by rng.u01_grid, which
-takes its keys and parts with splitmix64's first xorshift already
-applied (see amr.rng): each call folds its small (steps, S) or
-(fields, S) key array once, with rng.grid_keys, and uses the position
-ids as parts.  A market holds at most MAX_AGENTS = 2**30 agents, a
-multiple of CHUNK_SIZE, so every position id is below 2**30 and is its
-own grid part.  Hashing a value thus takes two passes fewer than fold
-does, and every uniform keeps its bits.
+Jitter and decision uniforms alike are hashed by rng.u01_grid, or the
+compiled walk's decision uniforms by its C twin, which take their keys
+and parts with splitmix64's first xorshift already applied (see
+amr.rng): each call folds its small (steps, S) or (fields, S) key array
+once, with rng.grid_keys, and uses the position ids as parts.  A market
+holds at most MAX_AGENTS = 2**30 agents, a multiple of CHUNK_SIZE, so
+every position id is below 2**30 and is its own grid part.  Hashing a
+value thus takes two passes fewer than fold does, and every uniform
+keeps its bits.
 """
 
 from __future__ import annotations
@@ -134,11 +137,14 @@ _SIGN_BIT = np.uint64(1 << 63)
 # one call; narrower sums accumulate (see _walk).
 _REDUCE_WIDTH = 8
 
-# Upper bound on the decision uniforms hashed at once, on the jitter
+# Upper bound on the decision uniforms NumPy hashes at once, on the jitter
 # uniforms or vote weights of one set-up slab and, when a step's uniforms
-# exceed it, on the votes of one row block of the walk (elements; 512 KB,
-# so a block and its scratch stay in L2).
+# exceed it, on the votes of one row block of the NumPy walk (elements;
+# 512 KB, so a block and its scratch stay in L2).
 _UNIFORM_BLOCK_ELEMENTS = 1 << 16
+# Decision uniforms the compiled walk hashes at once, in whole rows of the
+# state (elements; 32 KB, so a batch is still in L1 when its rows vote).
+_HASH_BATCH_ELEMENTS = 1 << 12
 # Largest decision-uniform table kept across calls (elements; 8 MB).
 _UNIFORM_TABLE_ELEMENTS = 1 << 20
 
@@ -409,33 +415,29 @@ def _row_blocks(size: int, per_row: int) -> list[tuple[int, int]]:
 
 
 def _streamed_uniforms(step_keys: np.ndarray, size: int, chunks: int):
-    """above(t, c0, c1): nextafter(u, +inf) of the decision uniforms of rows [c0, c1) of step t
-    and of the steps hashed with it.
+    """above(t, c0, c1): nextafter(u, +inf) of the decision uniforms of rows [c0, c1) of step t.
 
-    [i, c] of the (n, c1 - c0, K, 1, S) result, n >= 1, is row c of step
-    t + i: positions c * K + k of seed s, the uniform of agent k * C + c
-    under the step key step_keys[t + i, s] = fold(seed, decision tag,
-    step).  The keys are folded for rng.u01_grid once; the position ids
-    are its parts as they are.  Blocks are hashed into one buffer, reused
-    for the whole walk, and moved up one float while they are still in
-    cache.  The buffer is made at the first ask, as long as that block:
-    _uniform_table and _walk each ask for their longest block first.
-    When a whole step fits _UNIFORM_BLOCK_ELEMENTS, steps are asked for
-    whole and in order, as many as fit are hashed at once, and a step is
-    given with the rest of its group; a larger step is hashed one row
-    block at a time, as it is asked for, and given alone.  Every block is
-    a read-only view into the buffer, valid only until the next block is
-    asked for.
+    [c, k, 0, s] of the (c1 - c0, K, 1, S) result is position
+    (c0 + c) * K + k of seed s: the uniform of agent k * C + c0 + c under
+    the step key step_keys[t, s] = fold(seed, decision tag, step).  The
+    keys are folded for rng.u01_grid once; the position ids are its parts
+    as they are.  Blocks are hashed into one buffer, reused for the whole
+    walk, and moved up one float while they are still in cache.  The
+    buffer is made at the first ask, as long as that block: _uniform_table
+    and _walk each ask for their longest block first.  When a whole step
+    fits _UNIFORM_BLOCK_ELEMENTS, steps are asked for whole and in order,
+    and as many as fit are hashed at once; a larger step is hashed one row
+    block at a time, as it is asked for.  Every block is a read-only view
+    into the buffer, valid only until the next block is asked for.
     """
     steps, seeds = step_keys.shape
     keys = grid_keys(step_keys)
     ids = _position_ids(size, chunks)
     group = max(1, _UNIFORM_BLOCK_ELEMENTS // (size * chunks * seeds))
     block = scratch = read_only = None
-    hashed = 0  # steps in the buffer
 
     def above(t: int, c0: int, c1: int) -> np.ndarray:
-        nonlocal block, scratch, read_only, hashed
+        nonlocal block, scratch, read_only
         if block is None:
             block = np.empty((min(group, steps), c1 - c0, chunks, 1, seeds))
             scratch = np.empty(block.size, dtype=np.uint64)
@@ -443,10 +445,10 @@ def _streamed_uniforms(step_keys: np.ndarray, size: int, chunks: int):
             read_only.setflags(write=False)
         g = t % group
         if not g:
-            hashed = min(group, steps - t)
-            out = block[:hashed, : c1 - c0].reshape(hashed, (c1 - c0) * chunks, seeds)
-            _next_up(u01_grid(keys[t : t + hashed], ids[c0 * chunks : c1 * chunks], out, scratch[: out.size]))
-        return read_only[g:hashed, : c1 - c0]
+            n = min(group, steps - t)
+            out = block[:n, : c1 - c0].reshape(n, (c1 - c0) * chunks, seeds)
+            _next_up(u01_grid(keys[t : t + n], ids[c0 * chunks : c1 * chunks], out, scratch[: out.size]))
+        return read_only[g, : c1 - c0]
 
     return above
 
@@ -467,54 +469,62 @@ def _walk(
     reactivity: np.ndarray,
     abs_weight_bits: np.ndarray,
     price_impact: float,
-    above,
+    table: np.ndarray | None,
+    step_keys: np.ndarray | None,
 ) -> None:
     """Every day of R = M * S runs: fills demands (T, R) and prices[1:] from prices[0] (T + 1, R).
 
     optimism and reactivity are (C, K, M, S) and abs_weight_bits the
     uint64 bits of |weight| in that layout; returns (R,) holds the first
-    day's last return and then each day's.  above(t, c0, c1) reads the
-    decision uniforms of rows [c0, c1) of step t and of the steps after it
-    that it has at hand, moved up one float: [i, c] of its result is row
-    c0 + c of step t + i (see _streamed_uniforms).
+    day's last return and then each day's.  The decision uniforms, moved
+    up one float, are read from `table`, (T, C, K, 1, S), or when it is
+    None hashed from `step_keys`, the (T, S) keys fold(seed, decision tag,
+    step) (see _streamed_uniforms).
 
-    A step whose S * C * K uniforms fit _UNIFORM_BLOCK_ELEMENTS is one
-    block.  Such steps go to the compiled walk (native.walk) when it
-    loads, one C call for each run of steps that above gives at once: a
-    tabled call is one C call, a streamed one a call per hash group.  C
-    reads every array through its address, so each must be C-contiguous
-    (_address checks it).  Otherwise the NumPy body below walks them,
-    with the same bits.  A larger step is a walk over row blocks
-    [c0, c1) of at most _UNIFORM_BLOCK_ELEMENTS votes (see _row_blocks):
-    each block's uniforms are hashed, its votes cast and its chunk sums
-    continued while the block is still in cache.  Rows c0..c1 are
-    contiguous both in the state and in the uniform layout.  The votes go
-    to rows 1.. of one buffer; a block after the first reads its chunks'
-    running totals from row 0, just before its own rows, so every lane is
-    still added in strict agent order and the bits do not depend on the
-    blocks.
+    Every step goes to the compiled walk (native.walk) when it loads, in
+    one C call: it reads the table, or hashes the uniforms itself from
+    the step keys folded by rng.grid_keys and the position ids, in batches
+    of whole rows of at most _HASH_BATCH_ELEMENTS uniforms (one row at
+    least).  C reads every array through its address, so each must be
+    C-contiguous (_address checks it).
+
+    Otherwise the NumPy body below walks them, with the same bits.  A
+    step whose S * C * K uniforms fit _UNIFORM_BLOCK_ELEMENTS is one
+    block; a larger step is a walk over row blocks [c0, c1) of at most
+    _UNIFORM_BLOCK_ELEMENTS votes (see _row_blocks): each block's
+    uniforms are hashed, its votes cast and its chunk sums continued while
+    the block is still in cache.  Rows c0..c1 are contiguous both in the
+    state and in the uniform layout.  The votes go to rows 1.. of one
+    buffer; a block after the first reads its chunks' running totals from
+    row 0, just before its own rows, so every lane is still added in
+    strict agent order and the bits do not depend on the blocks.
     """
     size, chunks, n_masks, n_seeds = optimism.shape
     lanes = n_masks * n_seeds
-    one_block = size * chunks * n_seeds <= _UNIFORM_BLOCK_ELEMENTS
-    compiled = native.walk() if one_block else None
+    compiled = native.walk()
     if compiled is not None:
         # C reads and writes these arrays through their addresses, so each
         # stays bound to a name here until the walk returns.
-        totals = np.empty((chunks, lanes))
+        if table is None:  # C hashes the uniforms, batch_rows rows of the state at a time
+            keys = grid_keys(step_keys)
+            batch_rows = min(size, max(1, _HASH_BATCH_ELEMENTS // (chunks * n_seeds)))
+            uniforms = (None, _address(keys, np.uint64, (len(demands), n_seeds)), batch_rows)
+            scratch = np.empty(2 * chunks * lanes + batch_rows * chunks * n_seeds)
+        else:
+            uniforms = (_address(table, np.float64, (len(demands), size, chunks, 1, n_seeds)), None, size)
+            scratch = np.empty(2 * chunks * lanes)
         state = [_address(a, dtype, optimism.shape)
                  for a, dtype in ((optimism, np.float64), (reactivity, np.float64), (abs_weight_bits, np.uint64))]
         out = [_address(a, np.float64, shape) for a, shape in (
             (prices, (len(demands) + 1, lanes)), (demands, (len(demands), lanes)), (returns, (lanes,)),
-            (totals, (chunks, lanes)))]
-        t = 0
-        while t < len(demands):
-            run = above(t, 0, size)
-            compiled(t, t + len(run), size, chunks, n_masks, n_seeds, *state,
-                     _address(run, np.float64, (len(run), size, chunks, 1, n_seeds)), price_impact, *out)
-            t += len(run)
+            (scratch, scratch.shape))]
+        compiled(len(demands), size, chunks, n_masks, n_seeds, *state, *uniforms, price_impact, *out)
         return
-    if one_block:
+    if table is None:
+        above = _streamed_uniforms(step_keys, size, chunks)
+    else:
+        above = lambda t, c0, c1: table[t, c0:c1]
+    if size * chunks * n_seeds <= _UNIFORM_BLOCK_ELEMENTS:
         bounds = [(0, size)]
     else:
         bounds = _row_blocks(size, chunks * lanes)
@@ -559,7 +569,7 @@ def _walk(
                 # passes are copysign(weight, x - nextafter(u, +inf)), which
                 # IEEE 754 defines as exactly that, for every input; NumPy runs
                 # them with SIMD and its copysign without.
-                block -= above(t, c0, c1)[0]
+                block -= above(t, c0, c1)
                 bits &= _SIGN_BIT
                 bits |= block_weight_bits
                 if reduce:
@@ -600,7 +610,7 @@ def _uniform_table(seeds: tuple[int, ...], size: int, chunks: int, steps: int) -
     table = np.empty((steps, size, chunks, 1, len(seeds)))
     for t in range(steps):
         for c0, c1 in bounds:
-            table[t, c0:c1] = above(t, c0, c1)[0]
+            table[t, c0:c1] = above(t, c0, c1)
     table.setflags(write=False)
     return table.reshape(steps, size * chunks, len(seeds))
 
@@ -665,16 +675,16 @@ def simulate_batch(
         return np.full((n_masks, n_seeds, 1), p0, dtype=np.float64), np.empty((n_masks, n_seeds, 0))
     size, chunks = _chunking(config.n_agents)
     state = _placed_state(config, seeds, masks, size, chunks)
+    table = step_keys = None
     if steps * n_seeds * size * chunks <= _UNIFORM_TABLE_ELEMENTS:
         table = _uniform_table(tuple(seeds), size, chunks, steps).reshape(steps, size, chunks, 1, n_seeds)
-        above = lambda t, c0, c1: table[t:, c0:c1]
     else:
         _uniform_table.cache_clear()  # any other key empties the memo
-        above = _streamed_uniforms(_step_keys(seeds, steps), size, chunks)
+        step_keys = _step_keys(seeds, steps)
     prices = np.empty((horizon, n_masks * n_seeds))
     prices[0] = p0
     demands = np.empty((steps, n_masks * n_seeds))
-    _walk(prices, demands, np.zeros(n_masks * n_seeds), *state, config.price_impact, above)
+    _walk(prices, demands, np.zeros(n_masks * n_seeds), *state, config.price_impact, table, step_keys)
     # Contiguous copies: a strided view would make mape_rows' mean over
     # days sum in another order than NumPy's pairwise sum of a
     # contiguous axis.
@@ -701,7 +711,7 @@ def step(config: MarketConfig, price: float, last_return: float, step_index: int
     prices, demands = np.array([[price], [0.0]]), np.empty((1, 1))
     _walk(prices, demands, np.array([last_return], dtype=np.float64),
           *_placed_state(config, [config.master_seed], own_mask, size, chunks), config.price_impact,
-          _streamed_uniforms(step_keys, size, chunks))
+          None, step_keys)
     return float(prices[1, 0]), float(demands[0, 0])
 
 

@@ -1,9 +1,9 @@
 """The compiled walk: _walk.c, built with the system C compiler on first use and loaded with ctypes.
 
 walk() returns the C function amr_walk, which market._walk calls for
-steps whose decision uniforms fit one block, or None when the library
-cannot be had: no C compiler, a failed build, or a cache directory that
-cannot be written.  market._walk then runs its NumPy body, which gives
+every step, tabled or streamed, or None when the library cannot be had:
+no C compiler, a failed build, or a cache directory that cannot be
+written.  market._walk then runs its NumPy body, which gives
 the same bits, and nothing is printed.
 
 The library is cached in $XDG_CACHE_HOME/amr (default ~/.cache/amr)
@@ -35,12 +35,14 @@ except ImportError:
 SOURCE = Path(__file__).with_name("_walk.c")
 COMPILER = "cc"
 # -ffp-contract=off rounds every multiply and add on its own, as NumPy does:
-# a fused multiply-add would change the bits.
-FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# a fused multiply-add would change the bits.  -O3 vectorizes the vote loop,
+# lane by lane, so no sum changes its order.
+FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
-# amr_walk(t0, t1, C, K, M, S, optimism, reactivity, abs_weight_bits, above,
-#          price_impact, prices, demands, returns, totals)
-_ARGTYPES = [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 4 + [ctypes.c_double] + [ctypes.c_void_p] * 4
+# amr_walk(T, C, K, M, S, optimism, reactivity, abs_weight_bits, above, keys, batch_rows,
+#          price_impact, prices, demands, returns, scratch)
+_ARGTYPES = ([ctypes.c_int64] * 5 + [ctypes.c_void_p] * 5 + [ctypes.c_int64, ctypes.c_double]
+             + [ctypes.c_void_p] * 4)
 
 _UNLOADED = object()
 _loaded = _UNLOADED  # the loaded function, None when it cannot be had, or _UNLOADED before the first walk()

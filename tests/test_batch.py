@@ -12,6 +12,7 @@ import pytest
 import amr.learner as learner_module
 import amr.market as market_module
 import amr.reducer as reducer_module
+from amr import native
 from amr.learner import AnnealingSchedule, ParameterVector, anneal, energy, replication_mapes
 from amr.market import (
     BEHAVIOR_BOUNDS,
@@ -99,13 +100,8 @@ def test_slab_ends_match_scalar_fold(monkeypatch, block_elements, seeds, n_agent
     above = market_module._streamed_uniforms(step_keys, size, chunks)
     for t in range(steps):
         for c0, c1 in bounds:
-            run = above(t, c0, c1)
-            # One block a step hashes every step at once and gives step t with the steps after it.
-            assert len(run) == (steps - t if len(bounds) == 1 else 1)
-            block = run[0]
+            block = above(t, c0, c1)
             assert block.shape == (c1 - c0, chunks, 1, len(seeds))
-            for s, seed in enumerate(seeds):
-                assert run[-1, -1, -1, 0, s] == _expected_above(seed, t + len(run) - 1, int(ids[c1 * chunks - 1]))
             for p, value in ((c0 * chunks, block[0, 0, 0]), (c1 * chunks - 1, block[-1, -1, 0])):
                 for s, seed in enumerate(seeds):
                     assert value[s] == _expected_above(seed, t, int(ids[p]))
@@ -115,7 +111,7 @@ def test_yielded_steps_are_read_only_views_of_one_buffer(monkeypatch):
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 1000)
     bounds = market_module._row_blocks(500, len(SEEDS))  # two blocks of 250 rows a step
     above = market_module._streamed_uniforms(market_module._step_keys(SEEDS, 6), 500, 1)
-    blocks = [above(t, c0, c1)[0] for t in range(6) for c0, c1 in bounds]
+    blocks = [above(t, c0, c1) for t in range(6) for c0, c1 in bounds]
     assert len(blocks) == 12
     for block in blocks:
         assert not block.flags.writeable
@@ -140,6 +136,7 @@ def test_slabbed_steps_equal_unpatched_runs(monkeypatch, block_elements):
         m.setattr(market_module, "CHUNK_SIZE", 64)
         run = simulate_pk(config, 100.0, HORIZON, DATES)
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", block_elements)
+    monkeypatch.setattr(native, "_loaded", None)  # the NumPy body walks the row blocks
     patched = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON)
     assert patched[0].tobytes() == batch[0].tobytes()
     assert patched[1].tobytes() == batch[1].tobytes()
@@ -169,8 +166,10 @@ def test_walked_blocks_equal_one_block_steps(monkeypatch, table_cap, chunk_width
     monkeypatch.setattr(market_module, "_row_blocks",
                         lambda *args: walked.setdefault(args, row_blocks(*args)))
     # Blocks of at most 5 rows, the shorter last: 13 a step of 64 rows (the
-    # last of 4), 26 of 128 (the last two of 4).
+    # last of 4), 26 of 128 (the last two of 4).  Row blocks are the NumPy
+    # body's, so the walked run is NumPy's.
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 5 * lanes)
+    monkeypatch.setattr(native, "_loaded", None)
     walked_prices, walked_demands = simulate_batch(BASE, seeds, masks, 100.0, HORIZON)
     # The walk's call, by its arguments: the set-up slabs and a table build make their own.
     lengths = [c1 - c0 for c0, c1 in walked[size, lanes]]
@@ -216,6 +215,7 @@ def test_step_walks_blocks_like_one_block(monkeypatch, chunk_width):
     size, chunks = market_module._chunking(500)
     one_block = [step(BASE, price, last_return, t) for price, last_return, t in STEP_CALLS]
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 7 * chunks)  # blocks of 7 rows
+    monkeypatch.setattr(native, "_loaded", None)  # that the NumPy body walks
     assert len(market_module._row_blocks(size, chunks)) == -(-size // 7) > 1
     walked = [step(BASE, price, last_return, t) for price, last_return, t in STEP_CALLS]
     assert [(p.hex(), d.hex()) for p, d in walked] == [(p.hex(), d.hex()) for p, d in one_block]
@@ -243,21 +243,16 @@ def test_walk_allocates_no_step_sized_block(monkeypatch):
     # and 11 steps exceed the table, so every block is hashed as it is walked.
     config = replace(BASE, types=tuple(replace(t, count=t.count * 60) for t in BASE.types))
     state_bytes = 8 * 4096 * 8 * len(SEEDS) * 2  # one float64 per position and run
-    # The traced window opens when the reader is built, just before the walk,
-    # and closes when the walk returns.
-    stream, walk = market_module._streamed_uniforms, market_module._walk
+    # The traced window opens when the walk is called and closes when it returns.
+    walk = market_module._walk
     walk_peaks = []
 
-    def traced_stream(*args):
-        tracemalloc.reset_peak()
-        walk_peaks.append(tracemalloc.get_traced_memory()[0])
-        return stream(*args)
-
     def traced_walk(*args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
         walk(*args)
-        walk_peaks.append(tracemalloc.get_traced_memory()[1] - walk_peaks.pop())
+        walk_peaks.append(tracemalloc.get_traced_memory()[1] - before)
 
-    monkeypatch.setattr(market_module, "_streamed_uniforms", traced_stream)
     monkeypatch.setattr(market_module, "_walk", traced_walk)
     tracemalloc.start()
     try:
@@ -265,12 +260,19 @@ def test_walk_allocates_no_step_sized_block(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The walk's buffers (one block's votes, uniforms and hash scratch, and the
-    # position ids) come to 3/4 of a state array; a full-size vote scratch
-    # would add one more, and a step-sized uniform block half of one.
+    # The NumPy walk's buffers (one block's votes, uniforms and hash scratch,
+    # and the position ids) come to 3/4 of a state array, the compiled walk's
+    # (a row's lane sums and returns, and one hash batch) to far less; a
+    # full-size vote scratch would add one more, and a step-sized uniform
+    # block half of one.
     assert len(walk_peaks) == 1 and walk_peaks[0] < state_bytes
     # The whole call, jitter and placement included, stays under 8 state arrays.
     assert peak < 8 * state_bytes
+
+
+@pytest.mark.parametrize("walk", ["numpy"], indirect=True)
+def test_walk_allocates_no_step_sized_block_on_numpy_walk(monkeypatch, walk):
+    test_walk_allocates_no_step_sized_block(monkeypatch)
 
 
 # Four types whose values and jitter push every field past both of its bounds.
@@ -562,7 +564,7 @@ def _walked_row_sums(values):
     step_keys = np.arange(rows, dtype=np.uint64)[None]
     demands = np.empty((1, rows))
     market_module._walk(np.ones((2, rows)), demands, np.zeros(rows), optimism, reactivity,
-                        weight.view(np.uint64), 0.01, market_module._streamed_uniforms(step_keys, size, chunks))
+                        weight.view(np.uint64), 0.01, None, step_keys)
     return demands[0]
 
 
@@ -608,8 +610,7 @@ def test_copysign_vote_equals_less_vote():
     lanes = (1, 1, 1, xs.size)
     demands = np.empty((1, xs.size))
     market_module._walk(np.ones((2, xs.size)), demands, np.zeros(xs.size), xs.reshape(lanes), np.zeros(lanes),
-                        np.abs(ws).reshape(lanes).view(np.uint64), 0.01,
-                        lambda t, c0, c1: aboves.reshape(1, *lanes))
+                        np.abs(ws).reshape(lanes).view(np.uint64), 0.01, aboves.reshape(1, *lanes), None)
     votes = demands.reshape(xs.shape)
     assert votes.tobytes() == copysign.tobytes()
 
@@ -617,6 +618,29 @@ def test_copysign_vote_equals_less_vote():
     old = (2.0 * np.less(us[less_grid], xs[less_grid]) - 1.0) * ws[less_grid]
     assert copysign[less_grid].tobytes() == old.tobytes()
     assert votes[less_grid].tobytes() == old.tobytes()
+
+
+def test_optimism_is_added_before_the_uniform_is_taken(walk):
+    # x = reactivity * r, then x += optimism, then x -= nextafter(u, +inf).
+    # One agent of reactivity 1 and jitter 0 sees r one float below
+    # U = nextafter(u, +inf), and optimism 3/4 of the float spacing d below U:
+    # r + optimism is U - d/4, which rounds to U, so x - U is +0.0 and the
+    # agent buys.  Taken as (r - U) + optimism, x is -d/4 and it sells.
+    seed, step_index = 5, 3
+    above = math.nextafter(u01(fold(seed, TAG_DECISION, step_index, 0)), math.inf)
+    last_return = math.nextafter(above, 0.0)
+    spacing = above - last_return
+    optimism = 0.75 * spacing
+    assert last_return + optimism == above and (last_return - above) + optimism < 0.0
+    config = MarketConfig(types=(InvestorType("One", 1.0, 1, optimism=optimism, reactivity=1.0, trade_fraction=1.0),),
+                          price_impact=0.01, jitter=0.0, master_seed=seed)
+    # The hashed uniform (step streams it) and the same value read from a table.
+    assert step(config, 100.0, last_return, step_index) == (101.0, 1.0)
+    state = [np.full((1, 1, 1, 1), value) for value in (optimism, 1.0, 1.0)]
+    demands = np.empty((1, 1))
+    market_module._walk(np.full((2, 1), 100.0), demands, np.array([last_return]), state[0], state[1],
+                        state[2].view(np.uint64), 0.01, np.full((1, 1, 1, 1, 1), above), None)
+    assert demands[0, 0] == 1.0
 
 
 def test_greedy_fills_the_baseline_instead_of_simulating_it(monkeypatch, cfg_a, params_a, target_a):

@@ -4,7 +4,9 @@ Each digest is the sha256 of an output's exact bytes, so any change to
 the order of floating-point operations in the simulation kernel shows up
 here.  The simulation pins cover both bundled presets, an all-disabled
 market (including one whose demands are -0.0), several summation chunks and one
-population larger than one 4096-agent chunk.  The grid pin covers every enabled
+population larger than one 4096-agent chunk.  The row-blocked pins cover two
+streamed batches whose every step exceeds one uniform block: 200k agents, and
+a padded count over ten chunks.  The grid pin covers every enabled
 mask of both presets under three seeds and two chunk widths, the config pins
 cover the bytes `save_config` writes for both presets, and the CLI pins
 cover every file written by `experiment --exhaustive`, `reduce --exhaustive`,
@@ -93,6 +95,35 @@ def test_simulation_digest(monkeypatch, name, table_cap, walk):
     monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", table_cap)
     run = simulate_pk(make_config(), 100.0, horizon, weekdays(date(2009, 1, 2), horizon))
     assert _run_digest(run) == SIMULATION_DIGESTS[name]
+
+
+# name -> (per-type count factor, added count, horizon): streamed batches under
+# seeds 3 and 4 and two masks (every type; every type but Banks), whose every
+# step is more than one uniform block.  Pinned while the NumPy body walked
+# them in row blocks.
+ROW_BLOCKED = {
+    "x400": (400, 0, 12),  # 200,000 agents, 49 full chunks of 4096
+    "x81_plus_1": (81, 1, 30),  # 40,504 agents: 10 chunks, the last 456 positions padding
+}
+
+ROW_BLOCKED_DIGESTS = {
+    "x400": "02eed61978854fd6dc9b9b0679ae041f5aad352f25cd92ecb4c8692f7ff66299",
+    "x81_plus_1": "b4fb237da28dd3309a616c3ae7bc75b721035b311ed717cd20ad4cc3a8cacfcb",
+}
+
+
+@pytest.mark.parametrize("name, walk", on_each_walk([pytest.param(name, id=name) for name in sorted(ROW_BLOCKED)]),
+                         indirect=["walk"])
+def test_row_blocked_batch_digest(name, walk):
+    factor, added, horizon = ROW_BLOCKED[name]
+    base = bank_dominated_config()
+    config = replace(base, types=tuple(replace(t, count=t.count * factor + added) for t in base.types))
+    seeds, masks = [3, 4], [[True] * 4, [n != "Banks" for n in config.type_names]]
+    size, chunks = market_module._chunking(config.n_agents)
+    assert size * chunks * len(seeds) > market_module._UNIFORM_BLOCK_ELEMENTS
+    assert (horizon - 1) * size * chunks * len(seeds) > market_module._UNIFORM_TABLE_ELEMENTS
+    prices, demands = market_module.simulate_batch(config, seeds, masks, 100.0, horizon)
+    assert hashlib.sha256(prices.tobytes() + demands.tobytes()).hexdigest() == ROW_BLOCKED_DIGESTS[name]
 
 
 def test_all_disabled_sellers_demand_is_negative_zero():

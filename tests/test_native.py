@@ -1,4 +1,5 @@
-"""The compiled walk loads where a compiler is found, and its absence or failure changes no bit and prints nothing.
+"""The compiled walk loads where a compiler is found, streamed steps of every size reach it, and its absence
+or failure changes no bit and prints nothing.
 
 Each test that builds points the cache ($XDG_CACHE_HOME/amr) at a fresh
 directory and forgets the loaded walk, so the next native.walk() looks
@@ -7,6 +8,7 @@ for the library again.
 
 import shutil
 import subprocess
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 
 import amr.market as market_module
 from amr import native
-from amr.market import simulate_pk
+from amr.market import simulate_batch, simulate_pk, step
 from amr.presets import bank_dominated_config, weekdays
 from test_golden import SIMULATION_DIGESTS, _run_digest
 
@@ -109,4 +111,70 @@ def test_compiled_walk_refuses_an_array_it_cannot_read(cold, fault):
     state = [optimism, np.zeros((1, 1, 1, 4)), np.zeros((1, 1, 1, 4), dtype=np.uint64)]
     with pytest.raises(ValueError, match="C-contiguous"):
         market_module._walk(np.ones((2, 4)), np.empty((1, 4)), returns, *state, 0.01,
-                            lambda t, c0, c1: np.full((1, 1, 1, 1, 4), 0.5))
+                            np.full((1, 1, 1, 1, 4), 0.5), None)
+
+
+@pytest.fixture()
+def recorded(cold, monkeypatch):
+    """The arguments of every call into the compiled walk, which still runs, built in a fresh cache."""
+    compiled = native.walk()
+    assert compiled is not None
+    calls = []
+
+    def recorder(*args):
+        calls.append(args)
+        return compiled(*args)
+
+    monkeypatch.setattr(native, "_loaded", recorder)
+    return calls
+
+
+def _numpy_walk_of(monkeypatch, run):
+    with monkeypatch.context() as m:
+        m.setattr(native, "_loaded", None)
+        return run()
+
+
+@needs_compiler
+def test_row_blocked_steps_reach_the_compiled_walk(monkeypatch, recorded):
+    # 40,504 agents in 10 chunks under 2 seeds: each step is 3 NumPy row
+    # blocks, and at cap 0 the uniforms are streamed, so C hashes them.
+    monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", 0)
+    base = bank_dominated_config()
+    config = replace(base, types=tuple(replace(t, count=t.count * 81 + 1) for t in base.types))
+    size, chunks = market_module._chunking(config.n_agents)
+    assert size * chunks * 2 > market_module._UNIFORM_BLOCK_ELEMENTS
+    masks = [[True] * 4, [False, True, True, False]]
+    run = lambda: simulate_batch(config, [3, 4], masks, 100.0, 12)
+    prices, demands = run()
+    steps, above, keys = recorded[0][0], recorded[0][8], recorded[0][9]
+    assert len(recorded) == 1 and steps == 11 and above is None and keys is not None
+    numpy_prices, numpy_demands = _numpy_walk_of(monkeypatch, run)
+    assert prices.tobytes() == numpy_prices.tobytes() and demands.tobytes() == numpy_demands.tobytes()
+
+
+@needs_compiler
+def test_one_block_step_reaches_the_compiled_walk(monkeypatch, recorded):
+    run = lambda: step(bank_dominated_config(), 101.5, 0.015, 7)
+    stepped = run()
+    steps, above, keys = recorded[0][0], recorded[0][8], recorded[0][9]
+    assert len(recorded) == 1 and steps == 1 and above is None and keys is not None
+    assert stepped == _numpy_walk_of(monkeypatch, run)
+
+
+@needs_compiler
+@pytest.mark.parametrize("batch_elements", [1, 5 * 8 * 3, 1 << 20], ids=["1-row", "5-rows", "one-batch"])
+def test_hash_batches_equal_the_numpy_walk(cold, monkeypatch, batch_elements):
+    # 500 agents in 8 chunks of 64 under 3 seeds and 5 masks, streamed:
+    # C hashes 1 row at a time, 5 rows (the 13th batch holds 4) or all 64.
+    monkeypatch.setattr(market_module, "CHUNK_SIZE", 64)
+    monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", 0)
+    monkeypatch.setattr(market_module, "_HASH_BATCH_ELEMENTS", batch_elements)
+    config = bank_dominated_config(master_seed=11)
+    masks = [[n in subset for n in config.type_names]
+             for subset in (config.type_names, ("Banks",), ("Funds", "Govt"), (), ("Individual",))]
+    run = lambda: simulate_batch(config, [11, 12, 13], masks, 100.0, 90)
+    assert native.walk() is not None
+    prices, demands = run()
+    numpy_prices, numpy_demands = _numpy_walk_of(monkeypatch, run)
+    assert prices.tobytes() == numpy_prices.tobytes() and demands.tobytes() == numpy_demands.tobytes()
