@@ -13,6 +13,15 @@
  * position (c, k), finished as rng.u01_grid and market._next_up finish
  * them, so every bit is the NumPy walk's.
  *
+ * hash_batch, and only it, is built twice where HASH_CLONES applies: a
+ * portable clone and an x86-64-v4 one, whose AVX-512 has the 64-bit
+ * multiply (vpmullq) and int64-to-double conversion (vcvtqq2pd) that the
+ * hash needs in vector lanes.  The loader picks the clone once, through an
+ * ifunc, by the CPU it runs on.  Both give the same bits: the hash is
+ * integer arithmetic and an exact conversion of a value below 2^53.  The
+ * rest stays portable: the whole file built for x86-64-v4 made the tabled
+ * walk slower.
+ *
  * prices is (T + 1, R), demands (T, R) and returns (R,) holds the return
  * that step 0 reads.  scratch holds 2 * K * R doubles, and batch_rows *
  * K * S more when above is NULL.  Every array is C-contiguous.
@@ -21,6 +30,15 @@
 #include <string.h>
 
 #define SIGN_BIT UINT64_C(0x8000000000000000)
+
+/* target_clones with arch=x86-64-v4 needs GCC 11, and its ifunc the GNU C
+ * library.  Elsewhere the macro is empty: one portable hash_batch, and the
+ * file still builds. */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 11 && defined(__GLIBC__)
+#define HASH_CLONES __attribute__((target_clones("arch=x86-64-v4", "default")))
+#else
+#define HASH_CLONES
+#endif
 
 /* nextafter(u, +inf) of the uniform of a grid word: the mixer's passes after
  * its first round, the top 53 bits as a double in [0, 1), then bits + 1. */
@@ -36,6 +54,25 @@ static inline double above_uniform(uint64_t z)
     bits += 1;
     memcpy(&u, &bits, sizeof u);
     return u;
+}
+
+/* The uniforms of rows [c0, c1) of one step, moved up one float, from its
+ * S keys: batch[((c - c0) * K + k) * S + s] is that of agent k * C + c
+ * under keys[s]. */
+static HASH_CLONES void hash_batch(int64_t c0, int64_t c1, int64_t size, int64_t chunks, int64_t seeds,
+                                   const uint64_t *restrict keys, double *restrict batch)
+{
+    if (seeds == 1)  /* the chunks run innermost, stores contiguous, so the loop vectorizes */
+        for (int64_t c = c0; c < c1; c++, batch += chunks)
+            for (int64_t k = 0; k < chunks; k++)
+                batch[k] = above_uniform(keys[0] ^ (uint64_t)(k * size + c));
+    else  /* the seeds run innermost */
+        for (int64_t c = c0; c < c1; c++)
+            for (int64_t k = 0; k < chunks; k++, batch += seeds) {
+                const uint64_t id = (uint64_t)(k * size + c);
+                for (int64_t s = 0; s < seeds; s++)
+                    batch[s] = above_uniform(keys[s] ^ id);
+            }
 }
 
 /* n contiguous votes of one row, each added to its lane sum. */
@@ -82,12 +119,7 @@ void amr_walk(int64_t steps, int64_t size, int64_t chunks, int64_t masks, int64_
             if (above)
                 u = above + (t * size + c0) * row_uniforms;
             else
-                for (int64_t c = c0, i = 0; c < c1; c++)
-                    for (int64_t k = 0; k < chunks; k++) {
-                        const uint64_t id = (uint64_t)(k * size + c);
-                        for (int64_t s = 0; s < seeds; s++)
-                            batch[i++] = above_uniform(keys[t * seeds + s] ^ id);
-                    }
+                hash_batch(c0, c1, size, chunks, seeds, keys + t * seeds, batch);
             for (int64_t c = c0; c < c1; c++, u += row_uniforms) {
                 const int64_t at = c * row;
                 if (masks == 1)  /* the uniforms are laid out as the row's lanes */

@@ -30,10 +30,10 @@ step() is the one-day case: one seed (the config's own) and one mask
 One set-up, _placed_state, serves every call.  It writes the three
 placed arrays (optimism, reactivity, and the bits of |vote weight| that
 the walk reads) once each, in place: the jitter uniforms are hashed slab
-by slab with the position ids as parts, so they land in the placed
+by slab with each slab's agent ids as parts, so they land in the placed
 layout.  A call holds those three arrays and, at any one time, either
-the set-up's position ids and slab buffers or the walk's buffers (plus
-the uniform table when tabled): about 5 state arrays of 8 * C * K * M * S
+one set-up slab's ids and buffers or the walk's buffers (plus the
+uniform table when tabled): about 4.1 state arrays of 8 * C * K * M * S
 bytes at 200k agents, one seed and one mask.
 
 The decision uniforms are a pure function of (seed, step, agent), so
@@ -322,29 +322,32 @@ def _agent_types(config: MarketConfig, ids: np.ndarray) -> np.ndarray:
     return np.searchsorted(ends, ids, side="right")
 
 
-def _jittered(config: MarketConfig, seeds: Sequence[int], ids: np.ndarray, out: Sequence[np.ndarray]) -> None:
-    """Write field d of BEHAVIOR_FIELDS of the agents at positions `ids` into out[d], each (P, M, S).
+def _jittered(config: MarketConfig, seeds: Sequence[int], size: int, chunks: int,
+              out: Sequence[np.ndarray]) -> None:
+    """Write field d of BEHAVIOR_FIELDS of the agents placed in K chunks of C into out[d], each (C * K, M, S).
 
     Agent a's field d under seed s is its type's value plus noise
     uniform in +/- config.jitter, keyed by (s, jitter tag, d, a), clamped
     to the field's bounds; every mask gets the same value, and padding
     ids (>= n_agents) get 0.  The uniforms are hashed in place
-    (rng.u01_grid) one slab of _row_blocks at a time into one buffer;
-    each is a pure function of its key, so the slab size changes no bit.
-    Every id is below MAX_AGENTS, so it is its own grid part.
+    (rng.u01_grid) one slab of _row_blocks positions at a time into one
+    buffer, each with the ids of its own positions (_agent_ids); each is
+    a pure function of its key, so the slab size changes no bit.  Every
+    id is below MAX_AGENTS, so it is its own grid part.
     """
     n_types, n_seeds = len(config.types), len(seeds)
     keys = grid_keys(np.array([[fold(seed, TAG_JITTER, d) for seed in seeds]
                                for d in range(len(BEHAVIOR_FIELDS))], dtype=np.uint64))
     base = np.array([[getattr(t, f) for t in config.types] + [0.0] for f in BEHAVIOR_FIELDS])
     lo, hi = np.array(BEHAVIOR_BOUNDS).T[:, :, None, None]  # (3, 1, 1) each
-    bounds = _row_blocks(len(ids), keys.size)
+    bounds = _row_blocks(size * chunks, keys.size)
     buffer = np.empty(keys.size * bounds[0][1])  # the first slab is the longest
     scratch = np.empty(buffer.size, dtype=np.uint64)
     for p0, p1 in bounds:
-        types = _agent_types(config, ids[p0:p1])
+        ids = _agent_ids(size, chunks, p0, p1)
+        types = _agent_types(config, ids)
         slab = buffer[: keys.size * (p1 - p0)].reshape(len(keys), p1 - p0, n_seeds)
-        u01_grid(keys, ids[p0:p1], slab, scratch[: slab.size])
+        u01_grid(keys, ids, slab, scratch[: slab.size])
         slab *= 2.0
         slab -= 1.0
         slab *= config.jitter
@@ -362,7 +365,7 @@ def init_population(config: MarketConfig) -> AgentPopulation:
     """
     counts = np.array([t.count for t in config.types], dtype=np.int64)
     fields = np.empty((len(BEHAVIOR_FIELDS), config.n_agents, 1, 1))
-    _jittered(config, [config.master_seed], np.arange(config.n_agents, dtype=np.uint64), fields)
+    _jittered(config, [config.master_seed], config.n_agents, 1, fields)  # one chunk: position i holds agent i
     optimism, reactivity, trade_fraction = fields.reshape(len(BEHAVIOR_FIELDS), config.n_agents)
     return AgentPopulation(
         type_index=np.repeat(np.arange(len(config.types), dtype=np.int64), counts),
@@ -382,10 +385,16 @@ def _chunking(n_agents: int) -> tuple[int, int]:
     return size, -(-n_agents // size)
 
 
-def _position_ids(size: int, chunks: int) -> np.ndarray:
-    """Agent id at every position c * K + k: agent k * C + c (ids >= n_agents are padding)."""
-    grid = np.arange(size, dtype=np.uint64)[:, None] + np.arange(chunks, dtype=np.uint64) * np.uint64(size)
-    return grid.ravel()
+def _agent_ids(size: int, chunks: int, p0: int, p1: int) -> np.ndarray:
+    """Agent id at every position p0..p1 - 1: position c * K + k holds agent k * C + c (ids >= n_agents are padding).
+
+    The ids of the rows the slab touches are made, then cut to the slab,
+    so no array of every position's id is ever held.
+    """
+    c0 = p0 // chunks
+    offsets = np.arange(chunks, dtype=np.uint64) * np.uint64(size)  # agent k * C of each chunk's first position
+    rows = np.arange(c0, -(-p1 // chunks), dtype=np.uint64)[:, None] + offsets
+    return rows.ravel()[p0 - c0 * chunks : p1 - c0 * chunks]
 
 
 def _next_up(uniforms: np.ndarray) -> np.ndarray:
@@ -420,9 +429,11 @@ def _streamed_uniforms(step_keys: np.ndarray, size: int, chunks: int):
     [c, k, 0, s] of the (c1 - c0, K, 1, S) result is position
     (c0 + c) * K + k of seed s: the uniform of agent k * C + c0 + c under
     the step key step_keys[t, s] = fold(seed, decision tag, step).  The
-    keys are folded for rng.u01_grid once; the position ids are its parts
-    as they are.  Blocks are hashed into one buffer, reused for the whole
-    walk, and moved up one float while they are still in cache.  The
+    keys are folded for rng.u01_grid once; the ids of the block's
+    positions are its parts as they are, made for the first block
+    (_agent_ids) and moved by the row offset for each later one.  Blocks
+    are hashed into one buffer, reused for the whole walk, and moved up
+    one float while they are still in cache.  The
     buffer is made at the first ask, as long as that block: _uniform_table
     and _walk each ask for their longest block first.  When a whole step
     fits _UNIFORM_BLOCK_ELEMENTS, steps are asked for whole and in order,
@@ -432,22 +443,26 @@ def _streamed_uniforms(step_keys: np.ndarray, size: int, chunks: int):
     """
     steps, seeds = step_keys.shape
     keys = grid_keys(step_keys)
-    ids = _position_ids(size, chunks)
     group = max(1, _UNIFORM_BLOCK_ELEMENTS // (size * chunks * seeds))
-    block = scratch = read_only = None
+    block = scratch = read_only = ids = None
+    ids_row = 0  # ids[r * K + k] is the id of position (ids_row + r, k)
 
     def above(t: int, c0: int, c1: int) -> np.ndarray:
-        nonlocal block, scratch, read_only
+        nonlocal block, scratch, read_only, ids, ids_row
         if block is None:
             block = np.empty((min(group, steps), c1 - c0, chunks, 1, seeds))
             scratch = np.empty(block.size, dtype=np.uint64)
             read_only = block.view()
             read_only.setflags(write=False)
+            ids, ids_row = _agent_ids(size, chunks, c0 * chunks, c1 * chunks), c0
         g = t % group
         if not g:
+            if c0 != ids_row:  # row c0 + r's ids are row ids_row + r's plus c0 - ids_row, mod 2**64
+                ids += np.uint64((c0 - ids_row) % (1 << 64))
+                ids_row = c0
             n = min(group, steps - t)
             out = block[:n, : c1 - c0].reshape(n, (c1 - c0) * chunks, seeds)
-            _next_up(u01_grid(keys[t : t + n], ids[c0 * chunks : c1 * chunks], out, scratch[: out.size]))
+            _next_up(u01_grid(keys[t : t + n], ids[: (c1 - c0) * chunks], out, scratch[: out.size]))
         return read_only[g, : c1 - c0]
 
     return above
@@ -619,26 +634,26 @@ def _placed_state(config: MarketConfig, seeds: Sequence[int], masks: np.ndarray,
                   chunks: int) -> list[np.ndarray]:
     """Optimism, reactivity and |vote weight| as uint64 bits, each (C, K, M, S) and written once, in place.
 
-    The jitter is hashed with the position ids as parts (see _jittered).
+    The jitter is hashed with the agent ids as parts (see _jittered).
     Then, slab by slab of _row_blocks, each agent's vote weight under
     mask m, trade_fraction * assets / config.total_assets (0 where m
     disables its type), overwrites its trade fraction and is made
     |weight|, whose bits are the walk's abs_weight_bits; padding holds
     0.  Optimism and reactivity are copied for every mask: broadcasting
     them over masks would cut every step's elementwise loops to S lanes.
-    The ids and slab buffers are freed on return, before the walk.
+    Each slab makes its own ids (_agent_ids), and its buffers are freed
+    on return, before the walk.
     """
     shape = (size * chunks, len(masks), len(seeds))
-    ids = _position_ids(size, chunks)
     state = [np.empty(shape) for _ in BEHAVIOR_FIELDS]
-    _jittered(config, seeds, ids, state)
+    _jittered(config, seeds, size, chunks, state)
     optimism, reactivity, weight = state  # BEHAVIOR_FIELDS order
     # (type, mask, 1): each type's assets under each mask, 0 where it is off, and 0 for padding.
     assets = np.vstack([np.where(masks, [t.assets_per_investor for t in config.types], 0.0).T,
                         np.zeros(len(masks))])[:, :, None]
     for p0, p1 in _row_blocks(shape[0], shape[1] * shape[2]):
         slab = weight[p0:p1]
-        slab *= assets[_agent_types(config, ids[p0:p1])]
+        slab *= assets[_agent_types(config, _agent_ids(size, chunks, p0, p1))]
         slab /= config.total_assets
         np.abs(slab, out=slab)
     return [a.reshape(size, chunks, *shape[1:]) for a in (optimism, reactivity, weight.view(np.uint64))]

@@ -6,6 +6,15 @@ no C compiler, a failed build, or a cache directory that cannot be
 written.  market._walk then runs its NumPy body, which gives
 the same bits, and nothing is printed.
 
+The build is portable, but for one function: on x86-64 with GCC 11 or
+newer and glibc, _walk.c's hash batch carries target_clones, so the
+library holds a portable and an AVX-512 (x86-64-v4) clone of it, and the
+loader picks one, through an ifunc, when it loads the library.  Only the
+hash is cloned: it is integer arithmetic that AVX-512 runs in vector
+lanes, with the same bits, and the whole file built for x86-64-v4 was
+slower.  Elsewhere the attribute is left out and the file still builds.
+FLAGS stay portable, and nothing selects a clone but the CPU.
+
 The library is cached in $XDG_CACHE_HOME/amr (default ~/.cache/amr)
 under a key that hashes the source, the compiler command and the
 platform, so a changed source or flag is never served an old build.  It

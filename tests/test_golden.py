@@ -6,7 +6,8 @@ here.  The simulation pins cover both bundled presets, an all-disabled
 market (including one whose demands are -0.0), several summation chunks and one
 population larger than one 4096-agent chunk.  The row-blocked pins cover two
 streamed batches whose every step exceeds one uniform block: 200k agents, and
-a padded count over ten chunks.  The grid pin covers every enabled
+a padded count over ten chunks; the one-seed pins stream the same two counts
+under one seed and one mask.  The grid pin covers every enabled
 mask of both presets under three seeds and two chunk widths, the config pins
 cover the bytes `save_config` writes for both presets, and the CLI pins
 cover every file written by `experiment --exhaustive`, `reduce --exhaustive`,
@@ -112,18 +113,53 @@ ROW_BLOCKED_DIGESTS = {
 }
 
 
+def _row_blocked_config(name):
+    factor, added, _ = ROW_BLOCKED[name]
+    base = bank_dominated_config()
+    return replace(base, types=tuple(replace(t, count=t.count * factor + added) for t in base.types))
+
+
 @pytest.mark.parametrize("name, walk", on_each_walk([pytest.param(name, id=name) for name in sorted(ROW_BLOCKED)]),
                          indirect=["walk"])
 def test_row_blocked_batch_digest(name, walk):
-    factor, added, horizon = ROW_BLOCKED[name]
-    base = bank_dominated_config()
-    config = replace(base, types=tuple(replace(t, count=t.count * factor + added) for t in base.types))
+    config, horizon = _row_blocked_config(name), ROW_BLOCKED[name][2]
     seeds, masks = [3, 4], [[True] * 4, [n != "Banks" for n in config.type_names]]
     size, chunks = market_module._chunking(config.n_agents)
     assert size * chunks * len(seeds) > market_module._UNIFORM_BLOCK_ELEMENTS
     assert (horizon - 1) * size * chunks * len(seeds) > market_module._UNIFORM_TABLE_ELEMENTS
     prices, demands = market_module.simulate_batch(config, seeds, masks, 100.0, horizon)
     assert hashlib.sha256(prices.tobytes() + demands.tobytes()).hexdigest() == ROW_BLOCKED_DIGESTS[name]
+
+
+# The ROW_BLOCKED counts and horizons streamed under one seed and one mask:
+# the compiled walk then hashes each row's uniforms with the chunks innermost
+# (49 and 10 of them), through the vector body and its tail.  Pinned while
+# the seeds ran innermost for every seed count.
+ONE_SEED = {
+    "x400": (3, "every type"),
+    "x81_plus_1": (4, "every type but Banks"),
+}
+
+ONE_SEED_DIGESTS = {
+    "x400": "f455051434ce41cc051450304f684efa47ca3bb5f846d4fc8f85b4c0b303fea5",
+    "x81_plus_1": "7d76257e19cacdb8d52476ed367d52399d9d5394a2950fe79d905e52f8a8a720",
+}
+
+
+def one_seed_digest(name) -> str:
+    config, horizon = _row_blocked_config(name), ROW_BLOCKED[name][2]
+    seed, mask = ONE_SEED[name]
+    size, chunks = market_module._chunking(config.n_agents)
+    assert chunks > 8 and (horizon - 1) * size * chunks > market_module._UNIFORM_TABLE_ELEMENTS
+    enabled = [mask == "every type" or n != "Banks" for n in config.type_names]
+    prices, demands = market_module.simulate_batch(config, [seed], [enabled], 100.0, horizon)
+    return hashlib.sha256(prices.tobytes() + demands.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name, walk", on_each_walk([pytest.param(name, id=name) for name in sorted(ONE_SEED)]),
+                         indirect=["walk"])
+def test_one_seed_streamed_digest(name, walk):
+    assert one_seed_digest(name) == ONE_SEED_DIGESTS[name]
 
 
 def test_all_disabled_sellers_demand_is_negative_zero():

@@ -18,7 +18,8 @@ import amr.market as market_module
 from amr import native
 from amr.market import simulate_batch, simulate_pk, step
 from amr.presets import bank_dominated_config, weekdays
-from test_golden import SIMULATION_DIGESTS, _run_digest
+import test_golden
+from test_golden import ONE_SEED, ONE_SEED_DIGESTS, SIMULATION_DIGESTS, _run_digest, one_seed_digest
 
 needs_compiler = pytest.mark.skipif(shutil.which(native.COMPILER) is None, reason="no C compiler on PATH")
 
@@ -84,6 +85,30 @@ def test_library_under_another_key_is_never_loaded(cold, monkeypatch):
         other.write_bytes(b"not a shared library")
     assert native.walk() is not None
     assert own.is_file()
+
+
+# The attribute that gives _walk.c's hash batch an AVX-512 clone beside the portable one.
+CLONES = '__attribute__((target_clones("arch=x86-64-v4", "default")))'
+
+
+@needs_compiler
+def test_portable_hash_equals_the_numpy_walk(cold, monkeypatch):
+    # Where the CPU has AVX-512 the loader picks that clone, so every other
+    # test runs it there; a copy without the attribute runs the portable body
+    # on every host.  Each streamed run below hashes in C: one seed over 1,
+    # 10 and 49 chunks, and two seeds over 10.
+    source = cold.parent.parent / "_walk.c"
+    text = native.SOURCE.read_text()
+    assert text.count(CLONES) == 1
+    source.write_text(text.replace(CLONES, ""))
+    monkeypatch.setattr(native, "SOURCE", source)
+    monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", 0)
+    assert native.walk() is not None
+    assert [p.name for p in cold.iterdir()] == [native.library_path().name]
+    assert _bank_dominated_digest() == SIMULATION_DIGESTS["bank_dominated"]
+    for name in ONE_SEED:
+        assert one_seed_digest(name) == ONE_SEED_DIGESTS[name]
+    test_golden.test_row_blocked_batch_digest("x81_plus_1", "native")
 
 
 @needs_compiler
