@@ -42,8 +42,10 @@ calls with the same seeds, agent count and horizon read the same values
 replication seeds).  A one-slot memo, _uniform_table (an lru_cache of
 size 1), keeps them across calls, in the (steps, C * K, S) layout.  A key
 (seeds, C, K, horizon - 1) whose table holds at most 2**20 float64 values
-(8 MB) is tabled on first sight: the table is filled block by block,
-marked read-only, and read by later calls with that key.  Any other key
+(8 MB) is tabled on first sight: the uniforms are hashed straight into
+the table (_hashed_rows), as many whole steps at a time as fit
+_UNIFORM_BLOCK_ELEMENTS or one row block of a larger step, and the table
+is marked read-only and read by later calls with that key.  Any other key
 empties the memo, and a larger one is streamed; a call that takes no
 step (horizon 1) returns after validation: it builds no agent, reads no
 uniform and leaves the memo alone.  A build drops the old table before
@@ -69,21 +71,20 @@ Without a compiler, or when the build or its cache directory fails,
 _walk runs its NumPy body, silently and with the same bits.
 
 In the NumPy body, a step whose S * C * K uniforms fit
-_UNIFORM_BLOCK_ELEMENTS is one block: its uniforms are hashed with those
-of the next steps that fit, and it votes and sums over the whole (C, K,
-M, S) state.  A larger step (200k agents) is walked in row blocks
-[c0, c1) of the leading position axis, each of at most
-_UNIFORM_BLOCK_ELEMENTS votes and balanced so the last is no sliver.
-Rows c0..c1 are contiguous both in the state and in the uniform layout
-(positions c * K + k), so a block's uniforms are hashed in place
-(rng.u01_grid) into a small buffer just before it votes, and its vote
-passes and its sum run while it is still in the L2 cache rather than
-streaming every pass over the full state through memory.  The block's
-chunk sums continue the previous block's: the running totals are written
-into the buffer row just before the block's rows and the sum starts from
-that row, so every lane is still added in strict agent order.  Every
-uniform is a pure function of its key, so neither the block size nor the
-block order changes a bit.
+_UNIFORM_BLOCK_ELEMENTS is one block: its uniforms are hashed, and it
+votes and sums over the whole (C, K, M, S) state.  A larger step (200k
+agents) is walked in row blocks [c0, c1) of the leading position axis,
+each of at most _UNIFORM_BLOCK_ELEMENTS votes and balanced so the last
+is no sliver.  Rows c0..c1 are contiguous both in the state and in the
+uniform layout (positions c * K + k), so a block's uniforms are hashed
+in place (_hashed_rows, through rng.u01_grid) into a small buffer just
+before it votes, and its vote passes and its sum run while it is still
+in the L2 cache rather than streaming every pass over the full state
+through memory.  The block's chunk sums continue the previous block's:
+the running totals are written into the buffer row just before the
+block's rows and the sum starts from that row, so every lane is still
+added in strict agent order.  Every uniform is a pure function of its
+key, so neither the block size nor the block order changes a bit.
 
 Jitter and decision uniforms alike are hashed by rng.u01_grid, or the
 compiled walk's decision uniforms by its C twin, which take their keys
@@ -137,10 +138,11 @@ _SIGN_BIT = np.uint64(1 << 63)
 # one call; narrower sums accumulate (see _walk).
 _REDUCE_WIDTH = 8
 
-# Upper bound on the decision uniforms NumPy hashes at once, on the jitter
-# uniforms or vote weights of one set-up slab and, when a step's uniforms
-# exceed it, on the votes of one row block of the NumPy walk (elements;
-# 512 KB, so a block and its scratch stay in L2).
+# Upper bound on the decision uniforms a table build hashes at once, on the
+# jitter uniforms or vote weights of one set-up slab and, when a step's
+# uniforms exceed it, on the votes of one row block of the NumPy walk, whose
+# uniforms are hashed as it walks (elements; 512 KB, so a block and its
+# scratch stay in L2).
 _UNIFORM_BLOCK_ELEMENTS = 1 << 16
 # Decision uniforms the compiled walk hashes at once, in whole rows of the
 # state (elements; 32 KB, so a batch is still in L1 when its rows vote).
@@ -423,49 +425,20 @@ def _row_blocks(size: int, per_row: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _streamed_uniforms(step_keys: np.ndarray, size: int, chunks: int):
-    """above(t, c0, c1): nextafter(u, +inf) of the decision uniforms of rows [c0, c1) of step t.
+def _hashed_rows(keys: np.ndarray, size: int, chunks: int, c0: int, c1: int, out: np.ndarray,
+                 scratch: np.ndarray) -> np.ndarray:
+    """nextafter(u, +inf) of the decision uniforms of rows [c0, c1) of n steps, into out; returns out.
 
-    [c, k, 0, s] of the (c1 - c0, K, 1, S) result is position
-    (c0 + c) * K + k of seed s: the uniform of agent k * C + c0 + c under
-    the step key step_keys[t, s] = fold(seed, decision tag, step).  The
-    keys are folded for rng.u01_grid once; the ids of the block's
-    positions are its parts as they are, made for the first block
-    (_agent_ids) and moved by the row offset for each later one.  Blocks
-    are hashed into one buffer, reused for the whole walk, and moved up
-    one float while they are still in cache.  The
-    buffer is made at the first ask, as long as that block: _uniform_table
-    and _walk each ask for their longest block first.  When a whole step
-    fits _UNIFORM_BLOCK_ELEMENTS, steps are asked for whole and in order,
-    and as many as fit are hashed at once; a larger step is hashed one row
-    block at a time, as it is asked for.  Every block is a read-only view
-    into the buffer, valid only until the next block is asked for.
+    keys are the n steps' (n, S) keys fold(seed, decision tag, step),
+    folded by rng.grid_keys.  out is a C-contiguous (n, c1 - c0, K, 1, S)
+    array: [t, c, k, 0, s] is position (c0 + c) * K + k, the uniform of
+    agent k * C + c0 + c under keys[t, s].  The rows' ids (_agent_ids) are
+    the parts as they are; scratch is a uint64 array of at least out.size
+    elements.
     """
-    steps, seeds = step_keys.shape
-    keys = grid_keys(step_keys)
-    group = max(1, _UNIFORM_BLOCK_ELEMENTS // (size * chunks * seeds))
-    block = scratch = read_only = ids = None
-    ids_row = 0  # ids[r * K + k] is the id of position (ids_row + r, k)
-
-    def above(t: int, c0: int, c1: int) -> np.ndarray:
-        nonlocal block, scratch, read_only, ids, ids_row
-        if block is None:
-            block = np.empty((min(group, steps), c1 - c0, chunks, 1, seeds))
-            scratch = np.empty(block.size, dtype=np.uint64)
-            read_only = block.view()
-            read_only.setflags(write=False)
-            ids, ids_row = _agent_ids(size, chunks, c0 * chunks, c1 * chunks), c0
-        g = t % group
-        if not g:
-            if c0 != ids_row:  # row c0 + r's ids are row ids_row + r's plus c0 - ids_row, mod 2**64
-                ids += np.uint64((c0 - ids_row) % (1 << 64))
-                ids_row = c0
-            n = min(group, steps - t)
-            out = block[:n, : c1 - c0].reshape(n, (c1 - c0) * chunks, seeds)
-            _next_up(u01_grid(keys[t : t + n], ids[: (c1 - c0) * chunks], out, scratch[: out.size]))
-        return read_only[g, : c1 - c0]
-
-    return above
+    ids = _agent_ids(size, chunks, c0 * chunks, c1 * chunks)
+    u01_grid(keys, ids, out.reshape(len(keys), ids.size, keys.shape[1]), scratch[: out.size])
+    return _next_up(out)
 
 
 def _address(a: np.ndarray, dtype, shape: tuple[int, ...]) -> int:
@@ -494,7 +467,7 @@ def _walk(
     day's last return and then each day's.  The decision uniforms, moved
     up one float, are read from `table`, (T, C, K, 1, S), or when it is
     None hashed from `step_keys`, the (T, S) keys fold(seed, decision tag,
-    step) (see _streamed_uniforms).
+    step).
 
     Every step goes to the compiled walk (native.walk) when it loads, in
     one C call: it reads the table, or hashes the uniforms itself from
@@ -507,12 +480,13 @@ def _walk(
     step whose S * C * K uniforms fit _UNIFORM_BLOCK_ELEMENTS is one
     block; a larger step is a walk over row blocks [c0, c1) of at most
     _UNIFORM_BLOCK_ELEMENTS votes (see _row_blocks): each block's
-    uniforms are hashed, its votes cast and its chunk sums continued while
-    the block is still in cache.  Rows c0..c1 are contiguous both in the
-    state and in the uniform layout.  The votes go to rows 1.. of one
-    buffer; a block after the first reads its chunks' running totals from
-    row 0, just before its own rows, so every lane is still added in
-    strict agent order and the bits do not depend on the blocks.
+    uniforms are hashed (_hashed_rows) into one buffer, its votes cast and
+    its chunk sums continued while the block is still in cache.  Rows
+    c0..c1 are contiguous both in the state and in the uniform layout.
+    The votes go to rows 1.. of one buffer; a block after the first reads
+    its chunks' running totals from row 0, just before its own rows, so
+    every lane is still added in strict agent order and the bits do not
+    depend on the blocks.
     """
     size, chunks, n_masks, n_seeds = optimism.shape
     lanes = n_masks * n_seeds
@@ -535,15 +509,18 @@ def _walk(
             (scratch, scratch.shape))]
         compiled(len(demands), size, chunks, n_masks, n_seeds, *state, *uniforms, price_impact, *out)
         return
-    if table is None:
-        above = _streamed_uniforms(step_keys, size, chunks)
-    else:
-        above = lambda t, c0, c1: table[t, c0:c1]
     if size * chunks * n_seeds <= _UNIFORM_BLOCK_ELEMENTS:
         bounds = [(0, size)]
     else:
         bounds = _row_blocks(size, chunks * lanes)
     rows = bounds[0][1]  # the first block is the longest
+    if table is None:  # each block's uniforms are hashed into one buffer just before it votes
+        keys = grid_keys(step_keys)
+        hashed = np.empty((1, rows, chunks, 1, n_seeds))
+        scratch = np.empty(hashed.size, dtype=np.uint64)
+        above = lambda t, c0, c1: _hashed_rows(keys[t : t + 1], size, chunks, c0, c1, hashed[:, : c1 - c0], scratch)[0]
+    else:
+        above = lambda t, c0, c1: table[t, c0:c1]
     votes = np.empty((rows + 1, chunks, n_masks, n_seeds))
     vote_bits = votes.view(np.uint64)
     sums = votes.reshape(rows + 1, chunks, lanes)
@@ -617,17 +594,20 @@ def _uniform_table(seeds: tuple[int, ...], size: int, chunks: int, steps: int) -
     C and K are in the key, so a call under another CHUNK_SIZE never
     reads a table laid out for the old width.  The body runs only on a
     miss, and first drops the last key's table, so two tables are never
-    held at once.
+    held at once; it hashes the uniforms straight into the new one.
     """
     _uniform_table.cache_clear()
-    above = _streamed_uniforms(_step_keys(seeds, steps), size, chunks)
-    bounds = _row_blocks(size, chunks * len(seeds))  # the reader's blocks
-    table = np.empty((steps, size, chunks, 1, len(seeds)))
-    for t in range(steps):
+    n_seeds = len(seeds)
+    keys = grid_keys(_step_keys(seeds, steps))
+    bounds = _row_blocks(size, chunks * n_seeds)  # one block when a step fits
+    group = max(1, _UNIFORM_BLOCK_ELEMENTS // (size * chunks * n_seeds))  # steps hashed at once
+    scratch = np.empty(min(group, steps) * bounds[0][1] * chunks * n_seeds, dtype=np.uint64)
+    table = np.empty((steps, size, chunks, 1, n_seeds))
+    for t in range(0, steps, group):
         for c0, c1 in bounds:
-            table[t, c0:c1] = above(t, c0, c1)
+            _hashed_rows(keys[t : t + group], size, chunks, c0, c1, table[t : t + group, c0:c1], scratch)
     table.setflags(write=False)
-    return table.reshape(steps, size * chunks, len(seeds))
+    return table.reshape(steps, size * chunks, n_seeds)
 
 
 def _placed_state(config: MarketConfig, seeds: Sequence[int], masks: np.ndarray, size: int,

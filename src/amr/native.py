@@ -29,6 +29,7 @@ import ctypes
 import os
 import platform
 import sys
+from functools import cache
 from pathlib import Path
 
 # The lean builtin sha512 that random loads too: hashlib would also load
@@ -52,9 +53,6 @@ FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 #          price_impact, prices, demands, returns, scratch)
 _ARGTYPES = ([ctypes.c_int64] * 5 + [ctypes.c_void_p] * 5 + [ctypes.c_int64, ctypes.c_double]
              + [ctypes.c_void_p] * 4)
-
-_UNLOADED = object()
-_loaded = _UNLOADED  # the loaded function, None when it cannot be had, or _UNLOADED before the first walk()
 
 
 def library_path() -> Path:
@@ -82,7 +80,13 @@ def _build(path: Path) -> bool:
         part.unlink(missing_ok=True)
 
 
-def _load():
+@cache
+def walk():
+    """The compiled walk (see _walk.c), or None when it cannot be built or loaded.
+
+    The first call builds or loads it, and later calls return that
+    result; walk.cache_clear() forgets it.
+    """
     try:
         path = library_path()
         if not path.is_file() and not _build(path):
@@ -93,11 +97,3 @@ def _load():
     function.argtypes = _ARGTYPES
     function.restype = None
     return function
-
-
-def walk():
-    """The compiled walk (see _walk.c), or None when it cannot be built or loaded; built on the first call."""
-    global _loaded
-    if _loaded is _UNLOADED:
-        _loaded = _load()
-    return _loaded

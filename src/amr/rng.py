@@ -7,13 +7,15 @@ order, by any number of workers, and still come out bit-identical.
 
 The mixing function is the splitmix64 finalizer (Steele, Lea & Flood's
 SplittableRandom), applied after folding each key part into the running
-hash.  It is implemented twice: once on Python ints (reference) and once
-vectorized over numpy uint64 arrays; both must agree exactly.  One array
-mixer serves every vectorized twin.  The grid twin, u01_grid, hashes a
-(steps, parts, keys) block in place in the caller's buffer, with a
-caller-owned scratch, so a caller that walks a large grid in slabs small
-enough for the L2 cache allocates nothing per slab; every value depends
-only on its key, so slabs may be hashed in any order.
+hash.  It is implemented three times: on Python ints (reference),
+vectorized over numpy uint64 arrays, and in C, where amr/_walk.c's
+above_uniform hashes the compiled walk's streamed decision uniforms; all
+three must agree exactly.  One array mixer serves every vectorized twin.
+The grid twin, u01_grid, hashes a (steps, parts, keys) block in place in
+the caller's buffer, with a caller-owned scratch, so a caller that walks
+a large grid in slabs small enough for the L2 cache allocates nothing
+per slab; every value depends only on its key, so slabs may be hashed in
+any order.
 
 u01_grid takes its keys and parts with the mixer's first round already
 applied.  fold(key, p) mixes z = (key + GAMMA) ^ p, and the mixer opens

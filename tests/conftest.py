@@ -24,7 +24,7 @@ def walk(request, monkeypatch):
     with on_each_walk (tests/walks.py), which keeps their ids for "native".
     """
     if request.param == "numpy":
-        monkeypatch.setattr(native, "_loaded", None)
+        monkeypatch.setattr(native, "walk", lambda: None)
     return request.param
 
 

@@ -28,7 +28,7 @@ from amr.market import (
 )
 from amr.presets import balanced_config, bank_dominated_config, synthetic_target, weekdays
 from amr.reducer import evaluate_subset, exhaustive_reduce, greedy_reduce
-from amr.rng import TAG_DECISION, TAG_JITTER, fold, substream, u01
+from amr.rng import TAG_DECISION, TAG_JITTER, fold, grid_keys, substream, u01
 from amr.timeseries import TimeSeries, mape
 from walks import on_each_walk
 
@@ -82,43 +82,42 @@ def _expected_above(seed, step_index, agent):
 
 
 @pytest.mark.parametrize("block_elements", [128, market_module._UNIFORM_BLOCK_ELEMENTS])
-@pytest.mark.parametrize("seeds, n_agents, steps", [([5], 1000, 4), ([-3, 7, 2**40], 500, 5)],
-                         ids=["S1", "S3"])
-def test_slab_ends_match_scalar_fold(monkeypatch, block_elements, seeds, n_agents, steps):
-    # 128 splits every step into 8 row blocks of 125 (S = 1) or 12 of 42 and 41 rows
-    # (S = 3); the default hashes every step in one block, all of them at once.
+@pytest.mark.parametrize("seeds, n_agents, chunk_width, steps, blocks", [
+    ([5], 1000, market_module.CHUNK_SIZE, 4, 8),
+    ([-3, 7, 2**40], 500, market_module.CHUNK_SIZE, 5, 12),
+    ([9, -1], 500, 64, 3, 8),  # 8 chunks of 64, the last padded
+], ids=["S1", "S3", "K8-S2"])
+def test_slab_ends_match_scalar_fold(monkeypatch, block_elements, seeds, n_agents, chunk_width, steps, blocks):
+    # 128 splits every step into 8 row blocks of 125 (S = 1), 12 of 42 and 41 rows
+    # (S = 3) or 8 of 8 rows (K = 8, S = 2); the default hashes every step in one
+    # block.  Each step is hashed on its own, then every step in one call.
+    monkeypatch.setattr(market_module, "CHUNK_SIZE", chunk_width)
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", block_elements)
     size, chunks = market_module._chunking(n_agents)
+    assert chunks == (8 if chunk_width == 64 else 1)
     step_keys = np.array([[fold(seed, TAG_DECISION, t) for seed in seeds] for t in range(steps)],
                          dtype=np.uint64)
+    keys = grid_keys(step_keys)
     bounds = market_module._row_blocks(size, chunks * len(seeds))
-    assert len(bounds) == (1 if block_elements > 1500 else {1: 8, 3: 12}[len(seeds)])
+    assert len(bounds) == (1 if block_elements > 1500 else blocks)
     assert [c0 for c0, _ in bounds[1:]] == [c1 for _, c1 in bounds[:-1]] and bounds[-1][1] == size
     lengths = [c1 - c0 for c0, c1 in bounds]
-    assert max(lengths) <= max(1, block_elements // len(seeds)) and max(lengths) - min(lengths) <= 1
-    above = market_module._streamed_uniforms(step_keys, size, chunks)
-    for t in range(steps):
+    assert max(lengths) <= max(1, block_elements // (chunks * len(seeds))) and max(lengths) - min(lengths) <= 1
+    scratch = np.empty(steps * size * chunks * len(seeds), dtype=np.uint64)
+    for t0, t1 in [(t, t + 1) for t in range(steps)] + [(0, steps)]:
         for c0, c1 in bounds:
-            block = above(t, c0, c1)
-            assert block.shape == (c1 - c0, chunks, 1, len(seeds))
-            for p, value in ((c0 * chunks, block[0, 0, 0]), (c1 * chunks - 1, block[-1, -1, 0])):
-                for s, seed in enumerate(seeds):
-                    assert value[s] == _expected_above(seed, t, p % chunks * size + p // chunks)
-
-
-def test_yielded_steps_are_read_only_views_of_one_buffer(monkeypatch):
-    monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 1000)
-    bounds = market_module._row_blocks(500, len(SEEDS))  # two blocks of 250 rows a step
-    above = market_module._streamed_uniforms(market_module._step_keys(SEEDS, 6), 500, 1)
-    blocks = [above(t, c0, c1) for t in range(6) for c0, c1 in bounds]
-    assert len(blocks) == 12
-    for block in blocks:
-        assert not block.flags.writeable
-        assert np.shares_memory(block, blocks[0])
-        with pytest.raises(ValueError, match="read-only"):
-            block[0, 0, 0, 0] = 0.5
-    # Every block reads the last one hashed: each is valid only until the next is asked for.
-    assert blocks[0][7, 0, 0, 2] == _expected_above(SEEDS[2], 5, 250 + 7)
+            out = np.empty((t1 - t0, c1 - c0, chunks, 1, len(seeds)))
+            block = market_module._hashed_rows(keys[t0:t1], size, chunks, c0, c1, out, scratch)
+            assert block is out
+            for t in range(t0, t1):
+                for p, value in ((c0 * chunks, block[t - t0, 0, 0, 0]), (c1 * chunks - 1, block[t - t0, -1, -1, 0])):
+                    for s, seed in enumerate(seeds):
+                        assert value[s] == _expected_above(seed, t, p % chunks * size + p // chunks)
+            if t1 - t0 > 1:  # every step in one call: the bits of one call a step
+                for t in range(t0, t1):
+                    alone = np.empty((1, *out.shape[1:]))
+                    market_module._hashed_rows(keys[t : t + 1], size, chunks, c0, c1, alone, scratch)
+                    assert alone.tobytes() == block[t - t0].tobytes()
 
 
 @pytest.mark.parametrize("block_elements", [128, 1000])
@@ -135,7 +134,7 @@ def test_slabbed_steps_equal_unpatched_runs(monkeypatch, block_elements):
         m.setattr(market_module, "CHUNK_SIZE", 64)
         run = simulate_pk(config, 100.0, HORIZON, DATES)
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", block_elements)
-    monkeypatch.setattr(native, "_loaded", None)  # the NumPy body walks the row blocks
+    monkeypatch.setattr(native, "walk", lambda: None)  # the NumPy body walks the row blocks
     patched = simulate_batch(BASE, SEEDS, MASKS, 100.0, HORIZON)
     assert patched[0].tobytes() == batch[0].tobytes()
     assert patched[1].tobytes() == batch[1].tobytes()
@@ -168,7 +167,7 @@ def test_walked_blocks_equal_one_block_steps(monkeypatch, table_cap, chunk_width
     # last of 4), 26 of 128 (the last two of 4).  Row blocks are the NumPy
     # body's, so the walked run is NumPy's.
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 5 * lanes)
-    monkeypatch.setattr(native, "_loaded", None)
+    monkeypatch.setattr(native, "walk", lambda: None)
     walked_prices, walked_demands = simulate_batch(BASE, seeds, masks, 100.0, HORIZON)
     # The walk's call, by its arguments: the set-up slabs and a table build make their own.
     lengths = [c1 - c0 for c0, c1 in walked[size, lanes]]
@@ -214,7 +213,7 @@ def test_step_walks_blocks_like_one_block(monkeypatch, chunk_width):
     size, chunks = market_module._chunking(500)
     one_block = [step(BASE, price, last_return, t) for price, last_return, t in STEP_CALLS]
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 7 * chunks)  # blocks of 7 rows
-    monkeypatch.setattr(native, "_loaded", None)  # that the NumPy body walks
+    monkeypatch.setattr(native, "walk", lambda: None)  # that the NumPy body walks
     assert len(market_module._row_blocks(size, chunks)) == -(-size // 7) > 1
     walked = [step(BASE, price, last_return, t) for price, last_return, t in STEP_CALLS]
     assert [(p.hex(), d.hex()) for p, d in walked] == [(p.hex(), d.hex()) for p, d in one_block]
@@ -234,6 +233,30 @@ def test_uniform_table_build_holds_one_table():
         tracemalloc.stop()
     assert abs(after - before) < 0.05 * table_bytes  # A's table freed, B's held
     assert peak - before < 0.3 * table_bytes  # never A's table and B's at once
+
+
+def test_row_blocked_table_build_equals_the_default_build(monkeypatch):
+    # One seed over 8 chunks of 4096 and 20 steps: a 5.2 MB table of steps of
+    # 32,768 uniforms.  The default build hashes two whole steps at a time; at
+    # a block of 2**14 uniforms each step is hashed in two row blocks of 2048
+    # rows, straight into the table.
+    key = ((3,), 4096, 8, 20)
+    default = market_module._uniform_table(*key).tobytes()
+    market_module._uniform_table.cache_clear()
+    block = 1 << 14
+    monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", block)
+    assert market_module._row_blocks(4096, 8) == [(0, 2048), (2048, 4096)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = market_module._uniform_table(*key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.tobytes() == default
+    # Above the table, one block's hashing scratch and ids, and NumPy's
+    # iterator buffers for the ids' broadcast add (8192 words each).
+    assert peak - before - table.nbytes < 4 * 8 * block
 
 
 def test_walk_allocates_no_step_sized_block(monkeypatch):

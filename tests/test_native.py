@@ -32,10 +32,12 @@ def test_native_walk_loads_where_a_compiler_is_found():
 
 @pytest.fixture()
 def cold(monkeypatch, tmp_path):
-    """A fresh, empty cache directory root, with no walk loaded yet."""
+    """A fresh, empty cache directory root, with no walk loaded yet; the walk loaded in it is forgotten after."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(native, "_loaded", native._UNLOADED)
-    return tmp_path / "cache" / "amr"
+    walk = native.walk  # the cached loader, even where a test patches native.walk
+    walk.cache_clear()
+    yield tmp_path / "cache" / "amr"
+    walk.cache_clear()
 
 
 def _bank_dominated_digest() -> str:
@@ -120,7 +122,7 @@ def test_warm_cache_starts_no_compiler(cold, monkeypatch):
         raise AssertionError(f"a compiler was started: {args}")
 
     monkeypatch.setattr(subprocess, "run", no_compiler)
-    monkeypatch.setattr(native, "_loaded", native._UNLOADED)
+    native.walk.cache_clear()
     assert native.walk() is not None
     assert _bank_dominated_digest() == SIMULATION_DIGESTS["bank_dominated"]
 
@@ -150,13 +152,13 @@ def recorded(cold, monkeypatch):
         calls.append(args)
         return compiled(*args)
 
-    monkeypatch.setattr(native, "_loaded", recorder)
+    monkeypatch.setattr(native, "walk", lambda: recorder)
     return calls
 
 
 def _numpy_walk_of(monkeypatch, run):
     with monkeypatch.context() as m:
-        m.setattr(native, "_loaded", None)
+        m.setattr(native, "walk", lambda: None)
         return run()
 
 
