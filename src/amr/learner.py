@@ -177,7 +177,8 @@ def replication_mean(row: Sequence[float]) -> float:
     return total / len(row)
 
 
-def energy(params: ParameterVector, train: TimeSeries, config: MarketConfig, replications: int = 3) -> float:
+def energy(params: ParameterVector, train: TimeSeries, config: MarketConfig,
+           replications: int = AnnealingSchedule.replications) -> float:
     """Replication-averaged training MAPE of `params`: the replication_mean of
     the replication_mapes row of the config's own enabled types."""
     cfg = params.apply(config)

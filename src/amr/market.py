@@ -29,24 +29,26 @@ step() is the one-day case: one seed (the config's own) and one mask
 
 One set-up, _placed_state, serves every call.  It writes the three
 placed arrays (optimism, reactivity, and the bits of |vote weight| that
-the walk reads) once each, in place: the jitter uniforms are hashed slab
-by slab with each slab's agent ids as parts, so they land in the placed
-layout.  A call holds those three arrays and, at any one time, either
-one set-up slab's ids and buffers or the walk's buffers (plus the
-uniform table when tabled): about 4.1 state arrays of 8 * C * K * M * S
-bytes at 200k agents, one seed and one mask.
+the walk reads) once each, in place, in one loop over the slabs of
+_jittered: each slab's jitter uniforms are hashed with its agent ids as
+parts, so they land in the placed layout, and its weights are written
+from them while they are in cache.  A call holds those three arrays and,
+at any one time, either one set-up slab's ids and buffers or the walk's
+buffers (plus the uniform table when tabled): about 4.1 state arrays of
+8 * C * K * M * S bytes at 200k agents, one seed and one mask.
 
 The decision uniforms are a pure function of (seed, step, agent), so
 calls with the same seeds, agent count and horizon read the same values
 (common random numbers: every annealing energy replays the same
 replication seeds).  A one-slot memo, _uniform_table (an lru_cache of
 size 1), keeps them across calls, in the (steps, C * K, S) layout.  A key
-(seeds, C, K, horizon - 1) whose table holds at most 2**20 float64 values
-(8 MB) is tabled on first sight: the uniforms are hashed straight into
-the table (_hashed_rows), as many whole steps at a time as fit
-_UNIFORM_BLOCK_ELEMENTS or one row block of a larger step, and the table
-is marked read-only and read by later calls with that key.  Any other key
-empties the memo, and a larger one is streamed; a call that takes no
+(seeds, C, K, horizon - 1) whose step's S * C * K uniforms fit
+_UNIFORM_BLOCK_ELEMENTS and whose table holds at most 2**20 float64
+values (8 MB) is tabled on first sight: the uniforms are hashed straight
+into the table (_hashed_rows), as many whole steps at a time as fit
+_UNIFORM_BLOCK_ELEMENTS, and the table is marked read-only and read by
+later calls with that key.  Any other key empties the memo and is
+streamed, each uniform hashed once as it is walked; a call that takes no
 step (horizon 1) returns after validation: it builds no agent, reads no
 uniform and leaves the memo alone.  A build drops the old table before
 it allocates the new one, so two are never held.  The table holds the
@@ -89,8 +91,9 @@ key, so neither the block size nor the block order changes a bit.
 Jitter and decision uniforms alike are hashed by rng.u01_grid, or the
 compiled walk's decision uniforms by its C twin, which take their keys
 and parts with splitmix64's first xorshift already applied (see
-amr.rng): each call folds its small (steps, S) or (fields, S) key array
-once, with rng.grid_keys, and uses the position ids as parts.  A market
+amr.rng): each small (steps, S) or (fields, S) key array is folded
+once, with rng.grid_keys, where it is made (_step_keys, step(),
+_jittered), and the position ids are the parts.  A market
 holds at most MAX_AGENTS = 2**30 agents, a multiple of CHUNK_SIZE, so
 every position id is below 2**30 and is its own grid part.  Hashing a
 value thus takes two passes fewer than fold does, and every uniform
@@ -105,7 +108,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from datetime import date
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -138,11 +141,11 @@ _SIGN_BIT = np.uint64(1 << 63)
 # one call; narrower sums accumulate (see _walk).
 _REDUCE_WIDTH = 8
 
-# Upper bound on the decision uniforms a table build hashes at once, on the
-# jitter uniforms or vote weights of one set-up slab and, when a step's
-# uniforms exceed it, on the votes of one row block of the NumPy walk, whose
-# uniforms are hashed as it walks (elements; 512 KB, so a block and its
-# scratch stay in L2).
+# Upper bound on the decision uniforms of a tabled step and of a table build's
+# step group, on the jitter uniforms or vote weights of one set-up slab and,
+# when a step's uniforms exceed it, on the votes of one row block of the NumPy
+# walk, whose uniforms are hashed as it walks (elements; 512 KB, so a block and
+# its scratch stay in L2).
 _UNIFORM_BLOCK_ELEMENTS = 1 << 16
 # Decision uniforms the compiled walk hashes at once, in whole rows of the
 # state (elements; 32 KB, so a batch is still in L1 when its rows vote).
@@ -318,36 +321,33 @@ class AgentPopulation:
         return len(self.type_index)
 
 
-def _agent_types(config: MarketConfig, ids: np.ndarray) -> np.ndarray:
-    """Type index of each agent id in `ids`; padding ids (>= n_agents) get len(config.types)."""
-    ends = np.cumsum([t.count for t in config.types], dtype=np.uint64)
-    return np.searchsorted(ends, ids, side="right")
-
-
 def _jittered(config: MarketConfig, seeds: Sequence[int], size: int, chunks: int,
-              out: Sequence[np.ndarray]) -> None:
-    """Write field d of BEHAVIOR_FIELDS of the agents placed in K chunks of C into out[d], each (C * K, M, S).
+              n_masks: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Yield (p0, p1, types, slab) for the slabs of the agents placed in K chunks of C.
 
-    Agent a's field d under seed s is its type's value plus noise
-    uniform in +/- config.jitter, keyed by (s, jitter tag, d, a), clamped
-    to the field's bounds; every mask gets the same value, and padding
-    ids (>= n_agents) get 0.  The uniforms are hashed in place
-    (rng.u01_grid) one slab of _row_blocks positions at a time into one
-    buffer, each with the ids of its own positions (_agent_ids); each is
-    a pure function of its key, so the slab size changes no bit.  Every
-    id is below MAX_AGENTS, so it is its own grid part.
+    Positions p0..p1 - 1 hold agents of type index `types` (padding ids,
+    >= n_agents, get len(config.types)), and slab[d] is the (p1 - p0, S)
+    field d of BEHAVIOR_FIELDS: agent a's under seed s is its type's value
+    plus noise uniform in +/- config.jitter, keyed by (s, jitter tag, d,
+    a), clamped to the field's bounds, and 0 for padding.  A slab holds at
+    most _UNIFORM_BLOCK_ELEMENTS values, and so does a (p1 - p0, M, S)
+    slab of vote weights: _row_blocks at max(3, M) * S values a position.
+    The uniforms are hashed (rng.u01_grid) into one buffer, which the
+    next slab overwrites, with each slab's own ids (_agent_ids) as parts,
+    so the slab size changes no bit.
     """
     n_types, n_seeds = len(config.types), len(seeds)
     keys = grid_keys(np.array([[fold(seed, TAG_JITTER, d) for seed in seeds]
                                for d in range(len(BEHAVIOR_FIELDS))], dtype=np.uint64))
     base = np.array([[getattr(t, f) for t in config.types] + [0.0] for f in BEHAVIOR_FIELDS])
     lo, hi = np.array(BEHAVIOR_BOUNDS).T[:, :, None, None]  # (3, 1, 1) each
-    bounds = _row_blocks(size * chunks, keys.size)
+    ends = np.cumsum([t.count for t in config.types], dtype=np.uint64)
+    bounds = _row_blocks(size * chunks, max(len(keys), n_masks) * n_seeds)
     buffer = np.empty(keys.size * bounds[0][1])  # the first slab is the longest
     scratch = np.empty(buffer.size, dtype=np.uint64)
     for p0, p1 in bounds:
         ids = _agent_ids(size, chunks, p0, p1)
-        types = _agent_types(config, ids)
+        types = np.searchsorted(ends, ids, side="right")
         slab = buffer[: keys.size * (p1 - p0)].reshape(len(keys), p1 - p0, n_seeds)
         u01_grid(keys, ids, slab, scratch[: slab.size])
         slab *= 2.0
@@ -356,8 +356,7 @@ def _jittered(config: MarketConfig, seeds: Sequence[int], size: int, chunks: int
         slab += base[:, types, None]
         np.clip(slab, lo, hi, out=slab)
         slab[:, types == n_types] = 0.0
-        for field, values in zip(out, slab):
-            field[p0:p1] = values[:, None]
+        yield p0, p1, types, slab
 
 
 def init_population(config: MarketConfig) -> AgentPopulation:
@@ -366,9 +365,10 @@ def init_population(config: MarketConfig) -> AgentPopulation:
     Disabled types' agents are created too; they simply emit no demand.
     """
     counts = np.array([t.count for t in config.types], dtype=np.int64)
-    fields = np.empty((len(BEHAVIOR_FIELDS), config.n_agents, 1, 1))
-    _jittered(config, [config.master_seed], config.n_agents, 1, fields)  # one chunk: position i holds agent i
-    optimism, reactivity, trade_fraction = fields.reshape(len(BEHAVIOR_FIELDS), config.n_agents)
+    optimism, reactivity, trade_fraction = fields = np.empty((len(BEHAVIOR_FIELDS), config.n_agents))
+    # One chunk: position i holds agent i.
+    for p0, p1, _, slab in _jittered(config, [config.master_seed], config.n_agents, 1, 1):
+        fields[:, p0:p1] = slab[:, :, 0]
     return AgentPopulation(
         type_index=np.repeat(np.arange(len(config.types), dtype=np.int64), counts),
         optimism=optimism,
@@ -466,15 +466,14 @@ def _walk(
     uint64 bits of |weight| in that layout; returns (R,) holds the first
     day's last return and then each day's.  The decision uniforms, moved
     up one float, are read from `table`, (T, C, K, 1, S), or when it is
-    None hashed from `step_keys`, the (T, S) keys fold(seed, decision tag,
-    step).
+    None hashed from `step_keys`, the (T, S) keys of _step_keys.
 
     Every step goes to the compiled walk (native.walk) when it loads, in
-    one C call: it reads the table, or hashes the uniforms itself from
-    the step keys folded by rng.grid_keys and the position ids, in batches
-    of whole rows of at most _HASH_BATCH_ELEMENTS uniforms (one row at
-    least).  C reads every array through its address, so each must be
-    C-contiguous (_address checks it).
+    one C call.  It walks each step in batches of whole rows of at most
+    _HASH_BATCH_ELEMENTS uniforms (one row at least), and reads a batch's
+    uniforms from the table or hashes them itself from the step keys and
+    the position ids.  C reads every array through its address, so each
+    must be C-contiguous (_address checks it).
 
     Otherwise the NumPy body below walks them, with the same bits.  A
     step whose S * C * K uniforms fit _UNIFORM_BLOCK_ELEMENTS is one
@@ -494,20 +493,16 @@ def _walk(
     if compiled is not None:
         # C reads and writes these arrays through their addresses, so each
         # stays bound to a name here until the walk returns.
-        if table is None:  # C hashes the uniforms, batch_rows rows of the state at a time
-            keys = grid_keys(step_keys)
-            batch_rows = min(size, max(1, _HASH_BATCH_ELEMENTS // (chunks * n_seeds)))
-            uniforms = (None, _address(keys, np.uint64, (len(demands), n_seeds)), batch_rows)
-            scratch = np.empty(2 * chunks * lanes + batch_rows * chunks * n_seeds)
-        else:
-            uniforms = (_address(table, np.float64, (len(demands), size, chunks, 1, n_seeds)), None, size)
-            scratch = np.empty(2 * chunks * lanes)
+        batch_rows = min(size, max(1, _HASH_BATCH_ELEMENTS // (chunks * n_seeds)))
+        scratch = np.empty(2 * chunks * lanes + batch_rows * chunks * n_seeds)
+        uniforms = (None if table is None else _address(table, np.float64, (len(demands), size, chunks, 1, n_seeds)),
+                    None if step_keys is None else _address(step_keys, np.uint64, (len(demands), n_seeds)))
         state = [_address(a, dtype, optimism.shape)
                  for a, dtype in ((optimism, np.float64), (reactivity, np.float64), (abs_weight_bits, np.uint64))]
         out = [_address(a, np.float64, shape) for a, shape in (
             (prices, (len(demands) + 1, lanes)), (demands, (len(demands), lanes)), (returns, (lanes,)),
             (scratch, scratch.shape))]
-        compiled(len(demands), size, chunks, n_masks, n_seeds, *state, *uniforms, price_impact, *out)
+        compiled(len(demands), size, chunks, n_masks, n_seeds, *state, *uniforms, batch_rows, price_impact, *out)
         return
     if size * chunks * n_seeds <= _UNIFORM_BLOCK_ELEMENTS:
         bounds = [(0, size)]
@@ -515,10 +510,10 @@ def _walk(
         bounds = _row_blocks(size, chunks * lanes)
     rows = bounds[0][1]  # the first block is the longest
     if table is None:  # each block's uniforms are hashed into one buffer just before it votes
-        keys = grid_keys(step_keys)
         hashed = np.empty((1, rows, chunks, 1, n_seeds))
         scratch = np.empty(hashed.size, dtype=np.uint64)
-        above = lambda t, c0, c1: _hashed_rows(keys[t : t + 1], size, chunks, c0, c1, hashed[:, : c1 - c0], scratch)[0]
+        above = lambda t, c0, c1: _hashed_rows(step_keys[t : t + 1], size, chunks, c0, c1, hashed[:, : c1 - c0],
+                                               scratch)[0]
     else:
         above = lambda t, c0, c1: table[t, c0:c1]
     votes = np.empty((rows + 1, chunks, n_masks, n_seeds))
@@ -554,8 +549,7 @@ def _walk(
                 # The agent buys when u < x.  No clamp of x to [0, 1]: every
                 # uniform lies in [0, 1 - 2**-53].  x - nextafter(u, +inf) >= 0
                 # exactly when u < x, and is never -0.0, so |weight| with its
-                # sign bit gives +weight or -weight bit for bit as
-                # (2 * [u < x] - 1) * weight did, for every x but NaN.  x is NaN
+                # sign bit is +weight or -weight, for every x but NaN.  x is NaN
                 # only after the run's price overflowed to inf, and from then on
                 # the price stays inf whatever the votes.  The two integer
                 # passes are copysign(weight, x - nextafter(u, +inf)), which
@@ -582,9 +576,9 @@ def _walk(
 
 
 def _step_keys(seeds: Sequence[int], steps: int) -> np.ndarray:
-    """(steps, S) keys fold(seed, decision tag, step), one fold_array per seed."""
+    """(steps, S) keys fold(seed, decision tag, step), one fold_array per seed, folded by rng.grid_keys."""
     step_ids = np.arange(steps, dtype=np.uint64)
-    return np.stack([fold_array(fold(seed, TAG_DECISION), step_ids) for seed in seeds], axis=1)
+    return grid_keys(np.stack([fold_array(fold(seed, TAG_DECISION), step_ids) for seed in seeds], axis=1))
 
 
 @lru_cache(maxsize=1)
@@ -594,18 +588,17 @@ def _uniform_table(seeds: tuple[int, ...], size: int, chunks: int, steps: int) -
     C and K are in the key, so a call under another CHUNK_SIZE never
     reads a table laid out for the old width.  The body runs only on a
     miss, and first drops the last key's table, so two tables are never
-    held at once; it hashes the uniforms straight into the new one.
+    held at once; it hashes the uniforms straight into the new one, as
+    many whole steps at a time as fit _UNIFORM_BLOCK_ELEMENTS.
     """
     _uniform_table.cache_clear()
     n_seeds = len(seeds)
-    keys = grid_keys(_step_keys(seeds, steps))
-    bounds = _row_blocks(size, chunks * n_seeds)  # one block when a step fits
+    keys = _step_keys(seeds, steps)
     group = max(1, _UNIFORM_BLOCK_ELEMENTS // (size * chunks * n_seeds))  # steps hashed at once
-    scratch = np.empty(min(group, steps) * bounds[0][1] * chunks * n_seeds, dtype=np.uint64)
+    scratch = np.empty(min(group, steps) * size * chunks * n_seeds, dtype=np.uint64)
     table = np.empty((steps, size, chunks, 1, n_seeds))
     for t in range(0, steps, group):
-        for c0, c1 in bounds:
-            _hashed_rows(keys[t : t + group], size, chunks, c0, c1, table[t : t + group, c0:c1], scratch)
+        _hashed_rows(keys[t : t + group], size, chunks, 0, size, table[t : t + group], scratch)
     table.setflags(write=False)
     return table.reshape(steps, size * chunks, n_seeds)
 
@@ -614,28 +607,25 @@ def _placed_state(config: MarketConfig, seeds: Sequence[int], masks: np.ndarray,
                   chunks: int) -> list[np.ndarray]:
     """Optimism, reactivity and |vote weight| as uint64 bits, each (C, K, M, S) and written once, in place.
 
-    The jitter is hashed with the agent ids as parts (see _jittered).
-    Then, slab by slab of _row_blocks, each agent's vote weight under
-    mask m, trade_fraction * assets / config.total_assets (0 where m
-    disables its type), overwrites its trade fraction and is made
-    |weight|, whose bits are the walk's abs_weight_bits; padding holds
-    0.  Optimism and reactivity are copied for every mask: broadcasting
-    them over masks would cut every step's elementwise loops to S lanes.
-    Each slab makes its own ids (_agent_ids), and its buffers are freed
-    on return, before the walk.
+    One loop over the slabs of _jittered writes all three.  Optimism and
+    reactivity are copied for every mask: broadcasting them over masks
+    would cut every step's elementwise loops to S lanes.  An agent's vote
+    weight under mask m is trade_fraction * assets / config.total_assets
+    (0 where m disables its type, and for padding), made |weight|, whose
+    bits are the walk's abs_weight_bits.  The slabs' buffers are freed on
+    return, before the walk.
     """
     shape = (size * chunks, len(masks), len(seeds))
-    state = [np.empty(shape) for _ in BEHAVIOR_FIELDS]
-    _jittered(config, seeds, size, chunks, state)
-    optimism, reactivity, weight = state  # BEHAVIOR_FIELDS order
+    optimism, reactivity, weight = (np.empty(shape) for _ in BEHAVIOR_FIELDS)
     # (type, mask, 1): each type's assets under each mask, 0 where it is off, and 0 for padding.
     assets = np.vstack([np.where(masks, [t.assets_per_investor for t in config.types], 0.0).T,
                         np.zeros(len(masks))])[:, :, None]
-    for p0, p1 in _row_blocks(shape[0], shape[1] * shape[2]):
-        slab = weight[p0:p1]
-        slab *= assets[_agent_types(config, _agent_ids(size, chunks, p0, p1))]
-        slab /= config.total_assets
-        np.abs(slab, out=slab)
+    for p0, p1, types, slab in _jittered(config, seeds, size, chunks, len(masks)):
+        optimism[p0:p1] = slab[0, :, None]
+        reactivity[p0:p1] = slab[1, :, None]
+        placed = np.multiply(slab[2, :, None], assets[types], out=weight[p0:p1])
+        placed /= config.total_assets
+        np.abs(placed, out=placed)
     return [a.reshape(size, chunks, *shape[1:]) for a in (optimism, reactivity, weight.view(np.uint64))]
 
 
@@ -671,7 +661,8 @@ def simulate_batch(
     size, chunks = _chunking(config.n_agents)
     state = _placed_state(config, seeds, masks, size, chunks)
     table = step_keys = None
-    if steps * n_seeds * size * chunks <= _UNIFORM_TABLE_ELEMENTS:
+    step_uniforms = n_seeds * size * chunks
+    if step_uniforms <= _UNIFORM_BLOCK_ELEMENTS and steps * step_uniforms <= _UNIFORM_TABLE_ELEMENTS:
         table = _uniform_table(tuple(seeds), size, chunks, steps).reshape(steps, size, chunks, 1, n_seeds)
     else:
         _uniform_table.cache_clear()  # any other key empties the memo
@@ -702,7 +693,7 @@ def step(config: MarketConfig, price: float, last_return: float, step_index: int
     _check_normal(price, "price")
     size, chunks = _chunking(config.n_agents)
     own_mask = np.array([[t.enabled for t in config.types]])
-    step_keys = np.array([[fold(config.master_seed, TAG_DECISION, step_index)]], dtype=np.uint64)
+    step_keys = grid_keys(np.array([[fold(config.master_seed, TAG_DECISION, step_index)]], dtype=np.uint64))
     prices, demands = np.array([[price], [0.0]]), np.empty((1, 1))
     _walk(prices, demands, np.array([last_return], dtype=np.float64),
           *_placed_state(config, [config.master_seed], own_mask, size, chunks), config.price_impact,

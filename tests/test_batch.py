@@ -169,7 +169,7 @@ def test_walked_blocks_equal_one_block_steps(monkeypatch, table_cap, chunk_width
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 5 * lanes)
     monkeypatch.setattr(native, "walk", lambda: None)
     walked_prices, walked_demands = simulate_batch(BASE, seeds, masks, 100.0, HORIZON)
-    # The walk's call, by its arguments: the set-up slabs and a table build make their own.
+    # The walk's call, by its arguments: the set-up slabs make their own.
     lengths = [c1 - c0 for c0, c1 in walked[size, lanes]]
     assert len(lengths) == -(-size // 5) and lengths == sorted(lengths, reverse=True)
     assert lengths[0] == 5 and lengths[-1] == 4
@@ -235,17 +235,16 @@ def test_uniform_table_build_holds_one_table():
     assert peak - before < 0.3 * table_bytes  # never A's table and B's at once
 
 
-def test_row_blocked_table_build_equals_the_default_build(monkeypatch):
-    # One seed over 8 chunks of 4096 and 20 steps: a 5.2 MB table of steps of
-    # 32,768 uniforms.  The default build hashes two whole steps at a time; at
-    # a block of 2**14 uniforms each step is hashed in two row blocks of 2048
-    # rows, straight into the table.
-    key = ((3,), 4096, 8, 20)
+def test_table_build_in_step_groups_equals_the_default_build(monkeypatch):
+    # One seed over 2 chunks of 4096 and 40 steps: a 2.6 MB table of steps of
+    # 8192 uniforms.  The default build hashes 8 whole steps at a time; at a
+    # block of 2**14 uniforms it hashes 20 groups of 2 steps, straight into
+    # the table.
+    key = ((3,), 4096, 2, 40)
     default = market_module._uniform_table(*key).tobytes()
     market_module._uniform_table.cache_clear()
     block = 1 << 14
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", block)
-    assert market_module._row_blocks(4096, 8) == [(0, 2048), (2048, 4096)]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -254,9 +253,26 @@ def test_row_blocked_table_build_equals_the_default_build(monkeypatch):
     finally:
         tracemalloc.stop()
     assert table.tobytes() == default
-    # Above the table, one block's hashing scratch and ids, and NumPy's
-    # iterator buffers for the ids' broadcast add (8192 words each).
+    # Above the table, one group's hashing scratch and ids, and NumPy's
+    # iterator buffers for the ids' broadcast add.
     assert peak - before - table.nbytes < 4 * 8 * block
+
+
+def test_step_over_one_block_is_streamed(walk, monkeypatch):
+    # 30,000 agents (8 chunks of 4096) under 3 seeds: a step's 98,304
+    # uniforms exceed one block while 10 steps' would fit the table, so the
+    # uniforms are streamed, with the bits of a call at table cap 0.
+    config = replace(BASE, types=tuple(replace(t, count=t.count * 60) for t in BASE.types))
+    size, chunks = market_module._chunking(config.n_agents)
+    step_uniforms = size * chunks * len(SEEDS)
+    assert market_module._UNIFORM_BLOCK_ELEMENTS < step_uniforms
+    assert 10 * step_uniforms <= market_module._UNIFORM_TABLE_ELEMENTS
+    prices, demands = simulate_batch(config, SEEDS, MASKS[:2], 100.0, 11)
+    assert market_module._uniform_table.cache_info().currsize == 0
+    monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", 0)
+    capped_prices, capped_demands = simulate_batch(config, SEEDS, MASKS[:2], 100.0, 11)
+    assert prices.tobytes() == capped_prices.tobytes()
+    assert demands.tobytes() == capped_demands.tobytes()
 
 
 def test_walk_allocates_no_step_sized_block(monkeypatch):

@@ -184,6 +184,12 @@ class TestEnergy:
         flat = TimeSeries(weekdays(date(2009, 1, 2), 30), tuple([50.0] * 30))
         assert energy(vec, flat, cfg, replications=3) == 0.0
 
+    def test_default_replications_are_the_schedules(self, small_cfg, small_target):
+        vec = ParameterVector.from_config(small_cfg)
+        default = AnnealingSchedule().replications
+        assert energy(vec, small_target, small_cfg) == energy(vec, small_target, small_cfg, replications=default)
+        assert energy(vec, small_target, small_cfg) != energy(vec, small_target, small_cfg, replications=default - 1)
+
 
 class TestAnneal:
     def test_single_evaluation_is_scored_start(self, small_cfg, small_target):

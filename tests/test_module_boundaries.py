@@ -10,6 +10,10 @@ Every import must be read by its module.  An import kept for another
 reason says so with `# noqa: F401`; `from __future__ import annotations`
 and the names that amr/__init__.py lists in `__all__` are exempt, and
 that `__all__` must list exactly the names amr/__init__.py imports.
+
+Every private module-level function, class or constant must be read by
+its module, the only one that may read it, so no helper outlives its
+last caller.
 """
 
 import ast
@@ -117,3 +121,40 @@ def test_unused_imports_are_found():
               "    from .reducer import rank_models\n"
               "    return mape\n")
     assert unused_imports(source) == [(2, "os"), (4, "os"), (6, "split"), (8, "mix64"), (13, "rank_models")]
+
+
+def orphans(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every private module-level function, class or constant that `source` never reads."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.extend((node.lineno, n.id) for target in targets for n in ast.walk(target)
+                           if isinstance(n, ast.Name))
+    return sorted((line, name) for line, name in defined if _private(name) and name not in read)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_helper_outlives_its_last_reader(path):
+    assert orphans(path.read_text()) == []
+
+
+def test_orphans_are_found():
+    source = ("_LIMIT = 3\n"
+              "_unused: int = 4\n"
+              "def _helper(x=_LIMIT):\n"
+              "    _local = 1\n"
+              "    return x\n"
+              "class _Gone:\n"
+              "    _width = 2\n"
+              "async def _fetch():\n"
+              "    pass\n"
+              "_x, (_y, _z) = 1, (2, 3)\n"
+              "__version__ = '1'\n"
+              "def public():\n"
+              "    return _helper(), _y, _Gone.__name__\n")
+    assert orphans(source) == [(2, "_unused"), (8, "_fetch"), (10, "_x"), (10, "_z")]
