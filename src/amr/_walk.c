@@ -7,11 +7,13 @@
  * Each step's decision uniforms, moved up one float, are read from above,
  * the (T, C, K, S) table, or, when above is NULL, hashed here, batch_rows
  * rows of the state at a time, just before those rows vote, so the batch
- * is still in cache when it is read.  Uniform (c, k, s) of step t is then
- * splitmix64 of keys[t, s] ^ (k * C + c): the (T, S) step keys with the
- * mixer's first round applied (rng.grid_keys) and the id of the agent at
- * position (c, k), finished as rng.u01_grid and market._next_up finish
- * them, so every bit is the NumPy walk's.
+ * is still in cache when it is read.  batch_rows is the length of the first
+ * (longest) row block that market._walk cuts for both walks, so a batch
+ * holds no more uniforms than a block of the NumPy walk.  Uniform (c, k, s)
+ * of step t is then splitmix64 of keys[t, s] ^ (k * C + c): the (T, S)
+ * step keys with the mixer's first round applied (rng.grid_keys) and the
+ * id of the agent at position (c, k), finished as rng.u01_grid and
+ * market._next_up finish them, so every bit is the NumPy walk's.
  *
  * hash_batch, and only it, is built twice where HASH_CLONES applies: a
  * portable clone and an x86-64-v4 one, whose AVX-512 has the 64-bit

@@ -191,7 +191,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         return path if path.is_absolute() else base / path
 
     data_path, config_path = _resolve("data"), _resolve("market_config")
-    out_dir = Path(args.out) if args.out else _resolve("out_dir", "experiment-out")
+    out_dir = _resolve("out_dir", "experiment-out")  # checked even when --out overrides it
+    if args.out:
+        out_dir = Path(args.out)
 
     # Every field is checked before out_dir is created or the anneal starts.
     def _field(key: str, parse, default):

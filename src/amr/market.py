@@ -55,38 +55,36 @@ it allocates the new one, so two are never held.  The table holds the
 very values the blocks would produce, so results are bit-identical with
 or without it.
 
+Every pass over the agents cuts their positions by one rule, _row_blocks:
+whole rows [c0, c1) of the leading axis, as few blocks as keep each
+within _UNIFORM_BLOCK_ELEMENTS values (one row at least), balanced so
+the last is no sliver.  Rows c0..c1 are contiguous in the state and in
+the uniform layout (positions c * K + k), so a block's ids, jitter,
+weights and decision uniforms are made in a small buffer and used while
+it is in the L2 cache, rather than streaming every pass over the full
+state through memory.  Set-up slabs hold max(3, M) * S values a
+position; a walked step is one block when its S * C * K uniforms fit,
+and otherwise blocks of M * S votes a position, each hashed just before
+it votes.  Every uniform is a pure function of its key and every lane is
+summed in agent order, so no choice of blocks changes a bit.
+
 Every simulation, step() included, runs through one time loop, _walk,
 which is compiled where a C compiler is found: _walk.c, built on first
 use and loaded with ctypes by amr.native, walks all of a call's steps in
-one C call.  It reads a tabled call's uniforms from the table, and
-hashes a streamed call's itself from the step keys and the position ids,
-_HASH_BATCH_ELEMENTS at a time in whole rows of the state, just before
-those rows vote, so a batch is still in cache when it is read.  It does
-the NumPy body's arithmetic in NumPy's order: x = reactivity * last
-return, then x += optimism, then x -= nextafter(u, +inf); the vote is the
-sign bit of x or-ed with the bits of |weight|; each lane is summed from
--0.0 in agent order, the chunk totals as (t0 + 0.0) + t1 + ... (a lone
-chunk's total as is), and the price is (demand * price_impact + 1) *
-price.  It is built with -ffp-contract=off, so no multiply and add are
-fused into one rounding, and every price and demand keeps NumPy's bits.
-Without a compiler, or when the build or its cache directory fails,
-_walk runs its NumPy body, silently and with the same bits.
-
-In the NumPy body, a step whose S * C * K uniforms fit
-_UNIFORM_BLOCK_ELEMENTS is one block: its uniforms are hashed, and it
-votes and sums over the whole (C, K, M, S) state.  A larger step (200k
-agents) is walked in row blocks [c0, c1) of the leading position axis,
-each of at most _UNIFORM_BLOCK_ELEMENTS votes and balanced so the last
-is no sliver.  Rows c0..c1 are contiguous both in the state and in the
-uniform layout (positions c * K + k), so a block's uniforms are hashed
-in place (_hashed_rows, through rng.u01_grid) into a small buffer just
-before it votes, and its vote passes and its sum run while it is still
-in the L2 cache rather than streaming every pass over the full state
-through memory.  The block's chunk sums continue the previous block's:
-the running totals are written into the buffer row just before the
-block's rows and the sum starts from that row, so every lane is still
-added in strict agent order.  Every uniform is a pure function of its
-key, so neither the block size nor the block order changes a bit.
+one C call, in batches of the first block's rows.  It reads a tabled
+call's uniforms from the table, and hashes a streamed call's itself
+from the step keys and the position ids.  It does the NumPy body's
+arithmetic in NumPy's order: x = reactivity * last return, then
+x += optimism, then x -= nextafter(u, +inf); the vote is the sign bit
+of x or-ed with the bits of |weight|; each lane is summed from -0.0 in
+agent order, the chunk totals as (t0 + 0.0) + t1 + ... (a lone chunk's
+total as is), and the price is (demand * price_impact + 1) * price.  It
+is built with -ffp-contract=off, so no multiply and add are fused into
+one rounding, and every price and demand keeps NumPy's bits.  Without a
+compiler, or when the build or its cache directory fails, _walk runs its
+NumPy body over the same blocks, silently and with the same bits: each
+block's chunk sums continue the previous block's from running totals
+written into the buffer row just before the block's rows.
 
 Jitter and decision uniforms alike are hashed by rng.u01_grid, or the
 compiled walk's decision uniforms by its C twin, which take their keys
@@ -143,13 +141,10 @@ _REDUCE_WIDTH = 8
 
 # Upper bound on the decision uniforms of a tabled step and of a table build's
 # step group, on the jitter uniforms or vote weights of one set-up slab and,
-# when a step's uniforms exceed it, on the votes of one row block of the NumPy
+# when a step's uniforms exceed it, on the votes of one row block of either
 # walk, whose uniforms are hashed as it walks (elements; 512 KB, so a block and
 # its scratch stay in L2).
 _UNIFORM_BLOCK_ELEMENTS = 1 << 16
-# Decision uniforms the compiled walk hashes at once, in whole rows of the
-# state (elements; 32 KB, so a batch is still in L1 when its rows vote).
-_HASH_BATCH_ELEMENTS = 1 << 12
 # Largest decision-uniform table kept across calls (elements; 8 MB).
 _UNIFORM_TABLE_ELEMENTS = 1 << 20
 
@@ -325,16 +320,17 @@ def _jittered(config: MarketConfig, seeds: Sequence[int], size: int, chunks: int
               n_masks: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Yield (p0, p1, types, slab) for the slabs of the agents placed in K chunks of C.
 
-    Positions p0..p1 - 1 hold agents of type index `types` (padding ids,
-    >= n_agents, get len(config.types)), and slab[d] is the (p1 - p0, S)
-    field d of BEHAVIOR_FIELDS: agent a's under seed s is its type's value
-    plus noise uniform in +/- config.jitter, keyed by (s, jitter tag, d,
-    a), clamped to the field's bounds, and 0 for padding.  A slab holds at
-    most _UNIFORM_BLOCK_ELEMENTS values, and so does a (p1 - p0, M, S)
-    slab of vote weights: _row_blocks at max(3, M) * S values a position.
-    The uniforms are hashed (rng.u01_grid) into one buffer, which the
-    next slab overwrites, with each slab's own ids (_agent_ids) as parts,
-    so the slab size changes no bit.
+    A slab is whole rows [c0, c1), positions p0 = c0 * K to p1 = c1 * K,
+    holding agents of type index `types` (padding ids, >= n_agents, get
+    len(config.types)); slab[d] is the (p1 - p0, S) field d of
+    BEHAVIOR_FIELDS: agent a's under seed s is its type's value plus noise
+    uniform in +/- config.jitter, keyed by (s, jitter tag, d, a), clamped
+    to the field's bounds, and 0 for padding.  A slab holds at most
+    _UNIFORM_BLOCK_ELEMENTS values, or one row, at least, and so does a
+    (p1 - p0, M, S) slab of vote weights: _row_blocks at max(3, M) * S
+    values a position.  The uniforms are hashed (rng.u01_grid) into one
+    buffer, which the next slab overwrites, with each slab's own ids
+    (_agent_ids) as parts, so the slab size changes no bit.
     """
     n_types, n_seeds = len(config.types), len(seeds)
     keys = grid_keys(np.array([[fold(seed, TAG_JITTER, d) for seed in seeds]
@@ -342,11 +338,12 @@ def _jittered(config: MarketConfig, seeds: Sequence[int], size: int, chunks: int
     base = np.array([[getattr(t, f) for t in config.types] + [0.0] for f in BEHAVIOR_FIELDS])
     lo, hi = np.array(BEHAVIOR_BOUNDS).T[:, :, None, None]  # (3, 1, 1) each
     ends = np.cumsum([t.count for t in config.types], dtype=np.uint64)
-    bounds = _row_blocks(size * chunks, max(len(keys), n_masks) * n_seeds)
-    buffer = np.empty(keys.size * bounds[0][1])  # the first slab is the longest
+    bounds = _row_blocks(size, chunks * max(len(keys), n_masks) * n_seeds)
+    buffer = np.empty(keys.size * chunks * bounds[0][1])  # the first slab is the longest
     scratch = np.empty(buffer.size, dtype=np.uint64)
-    for p0, p1 in bounds:
-        ids = _agent_ids(size, chunks, p0, p1)
+    for c0, c1 in bounds:
+        ids = _agent_ids(size, chunks, c0, c1)
+        p0, p1 = c0 * chunks, c1 * chunks
         types = np.searchsorted(ends, ids, side="right")
         slab = buffer[: keys.size * (p1 - p0)].reshape(len(keys), p1 - p0, n_seeds)
         u01_grid(keys, ids, slab, scratch[: slab.size])
@@ -387,16 +384,13 @@ def _chunking(n_agents: int) -> tuple[int, int]:
     return size, -(-n_agents // size)
 
 
-def _agent_ids(size: int, chunks: int, p0: int, p1: int) -> np.ndarray:
-    """Agent id at every position p0..p1 - 1: position c * K + k holds agent k * C + c (ids >= n_agents are padding).
+def _agent_ids(size: int, chunks: int, c0: int, c1: int) -> np.ndarray:
+    """Agent id at every position of rows [c0, c1): position c * K + k holds agent k * C + c (ids >= n_agents are padding).
 
-    The ids of the rows the slab touches are made, then cut to the slab,
-    so no array of every position's id is ever held.
+    Only those rows' ids are made, so no array of every position's id is ever held.
     """
-    c0 = p0 // chunks
     offsets = np.arange(chunks, dtype=np.uint64) * np.uint64(size)  # agent k * C of each chunk's first position
-    rows = np.arange(c0, -(-p1 // chunks), dtype=np.uint64)[:, None] + offsets
-    return rows.ravel()[p0 - c0 * chunks : p1 - c0 * chunks]
+    return (np.arange(c0, c1, dtype=np.uint64)[:, None] + offsets).ravel()
 
 
 def _next_up(uniforms: np.ndarray) -> np.ndarray:
@@ -436,7 +430,7 @@ def _hashed_rows(keys: np.ndarray, size: int, chunks: int, c0: int, c1: int, out
     the parts as they are; scratch is a uint64 array of at least out.size
     elements.
     """
-    ids = _agent_ids(size, chunks, c0 * chunks, c1 * chunks)
+    ids = _agent_ids(size, chunks, c0, c1)
     u01_grid(keys, ids, out.reshape(len(keys), ids.size, keys.shape[1]), scratch[: out.size])
     return _next_up(out)
 
@@ -468,33 +462,36 @@ def _walk(
     up one float, are read from `table`, (T, C, K, 1, S), or when it is
     None hashed from `step_keys`, the (T, S) keys of _step_keys.
 
-    Every step goes to the compiled walk (native.walk) when it loads, in
-    one C call.  It walks each step in batches of whole rows of at most
-    _HASH_BATCH_ELEMENTS uniforms (one row at least), and reads a batch's
-    uniforms from the table or hashes them itself from the step keys and
-    the position ids.  C reads every array through its address, so each
-    must be C-contiguous (_address checks it).
+    Each step's row blocks [c0, c1) are cut once, here, for both walks:
+    one block when its S * C * K uniforms fit _UNIFORM_BLOCK_ELEMENTS,
+    else _row_blocks at M * S votes a position.
 
-    Otherwise the NumPy body below walks them, with the same bits.  A
-    step whose S * C * K uniforms fit _UNIFORM_BLOCK_ELEMENTS is one
-    block; a larger step is a walk over row blocks [c0, c1) of at most
-    _UNIFORM_BLOCK_ELEMENTS votes (see _row_blocks): each block's
-    uniforms are hashed (_hashed_rows) into one buffer, its votes cast and
-    its chunk sums continued while the block is still in cache.  Rows
-    c0..c1 are contiguous both in the state and in the uniform layout.
-    The votes go to rows 1.. of one buffer; a block after the first reads
-    its chunks' running totals from row 0, just before its own rows, so
-    every lane is still added in strict agent order and the bits do not
-    depend on the blocks.
+    Every step goes to the compiled walk (native.walk) when it loads, in
+    one C call.  It walks each step in batches of the first (longest)
+    block's rows (batch_rows), and reads a batch's uniforms from the table
+    or hashes them itself from the step keys and the position ids.  C
+    reads every array through its address, so each must be C-contiguous
+    (_address checks it).
+
+    Otherwise the NumPy body below walks the blocks, with the same bits:
+    each block's uniforms are hashed (_hashed_rows) into one buffer, and
+    its votes go to rows 1.. of another; a block after the first reads its
+    chunks' running totals from row 0, just before its own rows, so every
+    lane is still added in strict agent order and the bits do not depend
+    on the blocks.
     """
     size, chunks, n_masks, n_seeds = optimism.shape
     lanes = n_masks * n_seeds
+    if size * chunks * n_seeds <= _UNIFORM_BLOCK_ELEMENTS:
+        bounds = [(0, size)]
+    else:
+        bounds = _row_blocks(size, chunks * lanes)
+    rows = bounds[0][1]  # the first block is the longest
     compiled = native.walk()
     if compiled is not None:
         # C reads and writes these arrays through their addresses, so each
         # stays bound to a name here until the walk returns.
-        batch_rows = min(size, max(1, _HASH_BATCH_ELEMENTS // (chunks * n_seeds)))
-        scratch = np.empty(2 * chunks * lanes + batch_rows * chunks * n_seeds)
+        scratch = np.empty(2 * chunks * lanes + rows * chunks * n_seeds)
         uniforms = (None if table is None else _address(table, np.float64, (len(demands), size, chunks, 1, n_seeds)),
                     None if step_keys is None else _address(step_keys, np.uint64, (len(demands), n_seeds)))
         state = [_address(a, dtype, optimism.shape)
@@ -502,13 +499,8 @@ def _walk(
         out = [_address(a, np.float64, shape) for a, shape in (
             (prices, (len(demands) + 1, lanes)), (demands, (len(demands), lanes)), (returns, (lanes,)),
             (scratch, scratch.shape))]
-        compiled(len(demands), size, chunks, n_masks, n_seeds, *state, *uniforms, batch_rows, price_impact, *out)
+        compiled(len(demands), size, chunks, n_masks, n_seeds, *state, *uniforms, rows, price_impact, *out)
         return
-    if size * chunks * n_seeds <= _UNIFORM_BLOCK_ELEMENTS:
-        bounds = [(0, size)]
-    else:
-        bounds = _row_blocks(size, chunks * lanes)
-    rows = bounds[0][1]  # the first block is the longest
     if table is None:  # each block's uniforms are hashed into one buffer just before it votes
         hashed = np.empty((1, rows, chunks, 1, n_seeds))
         scratch = np.empty(hashed.size, dtype=np.uint64)
@@ -611,9 +603,10 @@ def _placed_state(config: MarketConfig, seeds: Sequence[int], masks: np.ndarray,
     reactivity are copied for every mask: broadcasting them over masks
     would cut every step's elementwise loops to S lanes.  An agent's vote
     weight under mask m is trade_fraction * assets / config.total_assets
-    (0 where m disables its type, and for padding), made |weight|, whose
-    bits are the walk's abs_weight_bits.  The slabs' buffers are freed on
-    return, before the walk.
+    (+0.0 where m disables its type, and for padding).  It is never
+    negative (trade_fraction >= 1e-6 and total_assets > 0), so it is its
+    own |weight|, whose bits are the walk's abs_weight_bits.  The slabs'
+    buffers are freed on return, before the walk.
     """
     shape = (size * chunks, len(masks), len(seeds))
     optimism, reactivity, weight = (np.empty(shape) for _ in BEHAVIOR_FIELDS)
@@ -625,7 +618,6 @@ def _placed_state(config: MarketConfig, seeds: Sequence[int], masks: np.ndarray,
         reactivity[p0:p1] = slab[1, :, None]
         placed = np.multiply(slab[2, :, None], assets[types], out=weight[p0:p1])
         placed /= config.total_assets
-        np.abs(placed, out=placed)
     return [a.reshape(size, chunks, *shape[1:]) for a in (optimism, reactivity, weight.view(np.uint64))]
 
 

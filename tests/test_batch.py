@@ -344,14 +344,15 @@ def _bits(values):
 
 @pytest.mark.parametrize("jitter", [0.2, 0.0])
 def test_placed_jitter_equals_scalar_reference(monkeypatch, jitter):
-    # 100 agents in chunks of 64 (28 padding positions), jitter slabs of 7
-    # positions (3 fields x 2 seeds each), so every field spans 19 slabs.
+    # 100 agents in 2 chunks of 64 (28 padding positions), jitter slabs of
+    # at most 3 rows (2 positions of 3 fields x 2 seeds each), so every
+    # field spans 22 slabs.
     monkeypatch.setattr(market_module, "CHUNK_SIZE", 64)
     monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", 7 * 3 * 2)
     config = replace(CLIPPED, jitter=jitter)
     seeds, masks = [4, -9], np.array([[True, True, True, True], [False, True, False, True]])
     size, chunks = market_module._chunking(100)
-    assert len(market_module._row_blocks(size * chunks, 3 * len(seeds))) == 19
+    assert len(market_module._row_blocks(size, chunks * 3 * len(seeds))) == 22
     optimism, reactivity, weight_bits = market_module._placed_state(config, seeds, masks, size, chunks)
     weight = weight_bits.view(np.float64)
     assert optimism.shape == reactivity.shape == weight.shape == (size, chunks, 2, 2)

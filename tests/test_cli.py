@@ -465,6 +465,18 @@ class TestExperiment:
         assert field in capsys.readouterr().err
         assert not (workspace["dir"] / "never").exists()
 
+    @pytest.mark.parametrize("out_flag", [False, True], ids=["spec-out_dir", "out-flag"])
+    def test_non_string_out_dir_exits_2_even_under_out_flag(self, workspace, capsys, monkeypatch, out_flag):
+        def no_anneal(*args, **kwargs):
+            raise AssertionError("annealed before checking out_dir")
+
+        monkeypatch.setattr("amr.learner.anneal", no_anneal)
+        spec = self.spec(workspace, out_dir=5)
+        flag = ["--out", str(workspace["dir"] / "elsewhere")] if out_flag else []
+        assert main(["experiment", "--spec", str(spec), *flag]) == 2
+        assert "out_dir must be a path string, got 5" in capsys.readouterr().err
+        assert not (workspace["dir"] / "elsewhere").exists()
+
     def test_unwritable_out_dir_exits_2_before_annealing(self, workspace, capsys, monkeypatch):
         # Root ignores mode bits, so the directory is made unwritable by denying os.access.
         def no_anneal(*args, **kwargs):

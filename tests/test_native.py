@@ -190,13 +190,14 @@ def test_one_block_step_reaches_the_compiled_walk(monkeypatch, recorded):
 
 
 @needs_compiler
-@pytest.mark.parametrize("batch_elements", [1, 5 * 8 * 3, 1 << 20], ids=["1-row", "5-rows", "one-batch"])
-def test_hash_batches_equal_the_numpy_walk(cold, monkeypatch, batch_elements):
-    # 500 agents in 8 chunks of 64 under 3 seeds and 5 masks, streamed:
-    # C hashes 1 row at a time, 5 rows (the 13th batch holds 4) or all 64.
+@pytest.mark.parametrize("block_elements", [1, 5 * 8 * 15, 1 << 20], ids=["1-row", "5-rows", "one-batch"])
+def test_hash_batches_equal_the_numpy_walk(cold, monkeypatch, block_elements):
+    # 500 agents in 8 chunks of 64 under 3 seeds and 5 masks, streamed: row
+    # blocks of 8 * 15 votes a row, so C hashes 1 row at a time, 5 rows (the
+    # 13th batch holds 4) or all 64.
     monkeypatch.setattr(market_module, "CHUNK_SIZE", 64)
     monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", 0)
-    monkeypatch.setattr(market_module, "_HASH_BATCH_ELEMENTS", batch_elements)
+    monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", block_elements)
     config = bank_dominated_config(master_seed=11)
     masks = [[n in subset for n in config.type_names]
              for subset in (config.type_names, ("Banks",), ("Funds", "Govt"), (), ("Individual",))]
@@ -205,3 +206,29 @@ def test_hash_batches_equal_the_numpy_walk(cold, monkeypatch, batch_elements):
     prices, demands = run()
     numpy_prices, numpy_demands = _numpy_walk_of(monkeypatch, run)
     assert prices.tobytes() == numpy_prices.tobytes() and demands.tobytes() == numpy_demands.tobytes()
+
+
+@needs_compiler
+@pytest.mark.parametrize("scale, extra, seeds, masks, rows", [
+    (81, 1, [3, 4], [[True] * 4, [False, True, True, False]], 1366),
+    (1, 0, list(range(10)), [[True] * 4], 500),
+], ids=["3-blocks", "one-block"])
+def test_both_walks_take_the_same_blocks(monkeypatch, recorded, scale, extra, seeds, masks, rows):
+    # C's batch_rows (argument 10) is the first row block the NumPy body
+    # hashes: 40,504 agents in 10 chunks under 2 seeds and 2 masks make
+    # blocks of 1366, 1365 and 1365 rows; 500 agents under 10 seeds, one.
+    monkeypatch.setattr(market_module, "_UNIFORM_TABLE_ELEMENTS", 0)
+    base = bank_dominated_config()
+    config = replace(base, types=tuple(replace(t, count=t.count * scale + extra) for t in base.types))
+    run = lambda: simulate_batch(config, seeds, masks, 100.0, 3)
+    run()
+    blocks = []
+    hashed_rows = market_module._hashed_rows
+
+    def recording_hashed_rows(keys, size, chunks, c0, c1, *rest):
+        blocks.append((c0, c1))
+        return hashed_rows(keys, size, chunks, c0, c1, *rest)
+
+    monkeypatch.setattr(market_module, "_hashed_rows", recording_hashed_rows)
+    _numpy_walk_of(monkeypatch, run)
+    assert len(recorded) == 1 and recorded[0][10] == blocks[0][1] - blocks[0][0] == rows
