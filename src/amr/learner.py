@@ -119,9 +119,10 @@ class AnnealingSchedule:
         if not 0 < self.initial_temperature < inf:
             raise ValueError(f"initial_temperature must be > 0 and finite, got {self.initial_temperature}")
         if not 0.0 < self.cooling_factor < 1.0:
-            raise ValueError("cooling_factor must be in (0, 1)")
-        if self.proposals_per_epoch < 1 or self.total_evaluations < 1 or self.replications < 1:
-            raise ValueError("proposals_per_epoch, total_evaluations, replications must be >= 1")
+            raise ValueError(f"cooling_factor must be in (0, 1), got {self.cooling_factor}")
+        for name in ("proposals_per_epoch", "total_evaluations", "replications"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.proposal_sigma < inf:
             raise ValueError(f"proposal_sigma must be >= 0 and finite, got {self.proposal_sigma}")
 

@@ -73,7 +73,10 @@ which is compiled where a C compiler is found: _walk.c, built on first
 use and loaded with ctypes by amr.native, walks all of a call's steps in
 one C call, in batches of the first block's rows.  It reads a tabled
 call's uniforms from the table, and hashes a streamed call's itself
-from the step keys and the position ids.  It does the NumPy body's
+from the step keys and the position ids.  A row of one mask and at most
+8 lanes (calibrate's 3 seeds, every 500-agent simulate_pk) is voted a
+batch at a time, each lane's sum held in a register down the rows; wider
+rows vote row by row.  It does the NumPy body's
 arithmetic in NumPy's order: x = reactivity * last return, then
 x += optimism, then x -= nextafter(u, +inf); the vote is the sign bit
 of x or-ed with the bits of |weight|; each lane is summed from -0.0 in
@@ -200,6 +203,10 @@ class MarketConfig:
             raise ValueError(f"jitter {self.jitter} outside [0, {JITTER_MAX}]")
         if not isinstance(self.master_seed, int):
             raise ValueError("master_seed must be an integer")
+        # fold reads a seed modulo 2**64, so a wider one would alias a seed in
+        # range; substream yields seeds up to 2**64 - 1, and negative ones stay valid.
+        if not -(2**63) <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must be in [-2**63, 2**64), got {self.master_seed}")
         if self.n_agents > MAX_AGENTS:
             counts = ", ".join(f"{t.name} {t.count}" for t in self.types)
             raise ValueError(f"a market holds at most {MAX_AGENTS} (2**30) agents, got {self.n_agents} "

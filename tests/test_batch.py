@@ -619,6 +619,10 @@ def _walked_row_sums(values):
     pytest.param(*case, id="-".join(map(str, case))) for case in [
         (500, 4096, 1), (500, 4096, 3), (500, 128, 1), (37, 8, 1),  # fewer than _REDUCE_WIDTH lanes
         (500, 4096, 8), (500, 64, 15), (300, 100, 3), (1, 4096, 9),  # reduced lanes
+        # Every lane count of the compiled walk's one-mask tiles (1..8) has a
+        # case: 2 lanes of 2 chunks, 6 of 2 chunks x 3 seeds and 7 seeds; and
+        # 9 chunks of one seed, one lane past the widest tile.
+        (500, 250, 1), (500, 250, 3), (500, 4096, 7), (500, 56, 1),
     ]]), indirect=["walk"])
 def test_row_sums_equal_left_to_right_loop(monkeypatch, n_agents, chunk_width, rows, walk):
     monkeypatch.setattr(market_module, "CHUNK_SIZE", chunk_width)
@@ -635,6 +639,21 @@ def test_row_sums_equal_left_to_right_loop(monkeypatch, n_agents, chunk_width, r
         monkeypatch.setattr(market_module, "_UNIFORM_BLOCK_ELEMENTS", block_rows * chunks * rows)
         demand = _walked_row_sums(values)
         assert [float(d).hex() for d in demand] == [e.hex() for e in expected]
+
+
+@pytest.mark.parametrize("n_seeds", range(1, 10))
+def test_tabled_one_mask_cells_equal_numpy_solo_runs(monkeypatch, walk, n_seeds):
+    # 1 to 9 lanes a row, one 500-agent chunk: the compiled walk votes 1..8
+    # in its one-mask tiles and 9 row by row.  Each cell must equal its solo
+    # run on the NumPy walk, which no tile touches.
+    seeds = SEEDS[:1] + [substream(SEEDS[0], s) for s in range(1, n_seeds)]
+    prices, demands = simulate_batch(BASE, seeds, MASKS[:1], 100.0, HORIZON)
+    assert market_module._uniform_table.cache_info().currsize == 1  # the batch read a table
+    monkeypatch.setattr(native, "walk", lambda: None)
+    for s, seed in enumerate(seeds):
+        run = _single_run(SUBSETS[0], seed)
+        assert prices[0, s].tobytes() == np.array(run.predicted.values).tobytes()
+        assert demands[0, s].tobytes() == np.array(run.demands).tobytes()
 
 
 def test_copysign_vote_equals_less_vote():

@@ -72,6 +72,13 @@ def test_config_top_level_numbers_parse_strictly(field, value):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("seed", [-(2**63), 2**64 - 1])
+def test_config_master_seed_bounds_are_valid(seed):
+    data = _wire(bank_dominated_config())
+    data["master_seed"] = seed
+    assert config_from_dict(data).master_seed == seed
+
+
 @pytest.fixture()
 def reduce_args(tmp_path):
     config = bank_dominated_config(master_seed=5)
@@ -227,6 +234,21 @@ def test_price_impact_below_floor_exits_2(simulate_args, tmp_path, capsys):
     assert not (tmp_path / "prediction.csv").exists()
 
 
+@pytest.mark.parametrize("seed", [2**64, -(2**63) - 1])
+def test_cli_config_master_seed_outside_64_bits_exits_2(simulate_args, tmp_path, capsys, seed):
+    # fold reads a seed modulo 2**64, so 2**64 would run as seed 0.
+    (tmp_path / "config.json").write_text(json.dumps({**_wire(bank_dominated_config()), "master_seed": seed}))
+    assert main(simulate_args + ["--p0", "100.0"]) == 2
+    assert f"master_seed must be in [-2**63, 2**64), got {seed}" in capsys.readouterr().err
+    assert not (tmp_path / "prediction.csv").exists()
+
+
+def test_cli_seed_outside_64_bits_exits_2(simulate_args, tmp_path, capsys):
+    assert main(simulate_args + ["--p0", "100.0", "--seed", "18446744073709551616"]) == 2
+    assert "master_seed must be in [-2**63, 2**64), got 18446744073709551616" in capsys.readouterr().err
+    assert not (tmp_path / "prediction.csv").exists()
+
+
 @pytest.mark.parametrize("p0", ["inf", "nan", "-inf"])
 def test_cli_non_finite_p0_exits_2(simulate_args, tmp_path, capsys, p0):
     assert main(simulate_args + [f"--p0={p0}"]) == 2
@@ -271,6 +293,19 @@ def test_cli_train_non_finite_schedule_exits_2(reduce_args, tmp_path, capsys, fl
     argv = ["train", *reduce_args[1:7], "--evaluations", "2", "--out", str(tmp_path / "fit_out.json")]
     assert main(argv + [f"{flag}={value}"]) == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "fit_out.json").exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--evaluations", "0", "total_evaluations must be >= 1, got 0"),
+    ("--per-epoch", "0", "proposals_per_epoch must be >= 1, got 0"),
+    ("--train-replications", "0", "replications must be >= 1, got 0"),
+    ("--cooling", "1", "cooling_factor must be in (0, 1), got 1.0"),
+])
+def test_cli_train_schedule_errors_name_the_field_and_value(reduce_args, tmp_path, capsys, flag, value, message):
+    argv = ["train", *reduce_args[1:7], "--evaluations", "2", "--out", str(tmp_path / "fit_out.json")]
+    assert main(argv + [flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "fit_out.json").exists()
 
 
