@@ -151,14 +151,18 @@ def replication_mapes(config: MarketConfig, masks: Sequence[Sequence[bool]], tar
     of at most MAX_BATCH_ELEMENTS masks x seeds x agents (one mask at least).
     A mask that enables none is not simulated: its agents all weigh 0, so
     each step's price is (+-0 * impact + 1) * price = price, and its runs
-    score the constant series at the target's first value.
+    score the constant series at the target's first value, which is
+    computed only when such a mask is present.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     seeds = [substream(config.master_seed, r) for r in range(replications)]
     p0, horizon = target.values[0], len(target)
-    mapes = np.full((len(masks), replications), mape_rows(target, np.full(horizon, p0)))
+    mapes = np.empty((len(masks), replications))
     live = [m for m, mask in enumerate(masks) if any(mask)]
+    dead = [m for m, mask in enumerate(masks) if not any(mask)]
+    if dead:
+        mapes[dead] = mape_rows(target, np.full(horizon, p0))
     per_call = max(1, MAX_BATCH_ELEMENTS // (replications * config.n_agents))
     for lo in range(0, len(live), per_call):
         batch = live[lo : lo + per_call]

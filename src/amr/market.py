@@ -30,12 +30,21 @@ step() is the one-day case: one seed (the config's own) and one mask
 One set-up, _placed_state, serves every call.  It writes the three
 placed arrays (optimism, reactivity, and the bits of |vote weight| that
 the walk reads) once each, in place, in one loop over the slabs of
-_jittered: each slab's jitter uniforms are hashed with its agent ids as
-parts, so they land in the placed layout, and its weights are written
-from them while they are in cache.  A call holds those three arrays and,
-at any one time, either one set-up slab's ids and buffers or the walk's
-buffers (plus the uniform table when tabled): about 4.1 state arrays of
-8 * C * K * M * S bytes at 200k agents, one seed and one mask.
+_jittered: each slab is its agents' jitter noise, (2u - 1) * jitter in
+the placed layout, plus their types' values, clipped, and its weights
+are written from it while it is in cache.  The noise is a pure function
+of (seed, field, agent) and the jitter, so a second one-slot memo,
+_jitter_noise, keeps it across calls, with each position's type index
+and padding flag.  A call whose 3 * C * K * S noise values fit
+_UNIFORM_BLOCK_ELEMENTS (512 KB) reads the entry of key (seeds, type
+counts, jitter, C, K), filled on first sight; M is not in the key, so
+every energy of an anneal, and every mask set of a reduction, on the
+same seeds reads one entry.  A larger call empties the memo and hashes
+each slab's uniforms with its agent ids as parts.  A call holds the
+three placed arrays and, at any one time, either one set-up slab's ids
+and buffers or the walk's buffers (plus the uniform table when tabled):
+about 4.1 state arrays of 8 * C * K * M * S bytes at 200k agents, one
+seed and one mask.
 
 The decision uniforms are a pure function of (seed, step, agent), so
 calls with the same seeds, agent count and horizon read the same values
@@ -94,7 +103,7 @@ compiled walk's decision uniforms by its C twin, which take their keys
 and parts with splitmix64's first xorshift already applied (see
 amr.rng): each small (steps, S) or (fields, S) key array is folded
 once, with rng.grid_keys, where it is made (_step_keys, step(),
-_jittered), and the position ids are the parts.  A market
+_jitter_keys), and the position ids are the parts.  A market
 holds at most MAX_AGENTS = 2**30 agents, a multiple of CHUNK_SIZE, so
 every position id is below 2**30 and is its own grid part.  Hashing a
 value thus takes two passes fewer than fold does, and every uniform
@@ -143,13 +152,15 @@ _SIGN_BIT = np.uint64(1 << 63)
 _REDUCE_WIDTH = 8
 
 # Upper bound on the decision uniforms of a tabled step and of a table build's
-# step group, on the jitter uniforms or vote weights of one set-up slab and,
-# when a step's uniforms exceed it, on the votes of one row block of either
-# walk, whose uniforms are hashed as it walks (elements; 512 KB, so a block and
-# its scratch stay in L2).
+# step group, on the jitter uniforms or vote weights of one set-up slab, on the
+# jitter noise kept by _jitter_noise and, when a step's uniforms exceed it, on
+# the votes of one row block of either walk, whose uniforms are hashed as it
+# walks (elements; 512 KB, so a block and its scratch stay in L2).
 _UNIFORM_BLOCK_ELEMENTS = 1 << 16
 # Largest decision-uniform table kept across calls (elements; 8 MB).
 _UNIFORM_TABLE_ELEMENTS = 1 << 20
+# Each behavior field's lower and upper bounds, as two (3, 1, 1) arrays for a (3, P, S) slab.
+_FIELD_BOUNDS = np.array(BEHAVIOR_BOUNDS).T[:, :, None, None]
 
 
 @dataclass(frozen=True)
@@ -323,6 +334,51 @@ class AgentPopulation:
         return len(self.type_index)
 
 
+def _jitter_keys(seeds: Sequence[int]) -> np.ndarray:
+    """(3, S) keys fold(seed, jitter tag, field), folded by rng.grid_keys."""
+    return grid_keys(np.array([[fold(seed, TAG_JITTER, d) for seed in seeds]
+                               for d in range(len(BEHAVIOR_FIELDS))], dtype=np.uint64))
+
+
+def _noise_rows(keys: np.ndarray, ends: np.ndarray, jitter: float, size: int, chunks: int, c0: int, c1: int,
+                out: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(noise, types, padding) of rows [c0, c1): noise is `out`, a (3, P, S) array, P = (c1 - c0) * K.
+
+    noise[d, p, s] = (2u - 1) * jitter, u hashed by rng.u01_grid from
+    keys[d, s] (_jitter_keys) with the rows' ids (_agent_ids) as parts;
+    types[p] is the type index of the agent at p, by the types' cumulative
+    counts `ends` (len(ends) for a padding id, >= n_agents), and padding[p]
+    says it is padding.  scratch is a uint64 array of at least out.size
+    elements.
+    """
+    ids = _agent_ids(size, chunks, c0, c1)
+    u01_grid(keys, ids, out, scratch[: out.size])
+    out *= 2.0
+    out -= 1.0
+    out *= jitter
+    types = np.searchsorted(ends, ids, side="right")
+    return out, types, types == len(ends)
+
+
+@lru_cache(maxsize=1)
+def _jitter_noise(seeds: tuple[int, ...], counts: tuple[int, ...], jitter_hex: str, size: int,
+                  chunks: int) -> tuple[np.ndarray, ...]:
+    """The read-only (noise, types, padding) of _noise_rows over every row, for the last key.
+
+    The key holds the type counts, not the types' values, and no mask.
+    The jitter is keyed by its float.hex(): -0.0 and 0.0 compare equal but
+    give noise of opposite zero signs.  The body runs only on a miss and
+    first drops the last entry, so two are never held at once.
+    """
+    _jitter_noise.cache_clear()
+    noise = np.empty((len(BEHAVIOR_FIELDS), size * chunks, len(seeds)))
+    memo = _noise_rows(_jitter_keys(seeds), np.cumsum(counts, dtype=np.uint64), float.fromhex(jitter_hex), size,
+                       chunks, 0, size, noise, np.empty(noise.size, dtype=np.uint64))
+    for a in memo:
+        a.setflags(write=False)
+    return memo
+
+
 def _jittered(config: MarketConfig, seeds: Sequence[int], size: int, chunks: int,
               n_masks: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Yield (p0, p1, types, slab) for the slabs of the agents placed in K chunks of C.
@@ -335,31 +391,38 @@ def _jittered(config: MarketConfig, seeds: Sequence[int], size: int, chunks: int
     to the field's bounds, and 0 for padding.  A slab holds at most
     _UNIFORM_BLOCK_ELEMENTS values, or one row, at least, and so does a
     (p1 - p0, M, S) slab of vote weights: _row_blocks at max(3, M) * S
-    values a position.  The uniforms are hashed (rng.u01_grid) into one
-    buffer, which the next slab overwrites, with each slab's own ids
-    (_agent_ids) as parts, so the slab size changes no bit.
+    values a position.  Each slab is written into one buffer, which the
+    next slab overwrites.
+
+    When the call's 3 * C * K * S noise values fit _UNIFORM_BLOCK_ELEMENTS,
+    each slab reads its rows of the one-slot memo _jitter_noise, keyed by
+    (seeds, type counts, jitter, C, K); otherwise the memo is emptied and
+    each slab's noise is hashed (_noise_rows) into the buffer itself.
+    Either way the noise has the same bits, and every slab then takes
+    + its types' values, np.clip and 0 for padding, in that order.
     """
-    n_types, n_seeds = len(config.types), len(seeds)
-    keys = grid_keys(np.array([[fold(seed, TAG_JITTER, d) for seed in seeds]
-                               for d in range(len(BEHAVIOR_FIELDS))], dtype=np.uint64))
+    n_fields, n_seeds = len(BEHAVIOR_FIELDS), len(seeds)
     base = np.array([[getattr(t, f) for t in config.types] + [0.0] for f in BEHAVIOR_FIELDS])
-    lo, hi = np.array(BEHAVIOR_BOUNDS).T[:, :, None, None]  # (3, 1, 1) each
-    ends = np.cumsum([t.count for t in config.types], dtype=np.uint64)
-    bounds = _row_blocks(size, chunks * max(len(keys), n_masks) * n_seeds)
-    buffer = np.empty(keys.size * chunks * bounds[0][1])  # the first slab is the longest
-    scratch = np.empty(buffer.size, dtype=np.uint64)
+    counts = tuple(t.count for t in config.types)
+    bounds = _row_blocks(size, chunks * max(n_fields, n_masks) * n_seeds)
+    buffer = np.empty(n_fields * chunks * bounds[0][1] * n_seeds)  # the first slab is the longest
+    memo = None
+    if n_fields * size * chunks * n_seeds <= _UNIFORM_BLOCK_ELEMENTS:
+        memo = _jitter_noise(tuple(seeds), counts, float(config.jitter).hex(), size, chunks)
+    else:
+        _jitter_noise.cache_clear()  # any other call empties the memo
+        keys, ends = _jitter_keys(seeds), np.cumsum(counts, dtype=np.uint64)
+        scratch = np.empty(buffer.size, dtype=np.uint64)
     for c0, c1 in bounds:
-        ids = _agent_ids(size, chunks, c0, c1)
         p0, p1 = c0 * chunks, c1 * chunks
-        types = np.searchsorted(ends, ids, side="right")
-        slab = buffer[: keys.size * (p1 - p0)].reshape(len(keys), p1 - p0, n_seeds)
-        u01_grid(keys, ids, slab, scratch[: slab.size])
-        slab *= 2.0
-        slab -= 1.0
-        slab *= config.jitter
-        slab += base[:, types, None]
-        np.clip(slab, lo, hi, out=slab)
-        slab[:, types == n_types] = 0.0
+        slab = buffer[: n_fields * (p1 - p0) * n_seeds].reshape(n_fields, p1 - p0, n_seeds)
+        if memo is None:
+            noise, types, padding = _noise_rows(keys, ends, config.jitter, size, chunks, c0, c1, slab, scratch)
+        else:
+            noise, types, padding = memo[0][:, p0:p1], memo[1][p0:p1], memo[2][p0:p1]
+        np.add(noise, base[:, types, None], out=slab)
+        np.clip(slab, *_FIELD_BOUNDS, out=slab)
+        slab[:, padding] = 0.0
         yield p0, p1, types, slab
 
 

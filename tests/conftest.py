@@ -11,9 +11,10 @@ from walks import WALKS
 
 @pytest.fixture(autouse=True)
 def empty_memos():
-    """Each test starts with no subset scores and no uniform table remembered from an earlier one."""
+    """Each test starts with no subset scores, uniform table or jitter noise remembered from an earlier one."""
     reducer._known_scores.cache_clear()
     market._uniform_table.cache_clear()
+    market._jitter_noise.cache_clear()
 
 
 @pytest.fixture(params=WALKS)

@@ -1,6 +1,7 @@
 """The batched kernel agrees with one-run-at-a-time simulation, bit for bit."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -406,6 +407,114 @@ def test_large_set_up_holds_no_id_of_every_position():
     # Each set-up slab makes the ids of its own positions: 4.1 state arrays
     # traced, against 5.0 when the set-up held a (C * K,) id array throughout.
     assert _large_batch_peak() < 4.5
+
+
+def _count_jitter_hashes(monkeypatch, seeds):
+    """Wrap market.u01_grid; return the list of calls that hash jitter under `seeds`."""
+    jitter_keys, grid, hashed = market_module._jitter_keys(seeds), market_module.u01_grid, []
+
+    def counting(keys, parts, out, scratch):
+        if keys.shape == jitter_keys.shape and (keys == jitter_keys).all():
+            hashed.append(parts.size)
+        return grid(keys, parts, out, scratch)
+
+    monkeypatch.setattr(market_module, "u01_grid", counting)
+    return hashed
+
+
+def test_second_energy_hashes_no_jitter(monkeypatch):
+    config = bank_dominated_config()
+    target = synthetic_target(config, seed=5, n_days=60)
+    seeds = [substream(config.master_seed, r) for r in range(3)]
+    hashed = _count_jitter_hashes(monkeypatch, seeds)
+    params = ParameterVector.from_config(config)
+    first = energy(params, target, config, replications=3)
+    assert hashed == [500]  # one hash of every position, into the memo
+    moved = ParameterVector(params.type_names, np.clip(params.values * 0.9 + 0.01, *params.bounds()))
+    second = energy(moved, target, config, replications=3)
+    assert hashed == [500] and market_module._jitter_noise.cache_info().hits == 1
+    monkeypatch.undo()
+    market_module._jitter_noise.cache_clear()
+    assert energy(moved, target, config, replications=3).hex() == second.hex() != first.hex()
+
+
+# A type whose reactivity is -0.0: a jitter of 0.0 or -0.0 gives noise of
+# opposite zero signs, so its agents' placed reactivity keeps that sign.
+SIGNED_ZERO = replace(BASE, types=(replace(BASE.types[0], reactivity=-0.0), *BASE.types[1:]))
+
+
+def _placed_bits(config, seeds, n_masks=2):
+    size, chunks = market_module._chunking(config.n_agents)
+    masks = np.ones((n_masks, len(config.types)), dtype=bool)
+    return b"".join(a.tobytes() for a in market_module._placed_state(config, seeds, masks, size, chunks))
+
+
+def test_jitter_memo_is_rebuilt_for_each_key_and_keeps_every_bit(monkeypatch):
+    grow = replace(BASE, types=(*BASE.types[:-1], replace(BASE.types[-1], count=BASE.types[-1].count + 1)))
+    calls = [  # each changes one part of the key: seeds, jitter, a count, the chunk width, the jitter's sign
+        (BASE, SEEDS, None), (BASE, SEEDS[:2], None), (replace(BASE, jitter=0.1), SEEDS[:2], None),
+        (grow, SEEDS[:2], None), (grow, SEEDS[:2], 64), (replace(SIGNED_ZERO, jitter=0.0), SEEDS, None),
+        (replace(SIGNED_ZERO, jitter=-0.0), SEEDS, None),
+    ]
+    for config, seeds, chunk_width in calls:
+        with monkeypatch.context() as patch:
+            if chunk_width:
+                patch.setattr(market_module, "CHUNK_SIZE", chunk_width)
+            hashed = _count_jitter_hashes(patch, seeds)
+            warm = _placed_bits(config, seeds), simulate_batch(config, seeds, MASKS, 100.0, 30)
+            assert len(hashed) == 1  # the previous call's entry was not read
+            market_module._jitter_noise.cache_clear()
+            cold = _placed_bits(config, seeds), simulate_batch(config, seeds, MASKS, 100.0, 30)
+        assert warm[0] == cold[0]
+        assert [a.tobytes() for a in warm[1]] == [a.tobytes() for a in cold[1]]
+    # The last two calls differ only in the jitter's sign, and so do their placed bits.
+    assert _placed_bits(replace(SIGNED_ZERO, jitter=0.0), SEEDS) != warm[0]
+
+
+def test_jitter_memo_is_read_only():
+    simulate_batch(BASE, SEEDS, MASKS, 100.0, 30)
+    assert market_module._jitter_noise.cache_info().currsize == 1
+    noise, types, padding = market_module._jitter_noise(tuple(SEEDS), tuple(t.count for t in BASE.types),
+                                                        BASE.jitter.hex(), 500, 1)
+    assert market_module._jitter_noise.cache_info().hits == 1  # the entry the call filled
+    assert noise.shape == (len(BEHAVIOR_FIELDS), 500, len(SEEDS)) and types.shape == padding.shape == (500,)
+    for a in (noise, types, padding):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_reduce_and_subset_calls_share_one_jitter_entry(monkeypatch):
+    # 15 masks x 10 seeds place in two set-up slabs of 250 rows, each read
+    # from the one entry that the 5-mask call then reads again.
+    masks = [list(m) for m in itertools.product([False, True], repeat=len(BASE.types)) if any(m)]
+    seeds = list(range(10))
+    assert len(market_module._row_blocks(500, len(masks) * len(seeds))) == 2
+    hashed = _count_jitter_hashes(monkeypatch, seeds)
+    wide, _ = simulate_batch(BASE, seeds, masks, 100.0, 30)
+    narrow, _ = simulate_batch(BASE, seeds, MASKS, 100.0, 30)
+    assert hashed == [500] and market_module._jitter_noise.cache_info().hits == 1
+    for m, mask in enumerate(MASKS):
+        if any(mask):
+            assert narrow[m].tobytes() == wide[masks.index(mask)].tobytes()
+
+
+def test_replication_mapes_scores_no_baseline_without_an_all_off_mask(monkeypatch):
+    target = synthetic_target(balanced_config(3), seed=19, n_days=60)
+    scored = []
+    mape_rows = learner_module.mape_rows
+    monkeypatch.setattr(learner_module, "mape_rows", lambda *args: scored.append(args) or mape_rows(*args))
+    replication_mapes(BASE, MASKS[:1], target, len(SEEDS))
+    assert len(scored) == 1
+    # With an all-off mask the baseline is scored too, once.
+    replication_mapes(BASE, MASKS, target, len(SEEDS))
+    assert len(scored) == 3
+
+
+def test_negative_seed_aliases_its_unsigned_twin():
+    # rng.fold reads a seed modulo 2**64, so -1 and 2**64 - 1 run the same market.
+    low = simulate_batch(BASE, [-1], MASKS, 100.0, 30)
+    high = simulate_batch(BASE, [2**64 - 1], MASKS, 100.0, 30)
+    assert [a.tobytes() for a in low] == [a.tobytes() for a in high]
 
 
 def test_empty_batch_rejected():
